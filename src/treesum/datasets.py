@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
-from .errors import InvalidSpec, MalformedLine
-from .tree import WeightedTree, build_tree
+from .errors import InvalidSpec, MalformedLine, NoRoot, OrphanParentReference
+from .tree import WeightedTree, raise_first_duplicate
 
 _MASK64 = (1 << 64) - 1
 
@@ -120,32 +121,68 @@ def gen_random_tree(spec: GenSpec) -> WeightedTree:
 
 
 def parse_tree_tsv(path) -> WeightedTree:
-    """Read a tree file; validation is delegated to build_tree."""
-    records = []
+    """Read a tree file in one pass over its text.
+
+    All fields are split at once and handed to WeightedTree as flat lists;
+    only a file that fails the bulk checks is scanned line by line, to name
+    the first bad line in its MalformedLine.  Raises MalformedLine,
+    DuplicateId, OrphanParentReference, or any WeightedTree error.
+    """
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (3, 4):
-                raise MalformedLine(line_no, f"expected 3 or 4 columns, got {len(parts)}")
-            node_id, parent_id, weight_text = parts[0], parts[1], parts[2]
-            if not node_id:
-                raise MalformedLine(line_no, "empty node id")
-            try:
-                weight = float(weight_text)
-            except ValueError:
-                raise MalformedLine(line_no, f"bad weight {weight_text!r}") from None
-            records.append(
-                {
-                    "id": node_id,
-                    "parent": None if parent_id == "-" else parent_id,
-                    "weight": weight,
-                    "label": parts[3] if len(parts) == 4 else None,
-                }
-            )
-    return build_tree(records)
+        text = fh.read()
+    lines = [line for line in text.split("\n") if line and line[0] != "#"]
+    if not lines:
+        raise NoRoot("empty node list")
+    tabs = list(map(str.count, lines, repeat("\t")))
+    widths = set(tabs)
+    if not widths <= {2, 3}:
+        _raise_malformed(text)
+    width = 4 if 3 in widths else 3
+    if len(widths) > 1:
+        # pad 3-column lines with an empty label, which means "use the id"
+        lines = [line if t == 3 else line + "\t" for line, t in zip(lines, tabs)]
+    fields = "\t".join(lines).split("\t")
+    ids = fields[0::width]
+    if not all(ids):
+        _raise_malformed(text)
+    try:
+        weights = list(map(float, fields[2::width]))
+    except ValueError:
+        _raise_malformed(text)
+
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) != len(ids):
+        raise_first_duplicate(ids)
+    index["-"] = -1
+    parent_ids = fields[1::width]
+    parent = list(map(index.get, parent_ids))
+    if None in parent:
+        i = parent.index(None)
+        raise OrphanParentReference(
+            f"node {ids[i]!r} references unknown parent {parent_ids[i]!r}"
+        )
+    labels = None
+    if width == 4:
+        labels = [label or node_id for label, node_id in zip(fields[3::4], ids)]
+    return WeightedTree(ids, parent, weights, labels)
+
+
+def _raise_malformed(text: str):
+    """Raise MalformedLine for the first line that breaks the schema."""
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (3, 4):
+            raise MalformedLine(line_no, f"expected 3 or 4 columns, got {len(parts)}")
+        node_id, weight_text = parts[0], parts[2]
+        if not node_id:
+            raise MalformedLine(line_no, "empty node id")
+        try:
+            float(weight_text)
+        except ValueError:
+            raise MalformedLine(line_no, f"bad weight {weight_text!r}") from None
+    raise AssertionError("no malformed line found")
 
 
 def _format_weight(w: float) -> str:

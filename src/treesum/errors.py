@@ -40,6 +40,10 @@ class NegativeWeight(TreeBuildError):
     pass
 
 
+class NonFiniteWeight(TreeBuildError):
+    """A node weight that is nan or infinite."""
+
+
 # --- lookups and algorithm arguments ----------------------------------------
 
 class UnknownNode(TreesumError, KeyError):

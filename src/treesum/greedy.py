@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import InvalidK
 from .result import SummaryResult
-from .scoring import _g_unchecked, marginal_gain_fast
+from .scoring import _g_unchecked, _gain_unchecked
 from .tree import WeightedTree
 
 
@@ -24,13 +24,14 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
     order = []
     trace = []
     candidates = tree.pre_order
+    children = tree.children
     for _ in range(k):
         best = None
         best_gain = -1.0
         for x in candidates:
             if x in selected:
                 continue
-            gain = marginal_gain_fast(tree, selected, x)
+            gain = _gain_unchecked(tree, selected, x, children)
             if gain > best_gain:
                 best_gain = gain
                 best = x

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .errors import EmptySummary, NoImportantNodes
 from .tree import EulerLcaIndex, WeightedTree
 
@@ -28,25 +30,28 @@ class MetricsReport:
 def closeness_distance(
     tree: WeightedTree, members: Iterable[int], index: Optional[EulerLcaIndex] = None
 ) -> float:
-    """Sum over weighted nodes of (hop distance to the nearest member) * weight."""
+    """Sum over weighted nodes of (hop distance to the nearest member) * weight.
+
+    Distances from each member to all weighted nodes come from one batched
+    LCA query; the weighted sum runs in preorder of the weighted nodes.
+    """
     selected = [tree.check_node(v) for v in set(members)]
     if not selected:
         raise EmptySummary("closeness distance needs a nonempty summary")
     if index is None:
         index = EulerLcaIndex(tree)
-    levels = tree.levels
+    imp = tree.important_pre
+    ys = np.array(imp, dtype=np.int64)
+    levels = tree._levels_a
+    ly = levels[ys]
+    best = None
+    for x in selected:
+        d = levels[x] + ly - 2 * levels[index.lca_many(x, ys)]
+        best = d if best is None else np.minimum(best, d)
+    feq = tree.feq
     total = 0.0
-    for y in tree.important_pre:
-        ly = levels[y]
-        best = None
-        for x in selected:
-            c = index.lca(x, y)
-            d = levels[x] + ly - 2 * levels[c]
-            if best is None or d < best:
-                best = d
-                if d == 0:
-                    break
-        total += best * tree.feq[y]
+    for y, d in zip(imp, best.tolist()):
+        total += d * feq[y]
     return total
 
 
@@ -81,10 +86,8 @@ def weighted_coverage(tree: WeightedTree, members: Iterable[int]) -> float:
     """Total weight of positively weighted nodes that are members or their
     direct children."""
     selected = {tree.check_node(v) for v in members}
-    covered = set(selected)
-    for v in selected:
-        covered.update(tree.children[v])
-    return sum(tree.feq[y] for y in tree.important if y in covered)
+    parent = tree.parent
+    return sum(tree.feq[y] for y in tree.important if y in selected or parent[y] in selected)
 
 
 def compute_metrics(

@@ -88,9 +88,10 @@ class OtsSolver:
         parent = tree.parent
         memo = self.memo
         cap = self.cap
+        children = tree.children
         for u in tree.post_order:
             cap_u = cap[u]
-            kids = tree.children[u]
+            kids = children[u]
             yes_tail = self._knap_values(kids, cap_u - 1, u)
             feq_u = feq[u]
             slv_u = slv[u]
@@ -255,6 +256,7 @@ class OtsSolver:
         feq = tree.feq
         slv = tree.score_levels
         memo = self.memo
+        children = tree.children
         selected = set()
         stack = [(tree.root, self.k, _NO_ANCESTOR)]
         while stack:
@@ -262,7 +264,7 @@ class OtsSolver:
             b = min(b, self.cap[u])
             if b == 0:
                 continue
-            kids = tree.children[u]
+            kids = children[u]
             yes_v = feq[u] + self._knap_values(kids, b - 1, u)[b - 1]
             base = 0.0 if na < 0 else feq[u] / (slv[u] - slv[na] + 1)
             no_tables = self._knap_tables(kids, b, na)

@@ -52,8 +52,7 @@ def vtree(tree: WeightedTree, index: Optional[EulerLcaIndex] = None) -> ReducedT
     if len(imp) > 1:
         if index is None:
             index = EulerLcaIndex(tree)
-        for a, b in zip(imp, imp[1:]):
-            keep.add(index.lca(a, b))
+        keep.update(index.lca_many(imp[:-1], imp[1:]).tolist())
 
     pre_rank = tree.pre_rank
     ordered = sorted(keep, key=pre_rank.__getitem__)

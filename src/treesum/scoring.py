@@ -116,10 +116,14 @@ def marginal_gain_fast(tree: WeightedTree, members: Iterable[int], x: int) -> fl
     selected = members if isinstance(members, (set, frozenset)) else set(members)
     if x in selected:
         raise AlreadySelected(f"node {tree.ids[x]!r} is already selected")
+    return _gain_unchecked(tree, selected, x, tree.children)
 
+
+def _gain_unchecked(tree: WeightedTree, selected: Set[int], x: int, children: list) -> float:
+    """marginal_gain_fast for a valid unselected x; ``children`` is
+    ``tree.children``, read once by the caller."""
     lv = tree.score_levels
     feq = tree.feq
-    children = tree.children
 
     lz = None
     v = tree.parent[x]

@@ -2,19 +2,32 @@
 
 A WeightedTree is built once and never mutated.  Nodes are addressed by dense
 integer indices in input-record order; the external string ids map to indices
-through ``tree.index()``.  Construction precomputes, in O(n):
+through ``tree.index()``.  Construction is a fixed number of numpy passes with
+no per-node Python loop:
 
-  * levels (hop distance from the root),
-  * the preorder sequence and each node's preorder rank,
-  * subtree sizes, so that "y is a descendant of x" is a single interval
-    test: pre_rank[x] <= pre_rank[y] < pre_rank[x] + subtree_size[x].
+  * the children of every node come from a stable argsort of the parent
+    array (compressed rows, child order is input order);
+  * the depth-first tour is a successor list over 2n enter/exit events:
+    enter(v) goes to v's first child, or to exit(v) for a leaf; exit(v) goes
+    to v's next sibling, or to exit(parent) for a last child.  Pointer
+    jumping ranks it in ceil(log2 2n) rounds (the Euler-tour technique with
+    list ranking, Tarjan & Vishkin 1985);
+  * the tour positions give everything else: subtree sizes, levels (one
+    cumsum of +1 per enter and -1 per exit), preorder and postorder ranks.
+
+A node left off the root's tour sits on a parent cycle.  Subtree sizes make
+"y is a descendant of x" a single interval test:
+pre_rank[x] <= pre_rank[y] < pre_rank[x] + subtree_size[x].
 
 Child order is input order and defines every deterministic traversal and
-tie-break downstream.
+tie-break downstream.  The public attributes are plain Python lists, because
+the solvers index them in pure-Python loops.  ``children`` is the one
+exception to eager construction: it is filled from the compressed rows the
+first time it is read, so callers on hot paths read it once into a local.
 
-EulerLcaIndex answers lowest-common-ancestor queries in O(1) after an
-O(n log n) build (Euler tour + sparse table over tour levels).  The sparse
-table rows are numpy index arrays so the build is vectorized.
+EulerLcaIndex answers lowest-common-ancestor queries in O(1), one at a time
+or as a vectorized batch, after an O(n log n) build: a sparse table of range
+minima over the node levels in preorder (Bender & Farach-Colton 2000).
 """
 from __future__ import annotations
 
@@ -28,13 +41,14 @@ from .errors import (
     MultipleRoots,
     NegativeWeight,
     NoRoot,
+    NonFiniteWeight,
     OrphanParentReference,
     UnknownNode,
 )
 
 
 class WeightedTree:
-    """Immutable rooted tree with non-negative node weights.
+    """Immutable rooted tree with finite, non-negative node weights.
 
     ``score_levels`` normally aliases ``levels``; a reduced tree built by
     ``treesum.reduction.vtree`` overrides it with the levels the nodes had in
@@ -46,7 +60,6 @@ class WeightedTree:
         "ids",
         "labels",
         "parent",
-        "children",
         "feq",
         "levels",
         "score_levels",
@@ -59,6 +72,14 @@ class WeightedTree:
         "important_pre",
         "height",
         "_id_to_index",
+        "_children",
+        # numpy twins of the lists above, for vectorized callers
+        "_child_order",
+        "_child_start",
+        "_parent_a",
+        "_levels_a",
+        "_pre_rank_a",
+        "_pre_order_a",
     )
 
     def __init__(
@@ -79,61 +100,93 @@ class WeightedTree:
         self.ids = list(ids)
         self.labels = list(labels) if labels is not None else list(ids)
         self.parent = list(parent)
-        self.feq = [float(w) for w in feq]
+        par = np.array(self.parent, dtype=np.int64)
+        weights = np.array(feq, dtype=np.float64)
+        self.feq = weights.tolist()
 
-        self._id_to_index = {}
-        for i, node_id in enumerate(self.ids):
-            if node_id in self._id_to_index:
-                raise DuplicateId(f"duplicate node id {node_id!r}")
-            self._id_to_index[node_id] = i
+        self._id_to_index = dict(zip(self.ids, range(n)))
+        if len(self._id_to_index) != n:
+            raise_first_duplicate(self.ids)
 
-        roots = [i for i in range(n) if self.parent[i] < 0]
-        if not roots:
+        roots = np.flatnonzero(par < 0)
+        if roots.size == 0:
             raise NoRoot("no parentless record found")
-        if len(roots) > 1:
+        if roots.size > 1:
             raise MultipleRoots(f"nodes {[self.ids[i] for i in roots]} all lack a parent")
-        self.root = roots[0]
+        root = self.root = int(roots[0])
 
-        for i, w in enumerate(self.feq):
-            if w < 0:
-                raise NegativeWeight(f"node {self.ids[i]!r} has weight {w}")
+        bad = np.flatnonzero(~np.isfinite(weights))
+        if bad.size:
+            i = bad[0]
+            raise NonFiniteWeight(f"node {self.ids[i]!r} has weight {self.feq[i]}")
+        bad = np.flatnonzero(weights < 0)
+        if bad.size:
+            i = bad[0]
+            raise NegativeWeight(f"node {self.ids[i]!r} has weight {self.feq[i]}")
+        bad = np.flatnonzero(par >= n)
+        if bad.size:
+            i = bad[0]
+            raise OrphanParentReference(f"node {self.ids[i]!r} references index {self.parent[i]}")
 
-        self.children = [[] for _ in range(n)]
-        for i in range(n):
-            p = self.parent[i]
-            if p >= 0:
-                if p >= n:
-                    raise OrphanParentReference(f"node {self.ids[i]!r} references index {p}")
-                self.children[p].append(i)
+        # Children as compressed rows: the root sorts first (its parent is the
+        # only negative one), every other node lands in its parent's run, and
+        # the stable sort keeps each run in input order.
+        child_order = np.argsort(par, kind="stable")[1:]
+        child_parent = par[child_order]
+        child_start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(child_parent, minlength=n), out=child_start[1:])
+        self._child_order = child_order
+        self._child_start = child_start
+        self._children = None
 
-        # Iterative DFS from the root: levels, preorder, subtree sizes.
-        # A node never reached from the root sits on a parent cycle.
-        self.levels = [-1] * n
-        self.pre_order = []
-        self.pre_rank = [-1] * n
-        self.post_order = []
-        self.subtree_size = [1] * n
-        self.levels[self.root] = 0
-        stack = [(self.root, 0)]
-        while stack:
-            node, child_pos = stack[-1]
-            if child_pos == 0:
-                self.pre_rank[node] = len(self.pre_order)
-                self.pre_order.append(node)
-            kids = self.children[node]
-            if child_pos < len(kids):
-                stack[-1] = (node, child_pos + 1)
-                child = kids[child_pos]
-                self.levels[child] = self.levels[node] + 1
-                stack.append((child, 0))
-            else:
-                stack.pop()
-                self.post_order.append(node)
-                if stack:
-                    self.subtree_size[stack[-1][0]] += self.subtree_size[node]
-        if len(self.pre_order) != n:
-            missing = [self.ids[i] for i in range(n) if self.pre_rank[i] < 0]
-            raise CycleDetected(f"nodes unreachable from the root: {missing[:5]}")
+        # Successor of each tour event: enter(v) = v, exit(v) = n + v.  The
+        # root's exit points at itself and ends the tour.
+        nodes = np.arange(n)
+        succ = np.empty(2 * n, dtype=np.int64)
+        succ[:n] = nodes + n
+        inner = np.flatnonzero(child_start[1:] > child_start[:-1])
+        succ[inner] = child_order[child_start[inner]]
+        succ[n + child_order] = n + child_parent
+        sibling = np.flatnonzero(child_parent[1:] == child_parent[:-1])
+        succ[n + child_order[sibling]] = child_order[sibling + 1]
+        succ[n + root] = n + root
+
+        # Pointer jumping: after round r, dist[e] counts the steps from e
+        # towards the end of its list, up to 2**r.
+        dist = np.ones(2 * n, dtype=np.int64)
+        dist[n + root] = 0
+        nxt = succ
+        for _ in range((2 * n).bit_length()):
+            dist += dist[nxt]
+            nxt = nxt[nxt]
+        if dist[root] != 2 * n - 1:
+            missing = np.flatnonzero(nxt[:n] != n + root)
+            raise CycleDetected(
+                f"nodes unreachable from the root: {[self.ids[i] for i in missing[:5]]}"
+            )
+
+        pos = dist[root] - dist
+        enter = pos[:n]
+        size = (pos[n:] - enter + 1) // 2
+        step = np.empty(2 * n, dtype=np.int64)
+        step[enter] = 1
+        step[pos[n:]] = -1
+        levels = np.cumsum(step)[enter] - 1
+        pre_rank = (enter + levels) // 2
+        pre_order = np.empty(n, dtype=np.int64)
+        pre_order[pre_rank] = nodes
+        post_order = np.empty(n, dtype=np.int64)
+        post_order[pre_rank - levels + size - 1] = nodes
+
+        self._parent_a = par
+        self._levels_a = levels
+        self._pre_rank_a = pre_rank
+        self._pre_order_a = pre_order
+        self.levels = levels.tolist()
+        self.pre_rank = pre_rank.tolist()
+        self.pre_order = pre_order.tolist()
+        self.post_order = post_order.tolist()
+        self.subtree_size = size.tolist()
 
         if score_levels is None:
             self.score_levels = self.levels
@@ -142,9 +195,20 @@ class WeightedTree:
                 raise ValueError("score_levels length mismatch")
             self.score_levels = list(score_levels)
 
-        self.important = [i for i in range(n) if self.feq[i] > 0]
-        self.important_pre = sorted(self.important, key=self.pre_rank.__getitem__)
-        self.height = max(self.levels)
+        weighted = weights > 0
+        self.important = np.flatnonzero(weighted).tolist()
+        self.important_pre = pre_order[weighted[pre_order]].tolist()
+        self.height = int(levels.max())
+
+    @property
+    def children(self) -> list:
+        """Child lists in input order, built from the compressed rows on first use."""
+        kids = self._children
+        if kids is None:
+            order = self._child_order.tolist()
+            start = self._child_start.tolist()
+            kids = self._children = [order[a:b] for a, b in zip(start, start[1:])]
+        return kids
 
     # -- lookups --------------------------------------------------------
 
@@ -177,13 +241,22 @@ class WeightedTree:
         )
 
 
+def raise_first_duplicate(ids: Sequence[str]):
+    """Raise DuplicateId for the first id that repeats an earlier one."""
+    seen = set()
+    for node_id in ids:
+        if node_id in seen:
+            raise DuplicateId(f"duplicate node id {node_id!r}")
+        seen.add(node_id)
+
+
 def build_tree(records) -> WeightedTree:
     """Build a WeightedTree from (id, parent_id, weight[, label]) records.
 
     ``records`` is an iterable of mappings with keys ``id``, ``parent``
     (None for the root), ``weight`` and optional ``label``.  Child order is
     record order.  Raises DuplicateId, MultipleRoots, NoRoot,
-    OrphanParentReference, CycleDetected or NegativeWeight.
+    OrphanParentReference, CycleDetected, NonFiniteWeight or NegativeWeight.
     """
     records = list(records)
     ids = []
@@ -232,76 +305,83 @@ def ancestors(tree: WeightedTree, v: int) -> list:
 
 
 class EulerLcaIndex:
-    """Euler tour + sparse table for O(1) LCA queries.
+    """O(1) LCA queries by range minima over levels in preorder.
 
-    ``tour`` holds node indices of a depth-first walk that re-visits a node
-    after each child, so its length is 2n - 1.  ``first_pos[v]`` is the
-    first tour position of v.  ``table[j]`` holds, for every window of
-    length 2**j, the tour position of the minimum-level node; the LCA of a
-    and b is the level-minimum over the tour span between their first
-    occurrences.
+    For nodes u != v with pre(u) < pre(v), the lowest common ancestor is the
+    parent of any minimum-level node among preorder positions
+    pre(u)+1 .. pre(v): that range holds v's ancestors below the LCA and
+    their earlier siblings' subtrees, and its shallowest nodes are children
+    of the LCA (Bender & Farach-Colton 2000).
+
+    ``table[j][i]`` covers the preorder window [i, i + 2**j) and holds
+    ``level * n + position`` of its minimum-level position, so a window
+    minimum is a plain ``min`` of two keys.  Row j has n - 2**j + 1 entries.
+    The rows are views into one buffer, so ``lca_many`` answers a whole
+    batch with a few gathers.
     """
 
-    __slots__ = ("tree", "tour", "first_pos", "tour_level", "table")
+    __slots__ = ("tree", "table", "_flat", "_parent_pre")
 
     def __init__(self, tree: WeightedTree):
         self.tree = tree
         n = tree.n
-        m = 2 * n - 1
-        tour = np.empty(m, dtype=np.int64)
-        tour_level = np.empty(m, dtype=np.int32)
-        first_pos = np.full(n, -1, dtype=np.int64)
-
-        levels = tree.levels
-        children = tree.children
-        pos = 0
-        stack = [(tree.root, 0)]
-        while stack:
-            node, child_pos = stack[-1]
-            if child_pos == 0 and first_pos[node] < 0:
-                first_pos[node] = pos
-            tour[pos] = node
-            tour_level[pos] = levels[node]
-            pos += 1
-            kids = children[node]
-            if child_pos < len(kids):
-                stack[-1] = (node, child_pos + 1)
-                stack.append((kids[child_pos], 0))
-            else:
-                stack.pop()
-        # each node is emitted once per visit: 1 + one re-visit per child
-        assert pos == m
-        self.tour = tour
-        self.tour_level = tour_level
-        self.first_pos = first_pos
-        n_rows = max(1, m.bit_length())
-        table = [np.arange(m, dtype=np.int64)]
-        lev = self.tour_level
+        pre_order = tree._pre_order_a
+        n_rows = n.bit_length()
+        # keys stay below (height + 1) * n; 32 bits halve the table when they fit
+        dtype = np.int32 if (tree.height + 1) * n < 2**31 else np.int64
+        flat = np.empty(n_rows * n, dtype=dtype)
+        row = flat[:n]
+        np.multiply(tree._levels_a[pre_order], n, out=row)
+        row += np.arange(n)
+        table = [row]
         for j in range(1, n_rows):
             half = 1 << (j - 1)
-            if 2 * half > m:
-                break
-            prev = table[j - 1]
-            left = prev[: m - 2 * half + 1]
-            right = prev[half : m - half + 1]
-            table.append(np.where(lev[left] <= lev[right], left, right))
+            prev = table[-1]
+            row = flat[j * n : j * n + n - 2 * half + 1]
+            np.minimum(prev[: len(prev) - half], prev[half:], out=row)
+            table.append(row)
         self.table = table
+        self._flat = flat
+        self._parent_pre = tree._parent_a[pre_order]
 
     def lca(self, a: int, b: int) -> int:
+        """Deepest common ancestor of a and b (self-inclusive)."""
         tree = self.tree
         tree.check_node(a)
         tree.check_node(b)
-        lo = self.first_pos[a]
-        hi = self.first_pos[b]
+        if a == b:
+            return int(a)
+        lo = tree.pre_rank[a]
+        hi = tree.pre_rank[b]
         if lo > hi:
             lo, hi = hi, lo
-        span = int(hi - lo + 1)
-        j = span.bit_length() - 1
+        lo += 1
+        j = (hi - lo + 1).bit_length() - 1
         row = self.table[j]
-        p = row[lo]
-        q = row[hi - (1 << j) + 1]
-        lev = self.tour_level
-        return int(self.tour[p] if lev[p] <= lev[q] else self.tour[q])
+        key = min(row[lo], row[hi - (1 << j) + 1])
+        return int(self._parent_pre[key % tree.n])
+
+    def lca_many(self, a, b) -> np.ndarray:
+        """Elementwise ``lca`` over two broadcastable arrays of node indices."""
+        tree = self.tree
+        n = tree.n
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        for side in (a, b):
+            bad = np.flatnonzero((side < 0) | (side >= n))
+            if bad.size:
+                tree.check_node(int(side.flat[bad[0]]))
+        pre_rank = tree._pre_rank_a
+        ra = pre_rank[a]
+        rb = pre_rank[b]
+        hi = np.maximum(ra, rb)
+        # equal nodes get the one-entry window at their own position; the
+        # answer is replaced by the node itself below
+        lo = np.minimum(np.minimum(ra, rb) + 1, hi)
+        j = np.frexp(hi - lo + 1)[1].astype(np.int64) - 1
+        base = j * n
+        flat = self._flat
+        key = np.minimum(flat[base + lo], flat[base + hi - (1 << j) + 1])
+        return np.where(a == b, a, self._parent_pre[key % n])
 
     def distance(self, a: int, b: int) -> int:
         """Hop count of the unique path between a and b."""

@@ -79,6 +79,16 @@ def test_summarize_missing_file():
     assert main(["summarize", "/nonexistent.tsv", "--algo", "gts", "--k", "1"]) == 3
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_summarize_non_finite_weight_exit_code(tmp_path, capsys, weight):
+    p = tmp_path / "nonfinite.tsv"
+    p.write_text(f"r\t-\t1\na\tr\t{weight}\nb\tr\t2\n")
+    assert main(["summarize", str(p), "--algo", "gts", "--k", "1"]) == 3
+    captured = capsys.readouterr()
+    assert "score" not in captured.out
+    assert "node 'a'" in captured.err
+
+
 def test_brute_enumeration_cap_exit_code(tmp_path, capsys):
     main(["gen", "--n", "60", "--important", "20", "--seed", "4",
           "--out", str(tmp_path / "t.tsv")])

@@ -3,12 +3,20 @@ import pytest
 from treesum import (
     GenSpec,
     Splitmix64,
+    build_tree,
     g_score,
     gen_random_tree,
     parse_tree_tsv,
     write_tree_tsv,
 )
-from treesum.errors import InvalidSpec, MalformedLine, MultipleRoots, NegativeWeight
+from treesum.errors import (
+    InvalidSpec,
+    MalformedLine,
+    MultipleRoots,
+    NegativeWeight,
+    NonFiniteWeight,
+    TreesumError,
+)
 
 
 def test_splitmix_reference_sequence():
@@ -139,3 +147,87 @@ def test_large_round_trip(tmp_path):
     again = parse_tree_tsv(out)
     assert again.n == t.n
     assert again.total_weight() == t.total_weight()
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "infinity"])
+def test_parse_rejects_non_finite_weight(tmp_path, text):
+    p = tmp_path / "nonfinite.tsv"
+    p.write_text(f"a\t-\t1\nb\ta\t{text}\n")
+    with pytest.raises(NonFiniteWeight, match="node 'b'"):
+        parse_tree_tsv(p)
+
+
+def _reference_parse(path):
+    """The per-line record parser that the bulk parser replaced."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) not in (3, 4):
+                raise MalformedLine(line_no, f"expected 3 or 4 columns, got {len(parts)}")
+            node_id, parent_id, weight_text = parts[0], parts[1], parts[2]
+            if not node_id:
+                raise MalformedLine(line_no, "empty node id")
+            try:
+                weight = float(weight_text)
+            except ValueError:
+                raise MalformedLine(line_no, f"bad weight {weight_text!r}") from None
+            records.append(
+                {
+                    "id": node_id,
+                    "parent": None if parent_id == "-" else parent_id,
+                    "weight": weight,
+                    "label": parts[3] if len(parts) == 4 else None,
+                }
+            )
+    return build_tree(records)
+
+
+def _outcome(parse, path):
+    try:
+        t = parse(path)
+    except TreesumError as err:
+        return type(err), str(err), getattr(err, "line_no", None)
+    return t.ids, t.parent, t.feq, t.labels, t.pre_order
+
+
+PARSE_CASES = [
+    "a\t-\t1\nb\ta\t2\n",
+    "# header\n\na\t-\t1\n\n# note\nb\ta\t0\nc\ta\t3.5\n",
+    "a\t-\t1\troot\nb\ta\t2\nc\tb\t0\t\nd\tb\t4\tleaf d\n",
+    "b\ta\t2\tx\nc\ta\t3\ty\na\t-\t0\tz\n",
+    "a\t-\t1\r\nb\ta\t2\r\n",
+    "a\t-\t1\nb\ta\t2",
+    "-\t-\t1\nb\t-\t2\n",
+    "",
+    "# only a comment\n\n",
+    "a\t-\t1\nb\ta\t2\nb\ta\t3\nc\tzzz\t1\n",
+    "a\t-\t1\nb\tzzz\t2\nc\tyyy\t1\n",
+    "a\t-\t1\nb\ta\t2\nc a 1\nd\ta\tbad\n",
+    "a\t-\t1\nb\ta\tbad\nc a 1\n",
+    "a\t-\t1\n\ta\t2\n",
+    "a\t-\t1\nb\ta\t2\t3\t4\n",
+    "a\t-\t1\nb\ta\n",
+    " \n",
+    "a\t-\t1\nb\t-\t2\n",
+    "a\tb\t1\nb\ta\t1\n",
+    "a\t-\t1\nb\ta\t-2\n",
+    "a\t-\t1\nb\ta\t1_000\n",
+]
+
+
+@pytest.mark.parametrize("case", range(len(PARSE_CASES)))
+def test_parse_matches_reference(tmp_path, case):
+    p = tmp_path / "case.tsv"
+    p.write_bytes(PARSE_CASES[case].encode("utf-8"))
+    assert _outcome(parse_tree_tsv, p) == _outcome(_reference_parse, p)
+
+
+def test_parse_generated_tree_matches_reference(tmp_path):
+    t = gen_random_tree(GenSpec(n=3000, important_count=300, seed=21))
+    p = tmp_path / "gen.tsv"
+    write_tree_tsv(t, p)
+    assert _outcome(parse_tree_tsv, p) == _outcome(_reference_parse, p)

@@ -1,6 +1,7 @@
 import pytest
 
 from treesum import (
+    EulerLcaIndex,
     GenSpec,
     Splitmix64,
     WeightedTree,
@@ -87,3 +88,52 @@ def test_monotone_under_inclusion(seed):
         assert avg_level_difference(t, big) <= max(
             t.levels[y] for y in t.important
         )
+
+
+def _closeness_per_pair(tree, members, index):
+    """The scalar per-pair LCA loop that the batched closeness_distance replaced."""
+    selected = [tree.check_node(v) for v in set(members)]
+    levels = tree.levels
+    total = 0.0
+    for y in tree.important_pre:
+        ly = levels[y]
+        best = None
+        for x in selected:
+            c = index.lca(x, y)
+            d = levels[x] + ly - 2 * levels[c]
+            if best is None or d < best:
+                best = d
+                if d == 0:
+                    break
+        total += best * tree.feq[y]
+    return total
+
+
+def _coverage_from_children(tree, members):
+    """The set-of-children coverage that the parent test replaced."""
+    selected = {tree.check_node(v) for v in members}
+    covered = set(selected)
+    for v in selected:
+        covered.update(tree.children[v])
+    return sum(tree.feq[y] for y in tree.important if y in covered)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_batched_metrics_match_oracles(seed):
+    t = gen_random_tree(
+        GenSpec(n=150, important_count=60, seed=8100 + seed, height_bias=0.05 + 0.07 * seed)
+    )
+    index = EulerLcaIndex(t)
+    rng = Splitmix64(seed)
+    for _ in range(25):
+        members = [rng.randrange(t.n) for _ in range(1 + rng.randrange(12))]
+        # bit-identical: same terms, same order
+        assert closeness_distance(t, members, index=index) == _closeness_per_pair(t, members, index)
+        assert closeness_distance(t, members) == _closeness_per_pair(t, members, index)
+        assert weighted_coverage(t, members) == _coverage_from_children(t, members)
+
+
+def test_metrics_leave_children_unbuilt(ontology, summary):
+    t = WeightedTree(ontology.ids, ontology.parent, ontology.feq)
+    compute_metrics(t, summary)
+    assert t._children is None

@@ -17,6 +17,7 @@ from treesum.errors import (
     DuplicateId,
     MultipleRoots,
     NegativeWeight,
+    NonFiniteWeight,
     OrphanParentReference,
     UnknownNode,
 )
@@ -127,13 +128,18 @@ def test_lca_golden(sparse_tree):
         idx.lca(0, 999)
 
 
-def test_euler_tour_shape(ontology):
-    idx = EulerLcaIndex(ontology)
-    assert len(idx.tour) == 2 * ontology.n - 1
-    for v in range(ontology.n):
-        first = idx.first_pos[v]
-        assert idx.tour[first] == v
-        assert v not in idx.tour[:first]
+def test_preorder_table_shape(ontology):
+    t = ontology
+    idx = EulerLcaIndex(t)
+    level_pre = [t.levels[v] for v in t.pre_order]
+    assert len(idx.table) == t.n.bit_length()
+    for j, row in enumerate(idx.table):
+        width = 1 << j
+        assert len(row) == t.n - width + 1
+        for i, key in enumerate(row.tolist()):
+            level, pos = divmod(key, t.n)
+            assert i <= pos < i + width
+            assert level == level_pre[pos] == min(level_pre[i : i + width])
 
 
 def _naive_lca(tree, a, b):
@@ -180,3 +186,156 @@ def test_child_counts_sum_to_edges(t):
     for v in range(t.n):
         expected = t.levels[v] + 1
         assert len(ancestors(t, v)) == expected
+
+
+# -- equivalence of the array build and the preorder-RMQ index -------------
+
+
+def _reference_build(parent, feq):
+    """The per-node depth-first construction the array build replaced."""
+    n = len(parent)
+    children = [[] for _ in range(n)]
+    for i in range(n):
+        if parent[i] >= 0:
+            children[parent[i]].append(i)
+    root = parent.index(-1)
+    levels = [-1] * n
+    pre_order = []
+    pre_rank = [-1] * n
+    post_order = []
+    subtree_size = [1] * n
+    levels[root] = 0
+    stack = [(root, 0)]
+    while stack:
+        node, child_pos = stack[-1]
+        if child_pos == 0:
+            pre_rank[node] = len(pre_order)
+            pre_order.append(node)
+        kids = children[node]
+        if child_pos < len(kids):
+            stack[-1] = (node, child_pos + 1)
+            child = kids[child_pos]
+            levels[child] = levels[node] + 1
+            stack.append((child, 0))
+        else:
+            stack.pop()
+            post_order.append(node)
+            if stack:
+                subtree_size[stack[-1][0]] += subtree_size[node]
+    important = [i for i in range(n) if feq[i] > 0]
+    return {
+        "root": root,
+        "children": children,
+        "levels": levels,
+        "pre_order": pre_order,
+        "pre_rank": pre_rank,
+        "post_order": post_order,
+        "subtree_size": subtree_size,
+        "important": important,
+        "important_pre": sorted(important, key=pre_rank.__getitem__),
+        "height": max(levels),
+    }
+
+
+def _assert_matches_reference(t):
+    expected = _reference_build(t.parent, t.feq)
+    for name, value in expected.items():
+        got = getattr(t, name)
+        assert got == value, name
+        assert type(got) is type(value), name
+    for name in ("levels", "pre_order", "pre_rank", "post_order", "subtree_size"):
+        assert all(type(x) is int for x in getattr(t, name)), name
+
+
+@st.composite
+def shuffled_trees(draw, max_n=60):
+    """Random trees whose node indices are a random relabelling, so parents
+    may come after their children in input order."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    shape = [-1] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    perm = draw(st.permutations(range(n)))
+    parent = [-1] * n
+    for i, p in enumerate(shape):
+        parent[perm[i]] = -1 if p < 0 else perm[p]
+    weights = [draw(st.sampled_from([0.0, 0.0, 1.0, 2.5, 7.0])) for _ in range(n)]
+    return WeightedTree([f"n{i}" for i in range(n)], parent, weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_trees())
+def test_array_build_matches_reference(t):
+    _assert_matches_reference(t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 300])
+def test_array_build_chain_and_star(n):
+    chain = WeightedTree([f"c{i}" for i in range(n)], [-1] + list(range(n - 1)), [1.0] * n)
+    _assert_matches_reference(chain)
+    assert chain.height == n - 1
+    star = WeightedTree([f"s{i}" for i in range(n)], [-1] + [0] * (n - 1), [0.0] + [2.0] * (n - 1))
+    _assert_matches_reference(star)
+    assert star.height == min(1, n - 1)
+
+
+def test_array_build_root_last_in_input():
+    # the root is the last record and every child precedes its parent
+    t = WeightedTree(["c", "b", "a", "r"], [1, 3, 3, -1], [1.0, 0.0, 2.0, 0.0])
+    _assert_matches_reference(t)
+    assert [t.ids[v] for v in t.pre_order] == ["r", "b", "c", "a"]
+
+
+def test_array_build_generated_tree():
+    t = gen_random_tree(GenSpec(n=5000, important_count=400, seed=11))
+    _assert_matches_reference(t)
+
+
+def test_cycle_message_names_unreachable_nodes():
+    ids = ["r", "a", "b", "c"]
+    with pytest.raises(CycleDetected, match=r"\['a', 'b', 'c'\]"):
+        WeightedTree(ids, [-1, 2, 3, 1], [1.0] * 4)
+    with pytest.raises(CycleDetected, match=r"\['a'\]"):
+        WeightedTree(["r", "a"], [-1, 1], [1.0, 1.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(shuffled_trees(max_n=40), st.data())
+def test_lca_many_matches_scalar_and_naive(t, data):
+    idx = EulerLcaIndex(t)
+    pairs = data.draw(
+        st.lists(st.tuples(st.integers(0, t.n - 1), st.integers(0, t.n - 1)), max_size=30)
+    )
+    a = [x for x, _ in pairs]
+    b = [y for _, y in pairs]
+    many = idx.lca_many(a, b).tolist()
+    assert many == [idx.lca(x, y) for x, y in pairs]
+    assert many == [_naive_lca(t, x, y) for x, y in pairs]
+
+
+def test_lca_many_broadcasts_and_checks_range(sparse_tree):
+    t = sparse_tree
+    idx = EulerLcaIndex(t)
+    imp = t.important_pre
+    assert idx.lca_many(imp[0], imp).tolist() == [idx.lca(imp[0], y) for y in imp]
+    with pytest.raises(UnknownNode):
+        idx.lca_many([0, 1], [1, t.n])
+    with pytest.raises(UnknownNode):
+        idx.lca_many(-1, [0])
+
+
+def test_non_finite_weights_rejected():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(NonFiniteWeight, match="node 'b'"):
+            WeightedTree(["a", "b"], [-1, 0], [1.0, bad])
+
+
+def test_lca_on_chain_with_64_bit_keys():
+    # (height + 1) * n passes 2**31, so the table falls back to 64-bit keys
+    n = 50_000
+    t = WeightedTree([f"c{i}" for i in range(n)], [-1] + list(range(n - 1)), [1.0] * n)
+    idx = EulerLcaIndex(t)
+    assert idx.table[0].dtype.itemsize == 8
+    a = [0, 1, n - 1, 777, n - 2, 31_000]
+    b = [n - 1, n - 1, 0, 40_000, n - 1, 31_000]
+    assert idx.lca_many(a, b).tolist() == [min(x, y) for x, y in zip(a, b)]
+    assert [idx.lca(x, y) for x, y in zip(a, b)] == [min(x, y) for x, y in zip(a, b)]
+    assert idx.distance(0, n - 1) == n - 1
