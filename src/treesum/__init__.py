@@ -18,11 +18,11 @@ from .metrics import (
     compute_metrics,
     weighted_coverage,
 )
-from .optimal import DpEntry, DpKey, OtsSolver, ots
+from .optimal import OtsSolver, ots
 from .reduction import ReducedTree, lift_result, vtree
 from .result import SummaryResult
-from .scoring import cor, g_score, marginal_gain_fast, marginal_gain_naive, rep, smy
-from .tree import EulerLcaIndex, WeightedTree, ancestors, build_tree, lca, preorder
+from .scoring import g_score, marginal_gain_fast, marginal_gain_naive, rep, smy
+from .tree import EulerLcaIndex, WeightedTree, build_tree
 from .viz import summary_dot
 from . import errors
 
@@ -34,14 +34,8 @@ __all__ = [
     "SummaryResult",
     "MetricsReport",
     "ReducedTree",
-    "DpKey",
-    "DpEntry",
     "OtsSolver",
     "build_tree",
-    "preorder",
-    "ancestors",
-    "lca",
-    "cor",
     "rep",
     "smy",
     "g_score",

@@ -8,6 +8,7 @@ numpy batches (subset membership matrix times per-node impact rows).
 """
 from __future__ import annotations
 
+from heapq import nsmallest
 from math import comb
 from itertools import combinations, islice
 
@@ -24,20 +25,22 @@ def _check_k(tree: WeightedTree, k: int):
         raise InvalidK(f"k={k} outside 1..{tree.n}")
 
 
-def _top_by(tree: WeightedTree, k: int, value, algorithm: str) -> SummaryResult:
-    ranked = sorted(tree.pre_order, key=lambda v: (-value[v], tree.pre_rank[v]))
-    selected = ranked[:k]
+def _top_by(tree: WeightedTree, k: int, value, algorithm: str, candidates) -> SummaryResult:
+    """The k candidates of largest value, ties to preorder rank; short if too few."""
+    pre_rank = tree.pre_rank
+    selected = nsmallest(k, candidates, key=lambda v: (-value[v], pre_rank[v]))
     return SummaryResult(
         selected=selected,
         score=_g_unchecked(tree, set(selected)),
         algorithm=algorithm,
+        underfilled=len(selected) < k,
     )
 
 
 def feq_topk(tree: WeightedTree, k: int) -> SummaryResult:
     """The k nodes with the largest weights; ties go to preorder rank."""
     _check_k(tree, k)
-    return _top_by(tree, k, tree.feq, "feq")
+    return _top_by(tree, k, tree.feq, "feq", tree.pre_order)
 
 
 def aggregate_weights(tree: WeightedTree):
@@ -53,7 +56,7 @@ def aggregate_weights(tree: WeightedTree):
 def agg_topk(tree: WeightedTree, k: int) -> SummaryResult:
     """The k nodes with the largest aggregate (subtree) weights."""
     _check_k(tree, k)
-    return _top_by(tree, k, aggregate_weights(tree), "agg")
+    return _top_by(tree, k, aggregate_weights(tree), "agg", tree.pre_order)
 
 
 def cagg_topk(tree: WeightedTree, k: int, theta: float = 0.4) -> SummaryResult:
@@ -74,14 +77,7 @@ def cagg_topk(tree: WeightedTree, k: int, theta: float = 0.4) -> SummaryResult:
         ratio = 1.0 if p < 0 or af[p] == 0 else af[v] / af[p]
         if ratio >= theta:
             qualifying.append(v)
-    qualifying.sort(key=lambda v: (-af[v], tree.pre_rank[v]))
-    selected = qualifying[:k]
-    return SummaryResult(
-        selected=selected,
-        score=_g_unchecked(tree, set(selected)),
-        algorithm="cagg",
-        underfilled=len(selected) < k,
-    )
+    return _top_by(tree, k, af, "cagg", qualifying)
 
 
 def brute_force(

@@ -23,6 +23,7 @@ from .errors import InvalidSpec, MalformedLine, NoRoot, OrphanParentReference
 from .tree import WeightedTree, raise_first_duplicate
 
 _MASK64 = (1 << 64) - 1
+_NO_PARENT = "-"  # the parent column of the root
 
 
 class Splitmix64:
@@ -151,9 +152,11 @@ def parse_tree_tsv(path) -> WeightedTree:
         _raise_malformed(text)
 
     index = dict(zip(ids, range(len(ids))))
+    if _NO_PARENT in index:
+        _raise_malformed(text)
     if len(index) != len(ids):
         raise_first_duplicate(ids)
-    index["-"] = -1
+    index[_NO_PARENT] = -1
     parent_ids = fields[1::width]
     parent = list(map(index.get, parent_ids))
     if None in parent:
@@ -178,6 +181,8 @@ def _raise_malformed(text: str):
         node_id, weight_text = parts[0], parts[2]
         if not node_id:
             raise MalformedLine(line_no, "empty node id")
+        if node_id == _NO_PARENT:
+            raise MalformedLine(line_no, f"node id {_NO_PARENT!r} is reserved for the root's parent")
         try:
             float(weight_text)
         except ValueError:
@@ -189,14 +194,42 @@ def _format_weight(w: float) -> str:
     return str(int(w)) if w == int(w) else repr(w)
 
 
+def _check_writable(tree: WeightedTree):
+    """Raise MalformedLine for the first node whose line would not parse back."""
+    ids, labels = tree.ids, tree.labels
+    # scans of joined text clear a good tree without a per-node loop
+    text = "".join(ids) + "".join(labels)
+    if not (
+        "" in tree._id_to_index
+        or _NO_PARENT in tree._id_to_index
+        or "\n#" in "\n" + "\n".join(ids)
+        or "\t" in text
+        or "\n" in text
+        or "\r" in text
+    ):
+        return
+    for line_no, (node_id, label) in enumerate(zip(ids, labels), start=1):
+        if node_id in ("", _NO_PARENT) or node_id[0] == "#":
+            raise MalformedLine(line_no, f"node id {node_id!r} cannot be written")
+        for name, value in (("id", node_id), ("label", label)):
+            if "\t" in value or "\n" in value or "\r" in value:
+                raise MalformedLine(line_no, f"node {name} {value!r} holds a tab or line break")
+
+
 def write_tree_tsv(tree: WeightedTree, path) -> None:
-    """Write a tree file that parses back to an isomorphic tree."""
+    """Write a tree file that parses back to an isomorphic tree.
+
+    Raises MalformedLine, naming the line it would have written, before
+    creating any file if an id is empty, ``-`` or starts with ``#``, or an
+    id or label holds a tab or line break.
+    """
+    _check_writable(tree)
     with_labels = any(tree.labels[i] != tree.ids[i] for i in range(tree.n))
     tmp = f"{path}.tmp{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
         for i in range(tree.n):
             p = tree.parent[i]
-            cols = [tree.ids[i], "-" if p < 0 else tree.ids[p], _format_weight(tree.feq[i])]
+            cols = [tree.ids[i], _NO_PARENT if p < 0 else tree.ids[p], _format_weight(tree.feq[i])]
             if with_labels:
                 cols.append(tree.labels[i])
             fh.write("\t".join(cols) + "\n")

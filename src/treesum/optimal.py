@@ -9,9 +9,11 @@ cases:
   no:   keep na as the representative of u (worth feq(u) * cor(na, u),
         zero without na) and distribute all b among the children.
 
-Distributing a budget over an ordered child list is a small knapsack: with
-G_i(b) the best total for children i.. with budget exactly b, G is computed
-right to left by a max-plus convolution with each child's value array.
+Distributing a budget over an ordered child list is a small knapsack, and
+one kernel (``_knap``) solves it everywhere: with G_i(b) the best total for
+children i.. with budget exactly b, G is computed right to left by a max-plus
+convolution with each child's value array, and every suffix table is kept so
+that ``_split`` can walk the winning budgets out again.
 A child's array is indexed by budget and clamped at its subtree size, so
 overfull assignments plateau instead of going infeasible: budgets may go
 unspent, and the final answer is padded back to exactly k nodes with the
@@ -25,8 +27,9 @@ budgets 0..min(k, subtree size); the nearest ancestor always lies on the
 node's root path, so a node has at most depth + 1 states.  Evaluation walks
 the postorder bottom-up with no recursion.  Value–choice ties prefer the
 no-case; knapsack split ties prefer the lexicographically smallest budget
-vector.  Reconstruction re-derives choices and splits from the memoized
-arrays, so nothing beyond the value arrays is stored.
+vector.  One decision routine (``_decide``) re-derives a state's choice and
+split from the memoized arrays; ``dp_eval`` and ``reconstruct`` both use it,
+so nothing beyond the value arrays is stored.
 """
 from __future__ import annotations
 
@@ -92,7 +95,7 @@ class OtsSolver:
         for u in tree.post_order:
             cap_u = cap[u]
             kids = children[u]
-            yes_tail = self._knap_values(kids, cap_u - 1, u)
+            yes_tail = self._knap(kids, cap_u - 1, u)[0] if cap_u else []
             feq_u = feq[u]
             slv_u = slv[u]
             na = parent[u]
@@ -102,7 +105,7 @@ class OtsSolver:
                 na = parent[na]
             store = memo[u]
             for na in na_keys:
-                no_tail = self._knap_values(kids, cap_u, na)
+                no_tail = self._knap(kids, cap_u, na)[0]
                 base = 0.0 if na < 0 else feq_u / (slv_u - slv[na] + 1)
                 vals = [base + no_tail[0]]
                 for b in range(1, cap_u + 1):
@@ -111,31 +114,11 @@ class OtsSolver:
                     vals.append(no_v if no_v >= yes_v else yes_v)
                 store[na] = vals
 
-    def _knap_values(self, kids, max_budget: int, na: int) -> List[float]:
-        """Best exact-sum totals over the whole child list, budgets 0..max."""
-        if max_budget < 0:
-            return []
-        G = [0.0] + [_NEG] * max_budget
-        if not kids:
-            return G
-        memo = self.memo
-        for x in reversed(kids):
-            arr = memo[x][na]
-            cx = len(arr) - 1
-            top = arr[cx]
-            new = []
-            for b in range(max_budget + 1):
-                best = _NEG
-                for j in range(b + 1):
-                    v = (arr[j] if j <= cx else top) + G[b - j]
-                    if v > best:
-                        best = v
-                new.append(best)
-            G = new
-        return G
+    # -- the knapsack kernel and the state decision -------------------------
 
-    def _knap_tables(self, kids, max_budget: int, na: int) -> List[List[float]]:
-        """Suffix tables: tables[i] covers kids[i:]; tables[len] is the base."""
+    def _knap(self, kids, max_budget: int, na: int) -> List[List[float]]:
+        """Suffix tables: tables[i][b] is the best exact-sum total of kids[i:]
+        at budget b, for b in 0..max_budget; tables[len(kids)] is the base."""
         tables = [[0.0] + [_NEG] * max_budget]
         memo = self.memo
         for x in reversed(kids):
@@ -155,7 +138,7 @@ class OtsSolver:
         tables.reverse()
         return tables
 
-    def _split_from_tables(self, kids, tables, budget: int, na: int) -> Tuple[int, ...]:
+    def _split(self, kids, tables, budget: int, na: int) -> Tuple[int, ...]:
         """Lexicographically smallest per-child budget split hitting tables[0][budget]."""
         memo = self.memo
         split = []
@@ -175,59 +158,63 @@ class OtsSolver:
                 raise InconsistentMemo(f"no split reaches {target!r} at child {x}")
         return tuple(split)
 
-    def _split(self, kids, budget: int, na: int) -> Tuple[float, Tuple[int, ...]]:
-        tables = self._knap_tables(kids, budget, na)
-        return tables[0][budget], self._split_from_tables(kids, tables, budget, na)
+    def _yes(self, u: int, b: int):
+        """Yes-case value and child tables of state (u, b), b >= 1."""
+        tables = self._knap(self.tree.children[u], b - 1, u)
+        return self.tree.feq[u] + tables[0][b - 1], tables
+
+    def _no(self, u: int, b: int, na: int):
+        """No-case value and child tables of state (u, b, na)."""
+        tables = self._knap(self.tree.children[u], b, na)
+        slv = self.tree.score_levels
+        base = 0.0 if na < 0 else self.tree.feq[u] / (slv[u] - slv[na] + 1)
+        return base + tables[0][b], tables
+
+    def _decide(self, u: int, b: int, na: int) -> Tuple[float, str, Tuple[int, ...]]:
+        """(value, choice, split) of state (u, b, na), with b already clamped.
+
+        Each case's knapsack runs once; value ties go to the no-case, exactly
+        as in _evaluate_all, so the value equals memo[u][na][b].
+        """
+        kids = self.tree.children[u]
+        no_v, no_tables = self._no(u, b, na)
+        if b > 0:
+            yes_v, yes_tables = self._yes(u, b)
+            if no_v < yes_v:
+                return yes_v, "yes", self._split(kids, yes_tables, b - 1, u)
+        return no_v, "no", self._split(kids, no_tables, b, na)
 
     # -- per-state queries -------------------------------------------------
 
-    def _na_key(self, key: DpKey) -> int:
+    def _state(self, key: DpKey) -> Tuple[int, int, int]:
+        """Checked (node, clamped budget, ancestor key) of a state."""
         u = self.tree.check_node(key.node)
-        if key.ancestor is None:
-            return _NO_ANCESTOR
-        na = self.tree.check_node(key.ancestor)
-        if na == u or not self.tree.is_ancestor(na, u):
-            raise UnknownNode(
-                f"{self.tree.ids[na]!r} is not a strict ancestor of {self.tree.ids[u]!r}"
-            )
-        return na
-
-    def dp_eval(self, key: DpKey) -> DpEntry:
-        """Value and winning decision for a state; budgets clamp at the subtree size."""
-        na = self._na_key(key)
-        u = key.node
+        na = _NO_ANCESTOR
+        if key.ancestor is not None:
+            na = self.tree.check_node(key.ancestor)
+            if na == u or not self.tree.is_ancestor(na, u):
+                raise UnknownNode(
+                    f"{self.tree.ids[na]!r} is not a strict ancestor of {self.tree.ids[u]!r}"
+                )
         b = min(key.budget, self.cap[u])
         if b < 0:
             raise InvalidK(f"negative budget {key.budget}")
-        value = self.memo[u][na][b]
-        kids = self.tree.children[u]
-        if b == 0:
-            return DpEntry(value, "no", self._split(kids, 0, na)[1])
-        yes_v = self.yes_case(key)
-        no_v = self.no_case(key)
-        if no_v >= yes_v:
-            return DpEntry(value, "no", self._split(kids, b, na)[1])
-        return DpEntry(value, "yes", self._split(kids, b - 1, u)[1])
+        return u, b, na
+
+    def dp_eval(self, key: DpKey) -> DpEntry:
+        """Value and winning decision for a state; budgets clamp at the subtree size."""
+        return DpEntry(*self._decide(*self._state(key)))
 
     def yes_case(self, key: DpKey) -> float:
         """Score of selecting the node itself and splitting the rest below."""
-        self._na_key(key)
-        u = key.node
-        b = min(key.budget, self.cap[u])
+        u, b, _ = self._state(key)
         if b < 1:
             raise InvalidK("yes-case requires budget >= 1")
-        kids = self.tree.children[u]
-        return self.tree.feq[u] + self._knap_values(kids, b - 1, u)[b - 1]
+        return self._yes(u, b)[0]
 
     def no_case(self, key: DpKey) -> float:
         """Score of skipping the node: ancestor's impact plus the child split."""
-        na = self._na_key(key)
-        u = key.node
-        b = min(key.budget, self.cap[u])
-        slv = self.tree.score_levels
-        base = 0.0 if na < 0 else self.tree.feq[u] / (slv[u] - slv[na] + 1)
-        kids = self.tree.children[u]
-        return base + self._knap_values(kids, b, na)[b]
+        return self._no(*self._state(key))[0]
 
     def knapsack_combine(self, kids: Sequence[int], budget: int, ancestor: Optional[int]):
         """Optimal budget assignment over an ordered child list.
@@ -248,38 +235,27 @@ class OtsSolver:
                         f"{self.tree.ids[na]!r} is not a strict ancestor of "
                         f"{self.tree.ids[x]!r}"
                     )
-        return self._split(kids, budget, na)
+        tables = self._knap(kids, budget, na)
+        return tables[0][budget], self._split(kids, tables, budget, na)
 
     def reconstruct(self) -> set:
         """Walk the winning choices from the root down; returns the raw DP set."""
-        tree = self.tree
-        feq = tree.feq
-        slv = tree.score_levels
-        memo = self.memo
-        children = tree.children
+        cap = self.cap
+        children = self.tree.children
         selected = set()
-        stack = [(tree.root, self.k, _NO_ANCESTOR)]
+        stack = [(self.tree.root, self.k, _NO_ANCESTOR)]
         while stack:
             u, b, na = stack.pop()
-            b = min(b, self.cap[u])
+            b = min(b, cap[u])
             if b == 0:
                 continue
-            kids = children[u]
-            yes_v = feq[u] + self._knap_values(kids, b - 1, u)[b - 1]
-            base = 0.0 if na < 0 else feq[u] / (slv[u] - slv[na] + 1)
-            no_tables = self._knap_tables(kids, b, na)
-            no_v = base + no_tables[0][b]
-            if no_v >= yes_v:
-                split = self._split_from_tables(kids, no_tables, b, na)
-                child_na = na
-            else:
+            _, choice, split = self._decide(u, b, na)
+            if choice == "yes":
                 selected.add(u)
-                yes_tables = self._knap_tables(kids, b - 1, u)
-                split = self._split_from_tables(kids, yes_tables, b - 1, u)
-                child_na = u
-            for x, j in zip(kids, split):
+                na = u
+            for x, j in zip(children[u], split):
                 if j > 0:
-                    stack.append((x, j, child_na))
+                    stack.append((x, j, na))
         return selected
 
     def optimum(self) -> float:

@@ -288,11 +288,6 @@ def build_tree(records) -> WeightedTree:
     return WeightedTree(ids, parent, weights, labels)
 
 
-def preorder(tree: WeightedTree) -> list:
-    """Node indices in preorder: root first, children in stored order."""
-    return list(tree.pre_order)
-
-
 def ancestors(tree: WeightedTree, v: int) -> list:
     """Ancestors of v from v up to the root, inclusive of v."""
     tree.check_node(v)
@@ -346,20 +341,7 @@ class EulerLcaIndex:
 
     def lca(self, a: int, b: int) -> int:
         """Deepest common ancestor of a and b (self-inclusive)."""
-        tree = self.tree
-        tree.check_node(a)
-        tree.check_node(b)
-        if a == b:
-            return int(a)
-        lo = tree.pre_rank[a]
-        hi = tree.pre_rank[b]
-        if lo > hi:
-            lo, hi = hi, lo
-        lo += 1
-        j = (hi - lo + 1).bit_length() - 1
-        row = self.table[j]
-        key = min(row[lo], row[hi - (1 << j) + 1])
-        return int(self._parent_pre[key % tree.n])
+        return int(self.lca_many(a, b))
 
     def lca_many(self, a, b) -> np.ndarray:
         """Elementwise ``lca`` over two broadcastable arrays of node indices."""
@@ -388,8 +370,3 @@ class EulerLcaIndex:
         c = self.lca(a, b)
         levels = self.tree.levels
         return levels[a] + levels[b] - 2 * levels[c]
-
-
-def lca(index: EulerLcaIndex, a: int, b: int) -> int:
-    """Deepest common ancestor of a and b (self-inclusive)."""
-    return index.lca(a, b)

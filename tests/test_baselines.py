@@ -73,6 +73,33 @@ def test_cagg_theta_one(ontology):
     assert res.underfilled
 
 
+def _sorted_ranking(tree, value, candidates, k):
+    """The full-sort top-k cut that the heap selection replaced."""
+    return sorted(candidates, key=lambda v: (-value[v], tree.pre_rank[v]))[:k]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_topk_matches_sorted_ranking_with_ties(seed):
+    # weights drawn from {1, 2} and many weightless nodes: values tie often
+    t = gen_random_tree(
+        GenSpec(n=60, important_count=30, seed=90 + seed, weight_low=1, weight_high=2)
+    )
+    af = aggregate_weights(t)
+    for k in (1, 2, 7, 30, t.n):
+        assert feq_topk(t, k).selected == _sorted_ranking(t, t.feq, t.pre_order, k)
+        assert agg_topk(t, k).selected == _sorted_ranking(t, af, t.pre_order, k)
+        for theta in (0.0, 0.3, 0.5):
+            qualifying = [
+                v
+                for v in t.pre_order
+                if t.parent[v] < 0 or af[t.parent[v]] == 0 or af[v] / af[t.parent[v]] >= theta
+            ]
+            res = cagg_topk(t, k, theta=theta)
+            assert res.selected == _sorted_ranking(t, af, qualifying, k)
+            assert res.underfilled == (len(qualifying) < k)
+            assert res.score == g_score(t, res.selected)
+
+
 def test_brute_force_golden(ontology, gap_tree):
     res = brute_force(gap_tree, 2)
     assert res.selected_ids(gap_tree) == ["v3", "v4"]

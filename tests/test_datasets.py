@@ -3,6 +3,7 @@ import pytest
 from treesum import (
     GenSpec,
     Splitmix64,
+    WeightedTree,
     build_tree,
     g_score,
     gen_random_tree,
@@ -56,6 +57,38 @@ def test_parse_malformed_line(tmp_path):
     p.write_text("a\t-\tnotanumber\n")
     with pytest.raises(MalformedLine):
         parse_tree_tsv(p)
+
+
+@pytest.mark.parametrize(
+    "ids, labels, line_no",
+    [
+        (["a", "b\tc"], None, 2),
+        (["a", "b\nc"], None, 2),
+        (["a", "b\rc"], None, 2),
+        (["a", "-"], None, 2),
+        (["a", ""], None, 2),
+        (["a", "#b"], None, 2),
+        (["a", "b", "c"], ["a", "b", "two\nlines"], 3),
+        (["a", "b"], ["a\tb", "b"], 1),
+        (["a", "b"], ["a", "b\r"], 2),
+    ],
+)
+def test_write_rejects_unparseable_fields(tmp_path, ids, labels, line_no):
+    t = WeightedTree(ids, [-1] + [0] * (len(ids) - 1), [1.0] * len(ids), labels)
+    with pytest.raises(MalformedLine) as err:
+        write_tree_tsv(t, tmp_path / "out.tsv")
+    assert err.value.line_no == line_no
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_keeps_unusual_but_parseable_fields(tmp_path):
+    ids = ["a b", "x#y", "-z", "é"]
+    t = WeightedTree(ids, [-1, 0, 0, 1], [1.0, 2.0, 0.0, 3.0], ["", "#", "-", "label é"])
+    out = tmp_path / "odd.tsv"
+    write_tree_tsv(t, out)
+    again = parse_tree_tsv(out)
+    assert (again.ids, again.parent, again.feq) == (t.ids, t.parent, t.feq)
+    assert again.labels == ["a b", "#", "-", "label é"]
 
 
 def test_labels_round_trip(tmp_path):
@@ -158,7 +191,8 @@ def test_parse_rejects_non_finite_weight(tmp_path, text):
 
 
 def _reference_parse(path):
-    """The per-line record parser that the bulk parser replaced."""
+    """The per-line record parser that the bulk parser replaced, with the
+    rule that reserves the id "-" added."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -171,6 +205,8 @@ def _reference_parse(path):
             node_id, parent_id, weight_text = parts[0], parts[1], parts[2]
             if not node_id:
                 raise MalformedLine(line_no, "empty node id")
+            if node_id == "-":
+                raise MalformedLine(line_no, "node id '-' is reserved for the root's parent")
             try:
                 weight = float(weight_text)
             except ValueError:
@@ -216,6 +252,11 @@ PARSE_CASES = [
     "a\tb\t1\nb\ta\t1\n",
     "a\t-\t1\nb\ta\t-2\n",
     "a\t-\t1\nb\ta\t1_000\n",
+    # CRLF line ends: text mode turns them into \n, so no label keeps a \r
+    "# note\r\na\t-\t1\troot\r\nb\ta\t2.5\r\nc\ta\t0\tleaf c\r\n",
+    # the id "-" names the root's parent: rejected on its line, not as an extra root
+    "a\t-\t1\n-\ta\t2\nc\t-\t3\n",
+    "a\t-\t1\nb\ta\t2\n-\tb\tbad\nb\ta\t1\n",
 ]
 
 

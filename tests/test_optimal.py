@@ -109,15 +109,31 @@ def test_knapsack_combine(gap_tree, gap_solver):
 
 
 def _exhaustive_combine(solver, kids, budget, na):
-    best = float("-inf")
+    """First maximum over all budget vectors in lexicographic order.
+
+    Totals are summed right to left, as the knapsack tables add them, so
+    the maximum and its ties are compared on the same floats.
+    """
+    best, best_mix = float("-inf"), None
     for mix in itertools.product(range(budget + 1), repeat=len(kids)):
         if sum(mix) != budget:
             continue
-        total = sum(
-            solver.dp_eval(DpKey(x, j, na)).value for x, j in zip(kids, mix)
-        )
-        best = max(best, total)
-    return best
+        total = 0.0
+        for x, j in reversed(list(zip(kids, mix))):
+            total = solver.dp_eval(DpKey(x, j, na)).value + total
+        if total > best:
+            best, best_mix = total, mix
+    return best, best_mix
+
+
+def _ancestor_keys(tree, u):
+    """None, then every strict ancestor of u from its parent up."""
+    keys = [None]
+    a = tree.parent[u]
+    while a >= 0:
+        keys.append(a)
+        a = tree.parent[a]
+    return keys
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -127,10 +143,43 @@ def test_knapsack_matches_exhaustive(seed):
     wide = [v for v in range(t.n) if len(t.children[v]) >= 2]
     for u in wide[:4]:
         kids = t.children[u]
-        for budget in range(0, 5):
-            got, _ = s.knapsack_combine(kids, budget, None)
-            want = _exhaustive_combine(s, kids, budget, None)
-            assert got == pytest.approx(want, abs=1e-9)
+        # u itself and each of its ancestors is a strict ancestor of the kids
+        for na in [None, u] + _ancestor_keys(t, u)[1:]:
+            for budget in range(0, 5):
+                got, split = s.knapsack_combine(kids, budget, na)
+                want, want_split = _exhaustive_combine(s, kids, budget, na)
+                assert got == want
+                assert split == want_split
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dp_eval_is_the_better_case(seed):
+    # equal weights and weightless inner nodes make yes/no ties common
+    t = gen_random_tree(
+        GenSpec(n=14, important_count=7, seed=500 + seed, weight_low=2, weight_high=2)
+    )
+    s = OtsSolver(t, 5)
+    ties = 0
+    for u in range(t.n):
+        kids = t.children[u]
+        for na in _ancestor_keys(t, u):
+            for b in range(s.cap[u] + 1):
+                entry = s.dp_eval(DpKey(u, b, na))
+                no = s.no_case(DpKey(u, b, na))
+                if b == 0:
+                    assert (entry.value, entry.choice) == (no, "no")
+                    assert entry.split == s.knapsack_combine(kids, 0, na)[1]
+                    continue
+                yes = s.yes_case(DpKey(u, b, na))
+                ties += yes == no
+                assert entry.value == max(yes, no)
+                if no >= yes:
+                    assert entry.choice == "no"
+                    assert entry.split == s.knapsack_combine(kids, b, na)[1]
+                else:
+                    assert entry.choice == "yes"
+                    assert entry.split == s.knapsack_combine(kids, b - 1, u)[1]
+    assert ties > 0
 
 
 def test_reconstruct(gap_tree, gap_solver):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from treesum import (
     GenSpec,
-    cor,
     g_score,
     gen_random_tree,
     marginal_gain_fast,
@@ -15,6 +14,7 @@ from treesum import (
     smy,
 )
 from treesum.errors import AlreadySelected, UnknownNode
+from treesum.scoring import cor
 
 from test_tree import random_trees
 

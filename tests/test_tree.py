@@ -6,11 +6,8 @@ from treesum import (
     EulerLcaIndex,
     GenSpec,
     WeightedTree,
-    ancestors,
     build_tree,
     gen_random_tree,
-    lca,
-    preorder,
 )
 from treesum.errors import (
     CycleDetected,
@@ -21,6 +18,7 @@ from treesum.errors import (
     OrphanParentReference,
     UnknownNode,
 )
+from treesum.tree import ancestors
 
 
 def test_build_running_example(ontology):
@@ -91,20 +89,20 @@ def test_build_errors():
 
 
 def test_preorder_running_example(ontology):
-    ids = [ontology.ids[v] for v in preorder(ontology)]
+    ids = [ontology.ids[v] for v in ontology.pre_order]
     assert ids[:3] == ["r", "A", "a1"]
     assert sorted(ids) == sorted(ontology.ids)
 
 
 def test_preorder_singleton():
     t = build_tree([{"id": "x", "parent": None, "weight": 0}])
-    assert preorder(t) == [t.root]
+    assert t.pre_order == [t.root]
 
 
 def test_preorder_restricted_to_weighted(sparse_tree):
     t = sparse_tree
     imp = set(t.important)
-    order = [t.ids[v] for v in preorder(t) if v in imp]
+    order = [t.ids[v] for v in t.pre_order if v in imp]
     assert order == ["v7", "v9", "v6"]
 
 
@@ -120,12 +118,14 @@ def test_ancestors(ontology):
 def test_lca_golden(sparse_tree):
     t = sparse_tree
     idx = EulerLcaIndex(t)
-    assert t.ids[lca(idx, t.index("v7"), t.index("v9"))] == "v2"
-    assert t.ids[lca(idx, t.index("v9"), t.index("v6"))] == "v1"
+    assert t.ids[idx.lca(t.index("v7"), t.index("v9"))] == "v2"
+    assert t.ids[idx.lca(t.index("v9"), t.index("v6"))] == "v1"
     v = t.index("v5")
-    assert lca(idx, v, v) == v
+    assert idx.lca(v, v) == v
     with pytest.raises(UnknownNode):
         idx.lca(0, 999)
+    with pytest.raises(UnknownNode):
+        idx.lca(-1, 0)
 
 
 def test_preorder_table_shape(ontology):
@@ -306,16 +306,16 @@ def test_lca_many_matches_scalar_and_naive(t, data):
     )
     a = [x for x, _ in pairs]
     b = [y for _, y in pairs]
-    many = idx.lca_many(a, b).tolist()
-    assert many == [idx.lca(x, y) for x, y in pairs]
-    assert many == [_naive_lca(t, x, y) for x, y in pairs]
+    naive = [_naive_lca(t, x, y) for x, y in pairs]
+    assert idx.lca_many(a, b).tolist() == naive
+    assert [idx.lca(x, y) for x, y in pairs] == naive
 
 
 def test_lca_many_broadcasts_and_checks_range(sparse_tree):
     t = sparse_tree
     idx = EulerLcaIndex(t)
     imp = t.important_pre
-    assert idx.lca_many(imp[0], imp).tolist() == [idx.lca(imp[0], y) for y in imp]
+    assert idx.lca_many(imp[0], imp).tolist() == [_naive_lca(t, imp[0], y) for y in imp]
     with pytest.raises(UnknownNode):
         idx.lca_many([0, 1], [1, t.n])
     with pytest.raises(UnknownNode):
