@@ -8,7 +8,6 @@ numpy batches (subset membership matrix times per-node impact rows).
 """
 from __future__ import annotations
 
-from heapq import nsmallest
 from math import comb
 from itertools import combinations, islice
 
@@ -25,10 +24,21 @@ def _check_k(tree: WeightedTree, k: int):
         raise InvalidK(f"k={k} outside 1..{tree.n}")
 
 
-def _top_by(tree: WeightedTree, k: int, value, algorithm: str, candidates) -> SummaryResult:
-    """The k candidates of largest value, ties to preorder rank; short if too few."""
-    pre_rank = tree.pre_rank
-    selected = nsmallest(k, candidates, key=lambda v: (-value[v], pre_rank[v]))
+def _top_by(
+    tree: WeightedTree, k: int, value: np.ndarray, algorithm: str, candidates: np.ndarray
+) -> SummaryResult:
+    """The k candidates of largest value, ties to preorder rank; short if too few.
+
+    Only candidates at or above the k-th largest value can place, so those
+    are sorted and the rest are not.
+    """
+    ranked = value[candidates]
+    if len(ranked) > k:
+        cut = len(ranked) - k
+        keep = ranked >= np.partition(ranked, cut)[cut]
+        candidates, ranked = candidates[keep], ranked[keep]
+    order = np.lexsort((tree._pre_rank_a[candidates], -ranked))
+    selected = candidates[order[:k]].tolist()
     return SummaryResult(
         selected=selected,
         score=_g_unchecked(tree, set(selected)),
@@ -40,23 +50,18 @@ def _top_by(tree: WeightedTree, k: int, value, algorithm: str, candidates) -> Su
 def feq_topk(tree: WeightedTree, k: int) -> SummaryResult:
     """The k nodes with the largest weights; ties go to preorder rank."""
     _check_k(tree, k)
-    return _top_by(tree, k, tree.feq, "feq", tree.pre_order)
+    return _top_by(tree, k, np.array(tree.feq), "feq", tree._pre_order_a)
 
 
 def aggregate_weights(tree: WeightedTree):
-    """Subtree weight sums (self-inclusive), one post-order pass."""
-    af = list(tree.feq)
-    for v in tree.post_order:
-        p = tree.parent[v]
-        if p >= 0:
-            af[p] += af[v]
-    return af
+    """Subtree weight sums (self-inclusive), as a list indexed by node."""
+    return tree.subtree_weight.tolist()
 
 
 def agg_topk(tree: WeightedTree, k: int) -> SummaryResult:
     """The k nodes with the largest aggregate (subtree) weights."""
     _check_k(tree, k)
-    return _top_by(tree, k, aggregate_weights(tree), "agg", tree.pre_order)
+    return _top_by(tree, k, tree.subtree_weight, "agg", tree._pre_order_a)
 
 
 def cagg_topk(tree: WeightedTree, k: int, theta: float = 0.4) -> SummaryResult:
@@ -70,14 +75,13 @@ def cagg_topk(tree: WeightedTree, k: int, theta: float = 0.4) -> SummaryResult:
     _check_k(tree, k)
     if not 0.0 <= theta <= 1.0:
         raise InvalidK(f"theta={theta} outside 0..1")
-    af = aggregate_weights(tree)
-    qualifying = []
-    for v in tree.pre_order:
-        p = tree.parent[v]
-        ratio = 1.0 if p < 0 or af[p] == 0 else af[v] / af[p]
-        if ratio >= theta:
-            qualifying.append(v)
-    return _top_by(tree, k, af, "cagg", qualifying)
+    af = tree.subtree_weight
+    parent = tree._parent_a
+    up = af[np.maximum(parent, 0)]
+    ratio = np.ones(tree.n)
+    np.divide(af, up, out=ratio, where=(parent >= 0) & (up != 0))
+    pre_order = tree._pre_order_a
+    return _top_by(tree, k, af, "cagg", pre_order[ratio[pre_order] >= theta])
 
 
 def brute_force(

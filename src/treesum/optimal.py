@@ -9,32 +9,49 @@ cases:
   no:   keep na as the representative of u (worth feq(u) * cor(na, u),
         zero without na) and distribute all b among the children.
 
-Distributing a budget over an ordered child list is a small knapsack, and
-one kernel (``_knap``) solves it everywhere: with G_i(b) the best total for
-children i.. with budget exactly b, G is computed right to left by a max-plus
-convolution with each child's value array, and every suffix table is kept so
-that ``_split`` can walk the winning budgets out again.
-A child's array is indexed by budget and clamped at its subtree size, so
-overfull assignments plateau instead of going infeasible: budgets may go
-unspent, and the final answer is padded back to exactly k nodes with the
-smallest-preorder leftovers (the objective is monotone, so padding never
-hurts and the at-most-k optimum equals the exactly-k optimum).  The empty
-suffix is worth 0 at budget 0 and -inf otherwise, which keeps the zero-budget
-column an exact sum of the children's zero-budget values.
+States are memoized per node as one float64 matrix ``memo[u]`` of shape
+(levels[u] + 1, cap[u] + 1), cap[u] = min(k, subtree size): column b is the
+budget, and each row is one nearest selected ancestor.  That ancestor always
+lies on u's root path, so its depth names it: row 0 means no selected
+ancestor, row levels[na] + 1 means ancestor na.  A child of u therefore reads
+its first levels[u] + 1 rows exactly as u does, and its last row is the
+case "u selected".
 
-States are memoized per (node, nearest ancestor) as one value array over
-budgets 0..min(k, subtree size); the nearest ancestor always lies on the
-node's root path, so a node has at most depth + 1 states.  Evaluation walks
-the postorder bottom-up with no recursion.  Value–choice ties prefer the
-no-case; knapsack split ties prefer the lexicographically smallest budget
-vector.  One decision routine (``_decide``) re-derives a state's choice and
-split from the memoized arrays; ``dp_eval`` and ``reconstruct`` both use it,
-so nothing beyond the value arrays is stored.
+Distributing a budget over an ordered child list is a small knapsack, and
+one kernel (``_knap``) solves it everywhere, over any band of memo rows at
+once: with G_i(b) the best total for children i.. with budget exactly b, G
+is folded right to left by a max-plus convolution with each child's rows,
+and every suffix table is kept so that ``_split`` can walk the winning
+budgets out again.  A child's row is clamped at its cap, so overfull
+assignments plateau instead of going infeasible: budgets may go unspent, and
+the final answer is padded back to exactly k nodes with the
+smallest-preorder leftovers (the objective is monotone, so padding never
+hurts and the at-most-k optimum equals the exactly-k optimum).
+
+The fold is size-bounded.  The rightmost child seeds it with its own rows;
+each child to the left is merged over pairs (j, t) with j at most its cap
+and t at most the suffix's total cap, looping over the shorter of the two,
+and only budgets up to the merged total cap are computed; the rest repeat
+the last column.  Memo rows never decrease with budget, so every candidate
+the bounds drop is matched or beaten by one they keep, and the values are
+the same floats as the unbounded fold.  With the childless suffix worth 0 at
+budget 0 and -inf otherwise, the rightmost child takes whatever budget is
+left, even beyond its cap.
+
+Evaluation walks the postorder bottom-up with no recursion, one kernel call
+per node (``_tables``): the children's levels[u] + 2 rows give every no-case
+of u and its yes-case together.  Value–choice ties prefer the no-case;
+knapsack split ties prefer the lexicographically smallest budget vector.
+One decision routine (``_decide``) re-derives a state's choice and split by
+repeating that one call for the state's node; ``dp_eval`` and
+``reconstruct`` both use it, so nothing beyond the value matrices is stored.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import InconsistentMemo, InvalidK, UnknownNode
 from .result import SummaryResult
@@ -63,12 +80,44 @@ class DpEntry:
     split: Tuple[int, ...]  # per-child budgets of the winning case
 
 
+def _max_plus(a: np.ndarray, g: np.ndarray, width: int) -> np.ndarray:
+    """Row-wise max-plus convolution, c[:, b] = max over i + j = b of
+    a[:, i] + g[:, j], for b below min(width, a's length + g's length - 1).
+
+    Loops over the shorter operand; addition commutes exactly, so swapping
+    them changes no value.
+    """
+    if a.shape[1] > g.shape[1]:
+        a, g = g, a
+    lg = g.shape[1]
+    size = min(width, a.shape[1] + lg - 1)  # >= lg, as g comes cut to width
+    out = np.empty((a.shape[0], size))
+    np.add(a[:, :1], g, out=out[:, :lg])
+    out[:, lg:] = _NEG
+    for i in range(1, min(a.shape[1], size)):
+        m = min(lg, size - i)
+        seg = out[:, i : i + m]
+        np.maximum(seg, a[:, i : i + 1] + g[:, :m], out=seg)
+    return out
+
+
+def _plateau(table: np.ndarray, width: int) -> np.ndarray:
+    """``table`` extended to ``width`` columns by repeating its last column."""
+    have = table.shape[1]
+    if have == width:
+        return table
+    out = np.empty((table.shape[0], width))
+    out[:, :have] = table
+    out[:, have:] = table[:, have - 1 : have]
+    return out
+
+
 class OtsSolver:
     """All DP state for one (tree, k) run.
 
-    Builds every reachable (node, ancestor) value array eagerly, bottom-up.
-    A single solver is single-use and single-threaded; concurrent runs on
-    the same tree need separate solvers.
+    Builds every node's value matrix eagerly, bottom-up.  A single solver is
+    single-use and single-threaded; concurrent runs on the same tree need
+    separate solvers.
     """
 
     def __init__(self, tree: WeightedTree, k: int):
@@ -77,9 +126,10 @@ class OtsSolver:
         self.tree = tree
         self.k = k
         self.cap = [min(k, s) for s in tree.subtree_size]
-        # memo[u][na] -> value array over budgets 0..cap[u]; na is a node
-        # index or _NO_ANCESTOR
-        self.memo: List[Dict[int, List[float]]] = [{} for _ in range(tree.n)]
+        # memo[u][r, b]: best value of u's subtree at budget b (0..cap[u])
+        # when the nearest selected ancestor is row r's: r = 0 for none,
+        # r = levels[na] + 1 for ancestor na
+        self.memo: List[np.ndarray] = [None] * tree.n
         self._evaluate_all()
 
     # -- bulk evaluation --------------------------------------------------
@@ -88,101 +138,111 @@ class OtsSolver:
         tree = self.tree
         feq = tree.feq
         slv = tree.score_levels
-        parent = tree.parent
+        levels = tree.levels
         memo = self.memo
         cap = self.cap
-        children = tree.children
+        # base[u][r]: what row r's ancestor earns by representing u.  In
+        # preorder, path[j + 1] is the score level of u's ancestor at depth j;
+        # path[0] = -inf makes row 0 (no ancestor) come out as 0.0.
+        base = [None] * tree.n
+        path = np.empty(tree.height + 2)
+        path[0] = _NEG
+        for u in tree.pre_order:
+            d = levels[u]
+            path[d + 1] = slv[u]
+            base[u] = feq[u] / (slv[u] + 1 - path[: d + 1])
         for u in tree.post_order:
             cap_u = cap[u]
-            kids = children[u]
-            yes_tail = self._knap(kids, cap_u - 1, u)[0] if cap_u else []
-            feq_u = feq[u]
-            slv_u = slv[u]
-            na = parent[u]
-            na_keys = [_NO_ANCESTOR]
-            while na >= 0:
-                na_keys.append(na)
-                na = parent[na]
-            store = memo[u]
-            for na in na_keys:
-                no_tail = self._knap(kids, cap_u, na)[0]
-                base = 0.0 if na < 0 else feq_u / (slv_u - slv[na] + 1)
-                vals = [base + no_tail[0]]
-                for b in range(1, cap_u + 1):
-                    yes_v = feq_u + yes_tail[b - 1]
-                    no_v = base + no_tail[b]
-                    vals.append(no_v if no_v >= yes_v else yes_v)
-                store[na] = vals
+            d = levels[u]
+            tails = self._tables(u)[0]
+            vals = base[u][:, None] + tails[: d + 1]
+            if cap_u:
+                # the better case per budget; equal cases are the same float,
+                # so the no-case tie rule only matters in _decide
+                no = vals[:, 1:]
+                np.maximum(no, feq[u] + tails[d + 1, :cap_u], out=no)
+            memo[u] = vals
 
     # -- the knapsack kernel and the state decision -------------------------
 
-    def _knap(self, kids, max_budget: int, na: int) -> List[List[float]]:
-        """Suffix tables: tables[i][b] is the best exact-sum total of kids[i:]
-        at budget b, for b in 0..max_budget; tables[len(kids)] is the base."""
-        tables = [[0.0] + [_NEG] * max_budget]
+    def _knap(self, kids, rows: slice, max_budget: int) -> List[np.ndarray]:
+        """Suffix tables over the memo rows ``rows`` of every child:
+        tables[i][r, b] is the best exact-sum total of kids[i:] at budget b,
+        for b in 0..max_budget; tables[len(kids)] is the empty suffix."""
+        width = max_budget + 1
+        empty = np.empty((rows.stop - rows.start, width))
+        empty.fill(_NEG)
+        empty[:, 0] = 0.0
+        tables = [empty]
         memo = self.memo
+        acc = None  # suffix table up to the suffix's total cap
         for x in reversed(kids):
-            arr = memo[x][na]
-            cx = len(arr) - 1
-            top = arr[cx]
-            G = tables[-1]
-            new = []
-            for b in range(max_budget + 1):
-                best = _NEG
-                for j in range(b + 1):
-                    v = (arr[j] if j <= cx else top) + G[b - j]
-                    if v > best:
-                        best = v
-                new.append(best)
-            tables.append(new)
+            arr = memo[x][rows, :width]
+            acc = arr if acc is None else _max_plus(arr, acc, width)
+            tables.append(_plateau(acc, width))
         tables.reverse()
         return tables
 
-    def _split(self, kids, tables, budget: int, na: int) -> Tuple[int, ...]:
-        """Lexicographically smallest per-child budget split hitting tables[0][budget]."""
+    def _tables(self, u: int) -> List[np.ndarray]:
+        """Suffix tables of u's children over every row u's cases read: rows
+        0..levels[u] for the no-case, row levels[u] + 1 for the yes-case."""
+        return self._knap(self.tree.children[u], slice(0, self.tree.levels[u] + 2), self.cap[u])
+
+    def _split(self, kids, tables, budget: int, row: int) -> Tuple[int, ...]:
+        """Lexicographically smallest per-child budget split hitting
+        tables[0][row, budget], reading memo row ``row`` of every child."""
         memo = self.memo
         split = []
         b = budget
+        here = tables[0][row].tolist()
         for i, x in enumerate(kids):
-            arr = memo[x][na]
-            cx = len(arr) - 1
-            top = arr[cx]
-            target = tables[i][b]
-            nxt = tables[i + 1]
-            for j in range(b + 1):
-                if (arr[j] if j <= cx else top) + nxt[b - j] == target:
-                    split.append(j)
-                    b -= j
+            vals = memo[x][row].tolist()
+            rest = tables[i + 1][row].tolist()
+            top = len(vals) - 1
+            tries = list(range(min(b, top) + 1))
+            if b > top:
+                # past its cap a child reads its plateau; only the last child,
+                # which takes the whole remainder, ever gets that far
+                tries.append(b)
+            for j in tries:
+                if vals[min(j, top)] + rest[b - j] == here[b]:
                     break
             else:
-                raise InconsistentMemo(f"no split reaches {target!r} at child {x}")
+                raise InconsistentMemo(f"no split reaches {here[b]!r} at child {x}")
+            split.append(j)
+            b -= j
+            here = rest
         return tuple(split)
 
-    def _yes(self, u: int, b: int):
-        """Yes-case value and child tables of state (u, b), b >= 1."""
-        tables = self._knap(self.tree.children[u], b - 1, u)
-        return self.tree.feq[u] + tables[0][b - 1], tables
+    def _row(self, na: int) -> int:
+        """Memo row of nearest selected ancestor ``na`` (or _NO_ANCESTOR)."""
+        return 0 if na < 0 else self.tree.levels[na] + 1
 
-    def _no(self, u: int, b: int, na: int):
-        """No-case value and child tables of state (u, b, na)."""
-        tables = self._knap(self.tree.children[u], b, na)
+    def _yes(self, u: int, b: int, tables) -> float:
+        """Yes-case value of state (u, b), b >= 1, from u's tables."""
+        return self.tree.feq[u] + float(tables[0][self.tree.levels[u] + 1, b - 1])
+
+    def _no(self, u: int, b: int, na: int, tables) -> float:
+        """No-case value of state (u, b, na), from u's tables."""
         slv = self.tree.score_levels
         base = 0.0 if na < 0 else self.tree.feq[u] / (slv[u] - slv[na] + 1)
-        return base + tables[0][b], tables
+        return base + float(tables[0][self._row(na), b])
 
     def _decide(self, u: int, b: int, na: int) -> Tuple[float, str, Tuple[int, ...]]:
         """(value, choice, split) of state (u, b, na), with b already clamped.
 
-        Each case's knapsack runs once; value ties go to the no-case, exactly
-        as in _evaluate_all, so the value equals memo[u][na][b].
+        One kernel call gives both cases; value ties go to the no-case, and
+        the value equals memo[u][row of na, b] (_evaluate_all makes the same
+        floats in the same call).
         """
         kids = self.tree.children[u]
-        no_v, no_tables = self._no(u, b, na)
+        tables = self._tables(u)
+        no_v = self._no(u, b, na, tables)
         if b > 0:
-            yes_v, yes_tables = self._yes(u, b)
+            yes_v = self._yes(u, b, tables)
             if no_v < yes_v:
-                return yes_v, "yes", self._split(kids, yes_tables, b - 1, u)
-        return no_v, "no", self._split(kids, no_tables, b, na)
+                return yes_v, "yes", self._split(kids, tables, b - 1, self._row(u))
+        return no_v, "no", self._split(kids, tables, b, self._row(na))
 
     # -- per-state queries -------------------------------------------------
 
@@ -210,11 +270,12 @@ class OtsSolver:
         u, b, _ = self._state(key)
         if b < 1:
             raise InvalidK("yes-case requires budget >= 1")
-        return self._yes(u, b)[0]
+        return self._yes(u, b, self._tables(u))
 
     def no_case(self, key: DpKey) -> float:
         """Score of skipping the node: ancestor's impact plus the child split."""
-        return self._no(*self._state(key))[0]
+        u, b, na = self._state(key)
+        return self._no(u, b, na, self._tables(u))
 
     def knapsack_combine(self, kids: Sequence[int], budget: int, ancestor: Optional[int]):
         """Optimal budget assignment over an ordered child list.
@@ -235,8 +296,9 @@ class OtsSolver:
                         f"{self.tree.ids[na]!r} is not a strict ancestor of "
                         f"{self.tree.ids[x]!r}"
                     )
-        tables = self._knap(kids, budget, na)
-        return tables[0][budget], self._split(kids, tables, budget, na)
+        row = self._row(na)
+        tables = self._knap(kids, slice(0, row + 1), budget)
+        return float(tables[0][row, budget]), self._split(kids, tables, budget, row)
 
     def reconstruct(self) -> set:
         """Walk the winning choices from the root down; returns the raw DP set."""
@@ -259,7 +321,7 @@ class OtsSolver:
         return selected
 
     def optimum(self) -> float:
-        return self.memo[self.tree.root][_NO_ANCESTOR][self.k]
+        return float(self.memo[self.tree.root][0, self.k])
 
     def solve(self) -> SummaryResult:
         value = self.optimum()
@@ -285,7 +347,7 @@ class OtsSolver:
         )
 
     def state_count(self) -> int:
-        return sum(len(d) * len(next(iter(d.values()))) for d in self.memo if d)
+        return sum(a.size for a in self.memo)
 
 
 def ots(tree: WeightedTree, k: int) -> SummaryResult:

@@ -21,9 +21,10 @@ pre_rank[x] <= pre_rank[y] < pre_rank[x] + subtree_size[x].
 
 Child order is input order and defines every deterministic traversal and
 tie-break downstream.  The public attributes are plain Python lists, because
-the solvers index them in pure-Python loops.  ``children`` is the one
-exception to eager construction: it is filled from the compressed rows the
-first time it is read, so callers on hot paths read it once into a local.
+the solvers index them in pure-Python loops.  ``children`` and
+``subtree_weight`` are the exceptions to eager construction: they are filled
+the first time they are read, so callers on hot paths read them once into a
+local.
 
 EulerLcaIndex answers lowest-common-ancestor queries in O(1), one at a time
 or as a vectorized batch, after an O(n log n) build: a sparse table of range
@@ -73,6 +74,7 @@ class WeightedTree:
         "height",
         "_id_to_index",
         "_children",
+        "_subtree_weight",
         # numpy twins of the lists above, for vectorized callers
         "_child_order",
         "_child_start",
@@ -138,6 +140,7 @@ class WeightedTree:
         self._child_order = child_order
         self._child_start = child_start
         self._children = None
+        self._subtree_weight = None
 
         # Successor of each tour event: enter(v) = v, exit(v) = n + v.  The
         # root's exit points at itself and ends the tour.
@@ -209,6 +212,29 @@ class WeightedTree:
             start = self._child_start.tolist()
             kids = self._children = [order[a:b] for a, b in zip(start, start[1:])]
         return kids
+
+    @property
+    def subtree_weight(self) -> np.ndarray:
+        """Subtree weight sums (self-inclusive), read-only, built on first use.
+
+        The sums go one level at a time, deepest first, so every node is
+        complete before it is added to its parent; within a level the nodes
+        stay in preorder, so each parent adds its children in child order,
+        exactly as a post-order pass would.
+        """
+        af = self._subtree_weight
+        if af is None:
+            af = np.array(self.feq)
+            levels = self._levels_a
+            by_depth = self._pre_order_a[np.argsort(levels[self._pre_order_a], kind="stable")]
+            to_parent = self._parent_a[by_depth]
+            bounds = np.cumsum(np.bincount(levels)).tolist()
+            for d in range(len(bounds) - 1, 0, -1):
+                lo, hi = bounds[d - 1], bounds[d]
+                np.add.at(af, to_parent[lo:hi], af[by_depth[lo:hi]])
+            af.flags.writeable = False
+            self._subtree_weight = af
+        return af
 
     # -- lookups --------------------------------------------------------
 

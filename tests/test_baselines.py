@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesum import (
     GenSpec,
+    WeightedTree,
     agg_topk,
     aggregate_weights,
     brute_force,
@@ -12,6 +15,8 @@ from treesum import (
     ots,
 )
 from treesum.errors import EnumerationTooLarge, InvalidK
+
+from test_tree import random_trees
 
 
 def test_feq_topk(ontology):
@@ -43,6 +48,43 @@ def test_aggregate_matches_descendant_sums():
     for v in range(t.n):
         direct = sum(t.feq[y] for y in range(t.n) if t.is_ancestor(v, y))
         assert af[v] == pytest.approx(direct, abs=1e-9)
+
+
+def _post_order_aggregate(tree):
+    """The post-order loop that the level-by-level sums replaced, as an oracle."""
+    af = list(tree.feq)
+    for v in tree.post_order:
+        p = tree.parent[v]
+        if p >= 0:
+            af[p] += af[v]
+    return af
+
+
+@st.composite
+def _rounding_trees(draw):
+    """Random shapes with weights whose sums depend on the order of addition."""
+    t = draw(random_trees())
+    weights = draw(
+        st.lists(st.sampled_from([0.0, 0.1, 0.7, 1 / 3, 2.5, 1e16]), min_size=t.n, max_size=t.n)
+    )
+    return WeightedTree(t.ids, t.parent, weights)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rounding_trees(), st.sampled_from([0.0, 0.1, 0.4, 0.5, 1.0]))
+def test_aggregate_and_cagg_filter_match_post_order_loop(t, theta):
+    af = _post_order_aggregate(t)
+    assert aggregate_weights(t) == af
+    # built once per tree and shared, so no caller may write into it
+    assert t.subtree_weight is t.subtree_weight
+    assert not t.subtree_weight.flags.writeable
+    qualifying = []
+    for v in t.pre_order:
+        p = t.parent[v]
+        if (1.0 if p < 0 or af[p] == 0 else af[v] / af[p]) >= theta:
+            qualifying.append(v)
+    ranked = sorted(qualifying, key=lambda v: (-af[v], t.pre_rank[v]))
+    assert cagg_topk(t, t.n, theta).selected == ranked
 
 
 def test_agg_topk(ontology):

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesum import (
     GenSpec,
@@ -9,10 +11,14 @@ from treesum import (
     g_score,
     gen_random_tree,
     gts,
+    lift_result,
     ots,
+    vtree,
 )
 from treesum.errors import InvalidK, UnknownNode
 from treesum.optimal import DpKey
+
+from test_tree import random_trees
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +221,167 @@ def test_state_count_bound(ontology):
         solver = OtsSolver(ontology, k)
         bound = ontology.n * (ontology.height + 1) * (k + 1)
         assert solver.state_count() <= bound
+
+
+# -- the scalar DP as an oracle for the row kernel ----------------------------
+
+
+class _ScalarOts:
+    """The pure-Python DP that the row-matrix kernel replaced, as an oracle:
+    memo[u][na] is a list over budgets 0..cap[u], with na a node or -1, and
+    every knapsack merges each child over the full budget range (j above the
+    child's cap reads its plateau)."""
+
+    def __init__(self, tree, k):
+        self.tree = tree
+        self.cap = [min(k, s) for s in tree.subtree_size]
+        self.memo = [{} for _ in range(tree.n)]
+        for u in tree.post_order:
+            cap_u = self.cap[u]
+            kids = tree.children[u]
+            yes_tail = self._knap(kids, cap_u - 1, u)[0] if cap_u else []
+            slv = tree.score_levels
+            na_keys = [-1]
+            na = tree.parent[u]
+            while na >= 0:
+                na_keys.append(na)
+                na = tree.parent[na]
+            for na in na_keys:
+                no_tail = self._knap(kids, cap_u, na)[0]
+                base = 0.0 if na < 0 else tree.feq[u] / (slv[u] - slv[na] + 1)
+                vals = [base + no_tail[0]]
+                for b in range(1, cap_u + 1):
+                    yes_v = tree.feq[u] + yes_tail[b - 1]
+                    no_v = base + no_tail[b]
+                    vals.append(no_v if no_v >= yes_v else yes_v)
+                self.memo[u][na] = vals
+
+    def _knap(self, kids, max_budget, na):
+        tables = [[0.0] + [float("-inf")] * max_budget]
+        for x in reversed(kids):
+            arr = self.memo[x][na]
+            cx = len(arr) - 1
+            G = tables[-1]
+            new = []
+            for b in range(max_budget + 1):
+                best = float("-inf")
+                for j in range(b + 1):
+                    v = (arr[j] if j <= cx else arr[cx]) + G[b - j]
+                    if v > best:
+                        best = v
+                new.append(best)
+            tables.append(new)
+        tables.reverse()
+        return tables
+
+    def _split(self, kids, tables, budget, na):
+        split = []
+        b = budget
+        for i, x in enumerate(kids):
+            arr = self.memo[x][na]
+            cx = len(arr) - 1
+            for j in range(b + 1):
+                if (arr[j] if j <= cx else arr[cx]) + tables[i + 1][b - j] == tables[i][b]:
+                    split.append(j)
+                    b -= j
+                    break
+            else:
+                raise AssertionError("no split")
+        return tuple(split)
+
+    def combine(self, kids, budget, na):
+        tables = self._knap(kids, budget, na)
+        return tables[0][budget], self._split(kids, tables, budget, na)
+
+    def yes(self, u, b):
+        value, split = self.combine(self.tree.children[u], b - 1, u)
+        return self.tree.feq[u] + value, split
+
+    def no(self, u, b, na):
+        slv = self.tree.score_levels
+        base = 0.0 if na < 0 else self.tree.feq[u] / (slv[u] - slv[na] + 1)
+        value, split = self.combine(self.tree.children[u], b, na)
+        return base + value, split
+
+    def decide(self, u, b, na):
+        no_v, no_split = self.no(u, b, na)
+        if b > 0:
+            yes_v, yes_split = self.yes(u, b)
+            if no_v < yes_v:
+                return yes_v, "yes", yes_split
+        return no_v, "no", no_split
+
+
+def _budgets(n, data):
+    """k in {0, 1, a drawn value, n}."""
+    return sorted({0, 1, data.draw(st.integers(0, n)), n} & set(range(n + 1)))
+
+
+def _row(tree, na):
+    return 0 if na < 0 else tree.levels[na] + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees(max_n=24), st.data())
+def test_row_memo_matches_scalar_dp(t, data):
+    for k in _budgets(t.n, data):
+        solver = OtsSolver(t, k)
+        ref = _ScalarOts(t, k)
+        for u in range(t.n):
+            assert solver.memo[u].shape == (t.levels[u] + 1, ref.cap[u] + 1)
+            assert len(ref.memo[u]) == t.levels[u] + 1
+            for na, vals in ref.memo[u].items():
+                assert solver.memo[u][_row(t, na)].tolist() == vals
+        assert solver.state_count() == sum(len(m) * (c + 1) for m, c in zip(ref.memo, ref.cap))
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_trees(max_n=12), st.data())
+def test_states_match_scalar_dp(t, data):
+    for k in _budgets(t.n, data):
+        solver = OtsSolver(t, k)
+        ref = _ScalarOts(t, k)
+        for u in range(t.n):
+            kids = t.children[u]
+            for na in ref.memo[u]:
+                key_na = None if na < 0 else na
+                # budgets above cap[u] clamp
+                for b in range(ref.cap[u] + 2):
+                    key = DpKey(u, b, key_na)
+                    clamped = min(b, ref.cap[u])
+                    entry = solver.dp_eval(key)
+                    assert (entry.value, entry.choice, entry.split) == ref.decide(u, clamped, na)
+                    assert solver.no_case(key) == ref.no(u, clamped, na)[0]
+                    if clamped:
+                        assert solver.yes_case(key) == ref.yes(u, clamped)[0]
+            if not kids:
+                continue
+            # past the children's total cap the rest goes to the last child
+            top = sum(ref.cap[x] for x in kids) + 2
+            for na in [u] + [a for a in ref.memo[u] if a >= 0] + [-1]:
+                for b in range(top + 1):
+                    got = solver.knapsack_combine(kids, b, None if na < 0 else na)
+                    assert got == ref.combine(kids, b, na)
+
+
+# -- ots against brute force and through the reduction ------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees(max_n=9), st.data())
+def test_ots_equals_brute_force(t, data):
+    k = data.draw(st.integers(1, t.n))
+    best = ots(t, k).score
+    # equal optima can be different sets whose float sums differ in the
+    # last bits
+    assert best == pytest.approx(brute_force(t, k).score, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees(max_n=9), st.data())
+def test_ots_through_vtree_keeps_the_optimum(t, data):
+    rt = vtree(t)
+    k = data.draw(st.integers(1, rt.tree.n))
+    lifted = lift_result(rt, ots(rt.tree, k))
+    assert lifted.score == pytest.approx(ots(t, k).score, rel=1e-12, abs=1e-12)
+    assert len(set(lifted.selected)) == k
