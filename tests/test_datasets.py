@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesum import (
     GenSpec,
@@ -18,6 +20,8 @@ from treesum.errors import (
     NonFiniteWeight,
     TreesumError,
 )
+
+from test_tree import shuffled_trees
 
 
 def test_splitmix_reference_sequence():
@@ -114,6 +118,28 @@ def test_round_trip_identity(ontology, tmp_path):
     assert again.feq == ontology.feq
     s = ["r", "A", "a1", "b1", "c0"]
     assert g_score(again, again.indices(s)) == g_score(ontology, ontology.indices(s))
+
+
+# ids may hold anything the writer accepts: no tab or line break, not empty,
+# not "-", no leading "#"
+_writable_ids = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"), min_size=1
+).filter(lambda s: s != "-" and s[0] != "#")
+
+
+@settings(max_examples=100, deadline=None)
+@given(shuffled_trees(max_n=30), st.data())
+def test_write_parse_round_trip_property(tmp_path_factory, shape, data):
+    n = shape.n
+    ids = data.draw(st.lists(_writable_ids, min_size=n, max_size=n, unique=True))
+    weights = data.draw(
+        st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=n, max_size=n)
+    )
+    t = WeightedTree(ids, shape.parent, weights)
+    out = tmp_path_factory.mktemp("rt") / "t.tsv"
+    write_tree_tsv(t, out)
+    again = parse_tree_tsv(out)
+    assert (again.ids, again.parent, again.feq) == (t.ids, t.parent, t.feq)
 
 
 def test_write_singleton_tree(tmp_path):

@@ -1,9 +1,51 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treesum import GenSpec, brute_force, g_score, gen_random_tree, gts
+from treesum import GenSpec, brute_force, g_score, gen_random_tree, gts, vtree
 from treesum.errors import InvalidK
+from treesum.greedy import _first_round
+from treesum.scoring import _g_unchecked, _gain_unchecked
+
+from test_tree import random_trees, shuffled_trees
 
 ONE_MINUS_1_OVER_E = 1 - 1 / 2.718281828459045
+
+# {0, 1, 2} makes equal gains common, so the preorder tie-break decides;
+# 1e16 next to 0.1 and 1/3 makes sums depend on the order of their terms.
+TIE_WEIGHTS = (0.0, 1.0, 2.0)
+ORDER_WEIGHTS = (0.0, 0.1, 1 / 3, 1e16, 7.0)
+
+
+def _scan_gts(tree, k):
+    """The greedy loop gts replaces: every round rescans every candidate in
+    preorder and keeps the first strict maximum."""
+    selected = set()
+    order = []
+    trace = []
+    children = tree.children
+    for _ in range(k):
+        best = None
+        best_gain = -1.0
+        for x in tree.pre_order:
+            if x in selected:
+                continue
+            gain = _gain_unchecked(tree, selected, x, children)
+            if gain > best_gain:
+                best_gain = gain
+                best = x
+        selected.add(best)
+        order.append(best)
+        trace.append((best, best_gain))
+    return order, trace, _g_unchecked(tree, selected)
+
+
+def _assert_matches_scan(tree, k):
+    res = gts(tree, k)
+    order, trace, score = _scan_gts(tree, k)
+    assert res.selected == order
+    assert res.trace == trace
+    assert repr(res.score) == repr(score)
 
 
 def test_running_example_trace(ontology):
@@ -59,7 +101,8 @@ def test_trace_gains_non_increasing(seed):
     res = gts(t, 8)
     gains = [g for _, g in res.trace]
     for earlier, later in zip(gains, gains[1:]):
-        assert later <= earlier + 1e-9
+        # exact: the lazy heap relies on gains never rising in floating point
+        assert later <= earlier
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -70,3 +113,42 @@ def test_approximation_vs_brute(seed):
         best = brute_force(t, k).score
         assert greedy >= ONE_MINUS_1_OVER_E * best - 1e-9
         assert greedy <= best + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees(max_n=9), st.data())
+def test_approximation_vs_brute_force_property(t, data):
+    k = data.draw(st.integers(1, t.n))
+    greedy = gts(t, k).score
+    best = brute_force(t, k).score
+    assert greedy >= ONE_MINUS_1_OVER_E * best - 1e-9
+    assert greedy <= best + 1e-9
+
+
+# -- lazy evaluation against the rescanning loop -------------------------------
+
+
+@pytest.mark.parametrize("weights", [TIE_WEIGHTS, ORDER_WEIGHTS], ids=["ties", "order"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_gts_matches_scan(weights, data):
+    t = data.draw(shuffled_trees(max_n=40, weights=weights))
+    for k in sorted({1, data.draw(st.integers(1, t.n)), t.n}):
+        _assert_matches_scan(t, k)
+
+
+@pytest.mark.parametrize("weights", [TIE_WEIGHTS, ORDER_WEIGHTS], ids=["ties", "order"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_first_round_matches_subtree_walks(weights, data):
+    t = data.draw(shuffled_trees(max_n=40, weights=weights))
+    children = t.children
+    assert _first_round(t) == [_gain_unchecked(t, set(), x, children) for x in range(t.n)]
+
+
+def test_gts_matches_scan_on_reduced_tree():
+    reduced = vtree(gen_random_tree(GenSpec(n=10**4, important_count=10**3, seed=70_707))).tree
+    children = reduced.children
+    gains = [_gain_unchecked(reduced, set(), x, children) for x in range(reduced.n)]
+    assert _first_round(reduced) == gains
+    _assert_matches_scan(reduced, 100)

@@ -248,17 +248,18 @@ def _assert_matches_reference(t):
 
 
 @st.composite
-def shuffled_trees(draw, max_n=60):
+def shuffled_trees(draw, max_n=60, weights=(0.0, 0.0, 1.0, 2.5, 7.0)):
     """Random trees whose node indices are a random relabelling, so parents
-    may come after their children in input order."""
+    may come after their children in input order; each weight is drawn from
+    ``weights``."""
     n = draw(st.integers(min_value=1, max_value=max_n))
     shape = [-1] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
     perm = draw(st.permutations(range(n)))
     parent = [-1] * n
     for i, p in enumerate(shape):
         parent[perm[i]] = -1 if p < 0 else perm[p]
-    weights = [draw(st.sampled_from([0.0, 0.0, 1.0, 2.5, 7.0])) for _ in range(n)]
-    return WeightedTree([f"n{i}" for i in range(n)], parent, weights)
+    feq = [draw(st.sampled_from(weights)) for _ in range(n)]
+    return WeightedTree([f"n{i}" for i in range(n)], parent, feq)
 
 
 @settings(max_examples=150, deadline=None)
