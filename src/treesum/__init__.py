@@ -8,7 +8,7 @@ search to the weighted nodes and their pairwise ancestors, ranking
 baselines, quality metrics, and a deterministic synthetic-tree generator.
 """
 
-from .baselines import agg_topk, aggregate_weights, brute_force, cagg_topk, feq_topk
+from .baselines import agg_topk, brute_force, cagg_topk, feq_topk
 from .datasets import GenSpec, Splitmix64, gen_random_tree, parse_tree_tsv, write_tree_tsv
 from .greedy import gts
 from .metrics import (
@@ -48,7 +48,6 @@ __all__ = [
     "feq_topk",
     "agg_topk",
     "cagg_topk",
-    "aggregate_weights",
     "brute_force",
     "closeness_distance",
     "avg_level_difference",

@@ -53,11 +53,6 @@ def feq_topk(tree: WeightedTree, k: int) -> SummaryResult:
     return _top_by(tree, k, np.array(tree.feq), "feq", tree._pre_order_a)
 
 
-def aggregate_weights(tree: WeightedTree):
-    """Subtree weight sums (self-inclusive), as a list indexed by node."""
-    return tree.subtree_weight.tolist()
-
-
 def agg_topk(tree: WeightedTree, k: int) -> SummaryResult:
     """The k nodes with the largest aggregate (subtree) weights."""
     _check_k(tree, k)
@@ -103,20 +98,17 @@ def brute_force(
         raise EnumerationTooLarge(f"C({n},{k}) = {total} exceeds cap {subset_cap}")
 
     order = tree.pre_order
-    imp = tree.important_pre
+    imp = tree._important_pre_a
+    cols = tree._pre_order_a
     # impact[i, p]: what the node at preorder position p contributes when it
     # represents important node i; zero unless it is an ancestor.
+    p = np.arange(n)
+    rank = tree._pre_rank_a[imp][:, None]
+    covers = (p <= rank) & (rank < p + tree._size_a[cols])
+    slv = tree._score_levels_a
+    gap = slv[imp][:, None] - slv[cols] + 1
     impact = np.zeros((len(imp), n))
-    slv = tree.score_levels
-    parent = tree.parent
-    pre_pos = tree.pre_rank
-    for i, y in enumerate(imp):
-        w = tree.feq[y]
-        ly = slv[y]
-        v = y
-        while v >= 0:
-            impact[i, pre_pos[v]] = w / (ly - slv[v] + 1)
-            v = parent[v]
+    np.divide(tree._important_feq_a[:, None], gap, out=impact, where=covers)
 
     if batch_rows <= 0:
         batch_rows = max(16, 4_000_000 // max(1, len(imp) * n))

@@ -55,6 +55,7 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
         order.append(x)
         trace.append((x, -neg_gain))
 
+        # a walk, not a query: it marks every node on the path, not just the end
         v = parent[x]
         while v >= 0 and v not in selected:
             fresh[v] = False

@@ -33,53 +33,40 @@ def closeness_distance(
     """Sum over weighted nodes of (hop distance to the nearest member) * weight.
 
     Distances from each member to all weighted nodes come from one batched
-    LCA query; the weighted sum runs in preorder of the weighted nodes.
+    LCA query; the weighted sum adds in preorder of the weighted nodes.
     """
     selected = [tree.check_node(v) for v in set(members)]
     if not selected:
         raise EmptySummary("closeness distance needs a nonempty summary")
     if index is None:
         index = EulerLcaIndex(tree)
-    imp = tree.important_pre
-    ys = np.array(imp, dtype=np.int64)
+    ys = tree._important_pre_a
     levels = tree._levels_a
     ly = levels[ys]
     best = None
     for x in selected:
         d = levels[x] + ly - 2 * levels[index.lca_many(x, ys)]
         best = d if best is None else np.minimum(best, d)
-    feq = tree.feq
-    total = 0.0
-    for y, d in zip(imp, best.tolist()):
-        total += d * feq[y]
-    return total
+    terms = best * tree._important_feq_a
+    # cumsum adds in preorder as a loop would; np.sum pairs terms up
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def avg_level_difference(tree: WeightedTree, members: Iterable[int]) -> float:
     """Weighted mean level gap to the nearest selected ancestor.
 
     A weighted node with no selected ancestor counts its own level, i.e. the
-    gap to an imaginary node above the root.
+    gap to an imaginary node above the root.  Both sums add in preorder.
     """
     selected = {tree.check_node(v) for v in members}
-    levels = tree.levels
-    parent = tree.parent
-    num = 0.0
-    den = 0.0
-    for y in tree.important_pre:
-        w = tree.feq[y]
-        den += w
-        v = y
-        while v >= 0:
-            if v in selected:
-                num += (levels[y] - levels[v]) * w
-                break
-            v = parent[v]
-        else:
-            num += levels[y] * w
-    if den == 0:
+    imp = tree._important_pre_a
+    if not imp.size:
         raise NoImportantNodes("no node carries positive weight")
-    return num / den
+    z = tree._nearest_selected(selected, imp)
+    levels = tree._levels_a
+    gap = levels[imp] - np.where(z >= 0, levels[z], 0)
+    w = tree._important_feq_a
+    return float(np.cumsum(gap * w)[-1] / np.cumsum(w)[-1])
 
 
 def weighted_coverage(tree: WeightedTree, members: Iterable[int]) -> float:

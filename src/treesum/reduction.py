@@ -5,7 +5,8 @@ lowest common ancestors of consecutive positively weighted nodes in preorder;
 every LCA of any subset of important nodes is already the LCA of such a
 consecutive pair, so this closure is enough.  The kept nodes are re-linked to
 their nearest kept proper ancestor, which compresses chains of useless nodes
-into single edges weighted by the original level difference.
+into single edges weighted by the original level difference; one batched
+LCA query finds those ancestors.
 
 The reduced tree carries the nodes' original levels as its ``score_levels``,
 so the objective evaluated on it agrees exactly with the original tree, and
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional
+
+import numpy as np
 
 from .errors import ScoreMismatch
 from .result import SummaryResult
@@ -46,30 +49,24 @@ class ReducedTree:
 def vtree(tree: WeightedTree, index: Optional[EulerLcaIndex] = None) -> ReducedTree:
     """Reduce a tree to its important nodes, their pairwise-consecutive LCAs
     and the root."""
-    imp = tree.important_pre
-    keep = set(imp)
-    keep.add(tree.root)
-    if len(imp) > 1:
+    pre_rank = tree._pre_rank_a
+    pre_order = tree._pre_order_a
+    keep = np.zeros(tree.n, dtype=bool)  # by preorder rank; the root is rank 0
+    keep[0] = True
+    keep[pre_rank[tree._important_pre_a]] = True
+    kept = pre_order[keep]
+    up = kept[:0]
+    if len(kept) > 1:
         if index is None:
             index = EulerLcaIndex(tree)
-        keep.update(index.lca_many(imp[:-1], imp[1:]).tolist())
-
-    pre_rank = tree.pre_rank
-    ordered = sorted(keep, key=pre_rank.__getitem__)
-
-    # nearest kept proper ancestor via an ancestor stack over the preorder
-    new_index = {v: i for i, v in enumerate(ordered)}
-    parent = [-1] * len(ordered)
-    edge_weights = [0] * len(ordered)
-    stack = []
-    for v in ordered:
-        while stack and not tree.is_ancestor(stack[-1], v):
-            stack.pop()
-        if stack:
-            p = stack[-1]
-            parent[new_index[v]] = new_index[p]
-            edge_weights[new_index[v]] = tree.levels[v] - tree.levels[p]
-        stack.append(v)
+        keep[pre_rank[index.lca_many(kept[:-1], kept[1:])]] = True
+        kept = pre_order[keep]
+        # the kept set is LCA-closed, so in preorder each node's nearest kept
+        # proper ancestor is its LCA with the node just before it
+        up = index.lca_many(kept[:-1], kept[1:])
+    parent = [-1] + np.searchsorted(np.flatnonzero(keep), pre_rank[up]).tolist()
+    edge_weights = [0] + (tree._levels_a[kept[1:]] - tree._levels_a[up]).tolist()
+    ordered = kept.tolist()
 
     reduced = WeightedTree(
         ids=[tree.ids[v] for v in ordered],

@@ -24,8 +24,5 @@ class SummaryResult:
     trace: List[Tuple[int, float]] = field(default_factory=list)
     underfilled: bool = False
 
-    def member_set(self) -> frozenset:
-        return frozenset(self.selected)
-
     def selected_ids(self, tree: WeightedTree) -> List[str]:
         return [tree.ids[v] for v in self.selected]

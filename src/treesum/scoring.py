@@ -12,7 +12,9 @@ node y be represented by its best selected ancestor:
 
 g is monotone and submodular, which is what makes the greedy summarizer a
 (1 - 1/e)-approximation.  All level arithmetic reads ``tree.score_levels``
-so reduced trees score exactly like the originals they came from.
+so reduced trees score exactly like the originals they came from.  The best
+selected ancestor of y is its nearest one, which ``smy`` and g find with the
+tree's batched nearest-selected-ancestor query.
 
 ``marginal_gain_fast`` computes g(S + {x}) - g(S) from a single pruned
 traversal of x's subtree; ``marginal_gain_naive`` computes the same number
@@ -23,6 +25,8 @@ like 18/3 exact in floating point.
 from __future__ import annotations
 
 from typing import Iterable, Set
+
+import numpy as np
 
 from .errors import AlreadySelected
 from .tree import WeightedTree
@@ -49,20 +53,11 @@ def rep(tree: WeightedTree, x: int, y: int) -> float:
 
 
 def smy(tree: WeightedTree, members: Iterable[int], y: int) -> float:
-    """Best representative impact on y among ancestors of y inside the set."""
+    """Best representative impact on y: rep of its nearest selected ancestor."""
     tree.check_node(y)
-    selected = members if isinstance(members, (set, frozenset)) else set(members)
-    best = 0.0
+    z = int(tree._nearest_selected({tree.check_node(v) for v in members}, [y])[0])
     lv = tree.score_levels
-    ly = lv[y]
-    feq_y = tree.feq[y]
-    v = y
-    while v >= 0:
-        if v in selected:
-            # the nearest selected ancestor maximizes rep, stop here
-            return feq_y / (ly - lv[v] + 1)
-        v = tree.parent[v]
-    return best
+    return tree.feq[y] / (lv[y] - lv[z] + 1) if z >= 0 else 0.0
 
 
 def g_score(tree: WeightedTree, members: Iterable[int]) -> float:
@@ -71,25 +66,17 @@ def g_score(tree: WeightedTree, members: Iterable[int]) -> float:
     Accumulated over important nodes in preorder, so the result is
     bit-for-bit reproducible across runs.
     """
-    selected = members if isinstance(members, (set, frozenset)) else set(members)
-    for v in selected:
-        tree.check_node(v)
-    return _g_unchecked(tree, selected)
+    return _g_unchecked(tree, {tree.check_node(v) for v in members})
 
 
 def _g_unchecked(tree: WeightedTree, selected: Set[int]) -> float:
-    lv = tree.score_levels
-    parent = tree.parent
-    feq = tree.feq
-    total = 0.0
-    for y in tree.important_pre:
-        v = y
-        while v >= 0:
-            if v in selected:
-                total += feq[y] / (lv[y] - lv[v] + 1)
-                break
-            v = parent[v]
-    return total
+    imp = tree._important_pre_a
+    z = tree._nearest_selected(selected, imp)
+    lv = tree._score_levels_a
+    hit = z >= 0
+    terms = tree._important_feq_a[hit] / (lv[imp[hit]] - lv[z[hit]] + 1)
+    # cumsum adds in preorder as a loop would; np.sum pairs terms up
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def marginal_gain_naive(tree: WeightedTree, members: Iterable[int], x: int) -> float:
@@ -125,6 +112,7 @@ def _gain_unchecked(tree: WeightedTree, selected: Set[int], x: int, children: li
     lv = tree.score_levels
     feq = tree.feq
 
+    # a scalar walk: this runs once per stale gain, far too often for a numpy call
     lz = None
     v = tree.parent[x]
     while v >= 0:

@@ -82,6 +82,10 @@ class WeightedTree:
         "_levels_a",
         "_pre_rank_a",
         "_pre_order_a",
+        "_size_a",
+        "_score_levels_a",
+        "_important_pre_a",
+        "_important_feq_a",
     )
 
     def __init__(
@@ -185,6 +189,7 @@ class WeightedTree:
         self._levels_a = levels
         self._pre_rank_a = pre_rank
         self._pre_order_a = pre_order
+        self._size_a = size
         self.levels = levels.tolist()
         self.pre_rank = pre_rank.tolist()
         self.pre_order = pre_order.tolist()
@@ -193,14 +198,19 @@ class WeightedTree:
 
         if score_levels is None:
             self.score_levels = self.levels
+            self._score_levels_a = levels
         else:
             if len(score_levels) != n:
                 raise ValueError("score_levels length mismatch")
             self.score_levels = list(score_levels)
+            self._score_levels_a = np.array(self.score_levels, dtype=np.int64)
 
         weighted = weights > 0
+        important_pre = pre_order[weighted[pre_order]]
+        self._important_pre_a = important_pre
+        self._important_feq_a = weights[important_pre]
         self.important = np.flatnonzero(weighted).tolist()
-        self.important_pre = pre_order[weighted[pre_order]].tolist()
+        self.important_pre = important_pre.tolist()
         self.height = int(levels.max())
 
     @property
@@ -256,6 +266,39 @@ class WeightedTree:
         """True when x is a (self-inclusive) ancestor of y."""
         rx = self.pre_rank[x]
         return rx <= self.pre_rank[y] < rx + self.subtree_size[x]
+
+    def _nearest_selected(self, selected, nodes) -> np.ndarray:
+        """Nearest self-inclusive ancestor in ``selected`` (distinct valid
+        indices) of each of ``nodes`` (valid indices), or -1 where none is.
+
+        Selected subtrees are nested or disjoint preorder intervals: a node
+        starts at the last member at or before it in preorder and climbs the
+        members' nearest selected proper ancestors until an interval holds it.
+        """
+        members = np.fromiter(selected, dtype=np.int64, count=len(selected))
+        members = members[np.argsort(self._pre_rank_a[members])]
+        lo = self._pre_rank_a[members]
+        # position -1 is a sentinel: no member, with an interval holding every node
+        ends = (lo + self._size_a[members]).tolist() + [self.n]
+        up = []
+        stack = [-1]
+        for i, start in enumerate(lo.tolist()):
+            while ends[stack[-1]] <= start:
+                stack.pop()
+            up.append(stack[-1])
+            stack.append(i)
+        up = np.array(up, dtype=np.int64)
+        hi = np.array(ends)
+
+        rank = self._pre_rank_a[np.asarray(nodes, dtype=np.int64)]
+        at = np.searchsorted(lo, rank, side="right") - 1
+        todo = np.arange(len(at))
+        while todo.size:
+            cur = at[todo]
+            outside = rank[todo] >= hi[cur]
+            todo = todo[outside]
+            at[todo] = up[cur[outside]]
+        return np.append(members, -1)[at]
 
     def total_weight(self) -> float:
         return sum(self.feq[i] for i in self.important)

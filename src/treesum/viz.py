@@ -1,8 +1,9 @@
 """Graphviz export of a summary set.
 
 Each member links to its lowest proper ancestor inside the set, which turns
-the selection back into a small hierarchy.  Members with no selected
-ancestor hang off a synthetic virtual root, except when such a member is
+the selection back into a small hierarchy; one batched query finds these as
+the nearest selected ancestors of the members' parents.  Members with no
+selected ancestor hang off a synthetic virtual root, except when such a member is
 the tree's own root: then it already heads the picture and no virtual node
 is emitted.  Output is deterministic: declarations and edges both follow
 preorder.
@@ -25,25 +26,17 @@ def summary_dot(tree: WeightedTree, members: Iterable[int]) -> str:
     selected = {tree.check_node(v) for v in members}
     ordered = sorted(selected, key=tree.pre_rank.__getitem__)
 
-    edges = []
-    needs_virtual = False
-    for v in ordered:
-        p = tree.parent[v]
-        while p >= 0 and p not in selected:
-            p = tree.parent[p]
-        if p >= 0:
-            edges.append((tree.ids[p], tree.ids[v]))
-        elif v != tree.root:
-            needs_virtual = True
-            edges.append((None, tree.ids[v]))
+    below = [v for v in ordered if v != tree.root]
+    above = tree._nearest_selected(selected, [tree.parent[v] for v in below]).tolist()
 
     lines = ["digraph summary {"]
     for v in ordered:
         label = f"{tree.ids[v]} ({tree.feq[v]:g})"
         lines.append(f"  {_quote(tree.ids[v])} [label={_quote(label)}];")
-    if needs_virtual:
+    if -1 in above:
         lines.append(f"  {_quote(VIRTUAL_ROOT)} [label=\"\", shape=point];")
-    for src, dst in edges:
-        lines.append(f"  {_quote(src if src is not None else VIRTUAL_ROOT)} -> {_quote(dst)};")
+    for p, v in zip(above, below):
+        src = tree.ids[p] if p >= 0 else VIRTUAL_ROOT
+        lines.append(f"  {_quote(src)} -> {_quote(tree.ids[v])};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -27,7 +27,6 @@ PUBLIC = [
     "feq_topk",
     "agg_topk",
     "cagg_topk",
-    "aggregate_weights",
     "brute_force",
     "closeness_distance",
     "avg_level_difference",

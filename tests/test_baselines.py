@@ -6,7 +6,6 @@ from treesum import (
     GenSpec,
     WeightedTree,
     agg_topk,
-    aggregate_weights,
     brute_force,
     cagg_topk,
     feq_topk,
@@ -34,7 +33,7 @@ def test_feq_tie_break_preorder():
 
 def test_aggregate_weights(ontology):
     t = ontology
-    af = aggregate_weights(t)
+    af = t.subtree_weight.tolist()
     assert af[t.root] == 200.0 == t.total_weight()
     assert af[t.index("A")] == 110.0
     assert af[t.index("C")] == 50.0
@@ -44,7 +43,7 @@ def test_aggregate_weights(ontology):
 
 def test_aggregate_matches_descendant_sums():
     t = gen_random_tree(GenSpec(n=50, important_count=25, seed=11))
-    af = aggregate_weights(t)
+    af = t.subtree_weight.tolist()
     for v in range(t.n):
         direct = sum(t.feq[y] for y in range(t.n) if t.is_ancestor(v, y))
         assert af[v] == pytest.approx(direct, abs=1e-9)
@@ -74,7 +73,7 @@ def _rounding_trees(draw):
 @given(_rounding_trees(), st.sampled_from([0.0, 0.1, 0.4, 0.5, 1.0]))
 def test_aggregate_and_cagg_filter_match_post_order_loop(t, theta):
     af = _post_order_aggregate(t)
-    assert aggregate_weights(t) == af
+    assert t.subtree_weight.tolist() == af
     # built once per tree and shared, so no caller may write into it
     assert t.subtree_weight is t.subtree_weight
     assert not t.subtree_weight.flags.writeable
@@ -126,7 +125,7 @@ def test_topk_matches_sorted_ranking_with_ties(seed):
     t = gen_random_tree(
         GenSpec(n=60, important_count=30, seed=90 + seed, weight_low=1, weight_high=2)
     )
-    af = aggregate_weights(t)
+    af = t.subtree_weight.tolist()
     for k in (1, 2, 7, 30, t.n):
         assert feq_topk(t, k).selected == _sorted_ranking(t, t.feq, t.pre_order, k)
         assert agg_topk(t, k).selected == _sorted_ranking(t, af, t.pre_order, k)

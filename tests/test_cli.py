@@ -3,9 +3,14 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesum import summary_dot
 from treesum.cli import main
+from treesum.viz import VIRTUAL_ROOT, _quote
+
+from test_tree import shuffled_trees
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 ONTOLOGY = str(FIXTURES / "disease_ontology.tsv")
@@ -164,6 +169,41 @@ def test_viz_singleton_root_member(ontology):
     dot = summary_dot(ontology, [ontology.root])
     assert "__virtual_root__" not in dot
     assert "->" not in dot
+
+
+def _walk_summary_dot(tree, members):
+    """The summary_dot that walked up from each member's parent, as an oracle."""
+    selected = set(members)
+    ordered = sorted(selected, key=tree.pre_rank.__getitem__)
+    edges = []
+    needs_virtual = False
+    for v in ordered:
+        p = tree.parent[v]
+        while p >= 0 and p not in selected:
+            p = tree.parent[p]
+        if p >= 0:
+            edges.append((tree.ids[p], tree.ids[v]))
+        elif v != tree.root:
+            needs_virtual = True
+            edges.append((None, tree.ids[v]))
+    lines = ["digraph summary {"]
+    for v in ordered:
+        label = f"{tree.ids[v]} ({tree.feq[v]:g})"
+        lines.append(f"  {_quote(tree.ids[v])} [label={_quote(label)}];")
+    if needs_virtual:
+        lines.append(f"  {_quote(VIRTUAL_ROOT)} [label=\"\", shape=point];")
+    for src, dst in edges:
+        lines.append(f"  {_quote(src if src is not None else VIRTUAL_ROOT)} -> {_quote(dst)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(shuffled_trees(), st.data())
+def test_viz_matches_walk(t, data):
+    drawn = data.draw(st.sets(st.integers(0, t.n - 1)))
+    for selected in (set(), {t.root}, set(range(t.n)), drawn):
+        assert summary_dot(t, selected) == _walk_summary_dot(t, selected)
 
 
 def test_viz_deterministic_bytes(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesum import (
     EulerLcaIndex,
@@ -12,6 +14,8 @@ from treesum import (
     weighted_coverage,
 )
 from treesum.errors import EmptySummary, NoImportantNodes
+
+from test_tree import ORDER_WEIGHTS, _walk_nearest, shuffled_trees
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +135,37 @@ def test_batched_metrics_match_oracles(seed):
         assert closeness_distance(t, members, index=index) == _closeness_per_pair(t, members, index)
         assert closeness_distance(t, members) == _closeness_per_pair(t, members, index)
         assert weighted_coverage(t, members) == _coverage_from_children(t, members)
+
+
+def _walk_avg_level_difference(tree, members):
+    """The loop that avg_level_difference replaced, as an oracle."""
+    selected = set(members)
+    levels = tree.levels
+    num = 0.0
+    den = 0.0
+    for y in tree.important_pre:
+        w = tree.feq[y]
+        den += w
+        z = _walk_nearest(tree, selected, y)
+        num += (levels[y] - (levels[z] if z >= 0 else 0)) * w
+    return num / den
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_trees(weights=ORDER_WEIGHTS), st.data())
+def test_metrics_match_walks_bit_for_bit(t, data):
+    index = EulerLcaIndex(t)
+    drawn = data.draw(st.sets(st.integers(0, t.n - 1)))
+    for selected in (set(), {t.root}, set(range(t.n)), drawn):
+        if selected:
+            got = closeness_distance(t, selected, index=index)
+            assert repr(got) == repr(_closeness_per_pair(t, selected, index))
+        if not t.important:
+            with pytest.raises(NoImportantNodes):
+                avg_level_difference(t, selected)
+            continue
+        got = avg_level_difference(t, selected)
+        assert repr(got) == repr(_walk_avg_level_difference(t, selected))
 
 
 def test_metrics_leave_children_unbuilt(ontology, summary):

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from treesum import (
     EulerLcaIndex,
@@ -15,6 +16,8 @@ from treesum import (
 )
 from treesum.errors import InvalidK, ScoreMismatch
 from treesum.reduction import ReducedTree
+
+from test_tree import shuffled_trees
 
 
 def test_sparse_tree_reduction(sparse_tree):
@@ -126,3 +129,52 @@ def test_consecutive_pair_lcas_cover_all_subset_lcas(seed):
                 whole = idx.lca(whole, v)
             consecutive = {idx.lca(a, b) for a, b in zip(subset, subset[1:])}
             assert whole in consecutive
+
+
+def _stack_vtree_links(tree):
+    """The kept set and the nearest-kept-ancestor stack loop that vtree's one
+    batched LCA query replaced, as an oracle: (kept nodes in preorder,
+    reduced parents, edge weights)."""
+    imp = tree.important_pre
+    keep = set(imp)
+    keep.add(tree.root)
+    if len(imp) > 1:
+        keep.update(EulerLcaIndex(tree).lca_many(imp[:-1], imp[1:]).tolist())
+    ordered = sorted(keep, key=tree.pre_rank.__getitem__)
+    new_index = {v: i for i, v in enumerate(ordered)}
+    parent = [-1] * len(ordered)
+    edge_weights = [0] * len(ordered)
+    stack = []
+    for v in ordered:
+        while stack and not tree.is_ancestor(stack[-1], v):
+            stack.pop()
+        if stack:
+            p = stack[-1]
+            parent[new_index[v]] = new_index[p]
+            edge_weights[new_index[v]] = tree.levels[v] - tree.levels[p]
+        stack.append(v)
+    return ordered, parent, edge_weights
+
+
+def _assert_links_match_stack(tree):
+    rt = vtree(tree)
+    ordered, parent, edge_weights = _stack_vtree_links(tree)
+    assert rt.orig_index == ordered
+    assert rt.tree.parent == parent
+    assert rt.edge_weights == edge_weights
+    assert all(type(x) is int for x in rt.orig_index + rt.tree.parent + rt.edge_weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_trees())
+def test_vtree_links_match_stack_loop(t):
+    _assert_links_match_stack(t)
+
+
+def test_vtree_links_match_stack_loop_on_fixtures(ontology, gap_tree, sparse_tree):
+    for t in (ontology, gap_tree, sparse_tree):
+        _assert_links_match_stack(t)
+    # one weighted node: the root and that node are kept
+    t = WeightedTree(["a", "b", "c", "d"], [-1, 0, 1, 0], [0.0, 0.0, 3.0, 0.0])
+    _assert_links_match_stack(t)
+    assert vtree(t).edge_weights == [0, 2]

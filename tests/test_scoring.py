@@ -12,11 +12,12 @@ from treesum import (
     marginal_gain_naive,
     rep,
     smy,
+    vtree,
 )
 from treesum.errors import AlreadySelected, UnknownNode
-from treesum.scoring import cor
+from treesum.scoring import _g_unchecked, cor
 
-from test_tree import random_trees
+from test_tree import ORDER_WEIGHTS, _walk_nearest, random_trees, shuffled_trees
 
 
 def test_cor_values(ontology):
@@ -42,6 +43,13 @@ def test_smy_values(ontology):
     assert smy(t, s, t.index("a1")) == 40.0
     assert smy(t, s, t.index("c3")) == 5.0
     assert smy(t, set(), t.index("a1")) == 0.0
+
+
+def test_smy_rejects_unknown_members(ontology):
+    t = ontology
+    for bad in (10**6, t.n, -1):
+        with pytest.raises(UnknownNode):
+            smy(t, {t.root, bad}, t.index("a1"))
 
 
 def test_g_score_values(ontology, gap_tree):
@@ -136,3 +144,32 @@ def test_submodular(t, data):
     gain_small = g_score(t, small | {x}) - g_score(t, small)
     gain_big = g_score(t, big | {x}) - g_score(t, big)
     assert gain_small >= gain_big - 1e-9
+
+
+def _walk_smy(tree, selected, y):
+    z = _walk_nearest(tree, selected, y)
+    lv = tree.score_levels
+    return tree.feq[y] / (lv[y] - lv[z] + 1) if z >= 0 else 0.0
+
+
+def _walk_g(tree, selected):
+    """The loop _g_unchecked replaced, as an oracle: every weighted node walks
+    up to its first selected ancestor, and the terms add in preorder."""
+    total = 0.0
+    for y in tree.important_pre:
+        if _walk_nearest(tree, selected, y) >= 0:
+            total += _walk_smy(tree, selected, y)
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_trees(weights=ORDER_WEIGHTS), st.data())
+def test_score_matches_walk_bit_for_bit(t, data):
+    # the reduced tree scores with score_levels that differ from its levels
+    for tree in (t, vtree(t).tree):
+        drawn = data.draw(st.sets(st.integers(0, tree.n - 1)))
+        for selected in (set(), {tree.root}, set(range(tree.n)), drawn):
+            assert repr(_g_unchecked(tree, selected)) == repr(_walk_g(tree, selected))
+            assert repr(g_score(tree, selected)) == repr(_walk_g(tree, selected))
+            for y in range(tree.n):
+                assert repr(smy(tree, selected, y)) == repr(_walk_smy(tree, selected, y))

@@ -245,6 +245,14 @@ def _assert_matches_reference(t):
         assert type(got) is type(value), name
     for name in ("levels", "pre_order", "pre_rank", "post_order", "subtree_size"):
         assert all(type(x) is int for x in getattr(t, name)), name
+    # the array twins that the nearest-selected-ancestor query reads
+    assert t._size_a.tolist() == t.subtree_size
+    assert t._important_pre_a.tolist() == t.important_pre
+    assert t._important_feq_a.tolist() == [t.feq[y] for y in t.important_pre]
+
+
+# 1e16 next to 0.1 and 1/3 makes a sum depend on the order of its terms
+ORDER_WEIGHTS = (0.0, 0.1, 1 / 3, 1e16, 7.0, 2.0)
 
 
 @st.composite
@@ -340,3 +348,39 @@ def test_lca_on_chain_with_64_bit_keys():
     assert idx.lca_many(a, b).tolist() == [min(x, y) for x, y in zip(a, b)]
     assert [idx.lca(x, y) for x, y in zip(a, b)] == [min(x, y) for x, y in zip(a, b)]
     assert idx.distance(0, n - 1) == n - 1
+
+
+def _walk_nearest(tree, selected, v):
+    """The ancestor walk that the nearest-selected query replaced, as its
+    oracle: v's nearest self-inclusive ancestor in ``selected``, or -1."""
+    while v >= 0 and v not in selected:
+        v = tree.parent[v]
+    return v
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_trees(), st.data())
+def test_nearest_selected_matches_walk(t, data):
+    drawn = data.draw(st.sets(st.integers(0, t.n - 1)))
+    nodes = list(range(t.n))
+    for selected in (set(), {t.root}, set(nodes), drawn):
+        got = t._nearest_selected(selected, nodes)
+        assert got.tolist() == [_walk_nearest(t, selected, v) for v in nodes]
+    # a batch may repeat nodes, come in any order, or be empty
+    batch = data.draw(st.lists(st.integers(0, t.n - 1), max_size=2 * t.n))
+    got = t._nearest_selected(drawn, batch)
+    assert got.tolist() == [_walk_nearest(t, drawn, v) for v in batch]
+
+
+@pytest.mark.parametrize("m", [1, 2, 50])
+def test_nearest_selected_climbs_a_nested_spine(m):
+    # spine s0 -> ... -> s_m, and s_i's second child is the leaf l_i; the
+    # leaves follow the whole deeper spine in preorder, so l_0 climbs m times
+    parent = [-1] + list(range(m)) + list(range(m))
+    ids = [f"s{i}" for i in range(m + 1)] + [f"l{i}" for i in range(m)]
+    t = WeightedTree(ids, parent, [1.0] * (2 * m + 1))
+    spine = set(range(m + 1))
+    nodes = list(range(t.n))
+    got = t._nearest_selected(spine, nodes)
+    assert got.tolist() == [_walk_nearest(t, spine, v) for v in nodes]
+    assert got.tolist()[m + 1:] == list(range(m))
