@@ -37,7 +37,7 @@ def _top_by(
         cut = len(ranked) - k
         keep = ranked >= np.partition(ranked, cut)[cut]
         candidates, ranked = candidates[keep], ranked[keep]
-    order = np.lexsort((tree._pre_rank_a[candidates], -ranked))
+    order = np.lexsort((tree.pre_rank[candidates], -ranked))
     selected = candidates[order[:k]].tolist()
     return SummaryResult(
         selected=selected,
@@ -50,13 +50,13 @@ def _top_by(
 def feq_topk(tree: WeightedTree, k: int) -> SummaryResult:
     """The k nodes with the largest weights; ties go to preorder rank."""
     _check_k(tree, k)
-    return _top_by(tree, k, np.array(tree.feq), "feq", tree._pre_order_a)
+    return _top_by(tree, k, tree.feq, "feq", tree.pre_order)
 
 
 def agg_topk(tree: WeightedTree, k: int) -> SummaryResult:
     """The k nodes with the largest aggregate (subtree) weights."""
     _check_k(tree, k)
-    return _top_by(tree, k, tree.subtree_weight, "agg", tree._pre_order_a)
+    return _top_by(tree, k, tree.subtree_weight, "agg", tree.pre_order)
 
 
 def cagg_topk(tree: WeightedTree, k: int, theta: float = 0.4) -> SummaryResult:
@@ -71,11 +71,11 @@ def cagg_topk(tree: WeightedTree, k: int, theta: float = 0.4) -> SummaryResult:
     if not 0.0 <= theta <= 1.0:
         raise InvalidK(f"theta={theta} outside 0..1")
     af = tree.subtree_weight
-    parent = tree._parent_a
+    parent = tree.parent
     up = af[np.maximum(parent, 0)]
     ratio = np.ones(tree.n)
     np.divide(af, up, out=ratio, where=(parent >= 0) & (up != 0))
-    pre_order = tree._pre_order_a
+    pre_order = tree.pre_order
     return _top_by(tree, k, af, "cagg", pre_order[ratio[pre_order] >= theta])
 
 
@@ -97,18 +97,17 @@ def brute_force(
     if total > subset_cap:
         raise EnumerationTooLarge(f"C({n},{k}) = {total} exceeds cap {subset_cap}")
 
-    order = tree.pre_order
-    imp = tree._important_pre_a
-    cols = tree._pre_order_a
+    imp = tree.important_pre
+    cols = tree.pre_order
     # impact[i, p]: what the node at preorder position p contributes when it
     # represents important node i; zero unless it is an ancestor.
     p = np.arange(n)
-    rank = tree._pre_rank_a[imp][:, None]
-    covers = (p <= rank) & (rank < p + tree._size_a[cols])
-    slv = tree._score_levels_a
+    rank = tree.pre_rank[imp][:, None]
+    covers = (p <= rank) & (rank < p + tree.subtree_size[cols])
+    slv = tree.score_levels
     gap = slv[imp][:, None] - slv[cols] + 1
     impact = np.zeros((len(imp), n))
-    np.divide(tree._important_feq_a[:, None], gap, out=impact, where=covers)
+    np.divide(tree.feq[imp][:, None], gap, out=impact, where=covers)
 
     if batch_rows <= 0:
         batch_rows = max(16, 4_000_000 // max(1, len(imp) * n))
@@ -128,7 +127,7 @@ def brute_force(
             best_val = float(scores[i])
             best_combo = batch[i]
 
-    selected = [order[p] for p in best_combo]
+    selected = [cols[p] for p in best_combo]
     return SummaryResult(
         selected=selected,
         score=_g_unchecked(tree, set(selected)),

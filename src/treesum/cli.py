@@ -156,8 +156,8 @@ def _cmd_reduce(args) -> int:
     rt = vtree(tree)
     write_tree_tsv(rt.tree, args.out)
     with open(f"{args.out}.levels", "w", encoding="utf-8") as fh:
-        for i in range(rt.tree.n):
-            fh.write(f"{rt.tree.ids[i]}\t{rt.tree.score_levels[i]}\n")
+        for node_id, level in zip(rt.tree.ids, rt.tree.score_levels.tolist()):
+            fh.write(f"{node_id}\t{level}\n")
     print(f"original={tree.n} important={len(tree.important)} reduced={rt.tree.n}")
     return 0
 

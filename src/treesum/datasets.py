@@ -224,13 +224,13 @@ def write_tree_tsv(tree: WeightedTree, path) -> None:
     id or label holds a tab or line break.
     """
     _check_writable(tree)
-    with_labels = any(tree.labels[i] != tree.ids[i] for i in range(tree.n))
+    ids, labels = tree.ids, tree.labels
+    with_labels = labels != ids
     tmp = f"{path}.tmp{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        for i in range(tree.n):
-            p = tree.parent[i]
-            cols = [tree.ids[i], _NO_PARENT if p < 0 else tree.ids[p], _format_weight(tree.feq[i])]
+        for i, (p, w) in enumerate(zip(tree.parent.tolist(), tree.feq.tolist())):
+            cols = [ids[i], _NO_PARENT if p < 0 else ids[p], _format_weight(w)]
             if with_labels:
-                cols.append(tree.labels[i])
+                cols.append(labels[i])
             fh.write("\t".join(cols) + "\n")
     os.replace(tmp, path)

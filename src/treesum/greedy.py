@@ -30,9 +30,12 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
     if not 1 <= k <= tree.n:
         raise InvalidK(f"k={k} outside 1..{tree.n}")
 
-    parent = tree.parent
+    parent = tree.parent.tolist()
     children = tree.children
-    heap = [(-g, r, x) for x, (g, r) in enumerate(zip(_first_round(tree), tree.pre_rank))]
+    lv = tree.score_levels.tolist()
+    feq = tree.feq.tolist()
+    gains = _first_round(parent, lv, feq, tree.post_order.tolist())
+    heap = [(-g, r, x) for x, (g, r) in enumerate(zip(gains, tree.pre_rank.tolist()))]
     heapq.heapify(heap)
     # A stale gain is an upper bound on the true gain, in floating point
     # too, because rounding is monotone and the terms keep their order: below
@@ -48,7 +51,8 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
         neg_gain, rank, x = heap[0]
         if not fresh[x]:
             fresh[x] = True
-            heapq.heapreplace(heap, (-_gain_unchecked(tree, selected, x, children), rank, x))
+            gain = _gain_unchecked(selected, x, parent, children, lv, feq)
+            heapq.heapreplace(heap, (-gain, rank, x))
             continue
         heapq.heappop(heap)
         selected.add(x)
@@ -74,19 +78,17 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
     )
 
 
-def _first_round(tree: WeightedTree) -> list:
-    """Marginal gain of every node against the empty set, in one pass.
+def _first_round(parent, lv, feq, post_order) -> list:
+    """Marginal gain of every node against the empty set, in one pass, from
+    the tree's ``parent``, ``score_levels``, ``feq`` and ``post_order``.
 
     Each weighted y adds its term to every ancestor.  Taking y in reverse
     postorder visits every subtree in the order of ``_gain_unchecked``'s
     stack walk (pop a node, push its children in order), so each node's
     terms are summed in the same order and the gains are bit-identical.
     """
-    lv = tree.score_levels
-    parent = tree.parent
-    feq = tree.feq
-    gain = [0.0] * tree.n
-    for y in reversed(tree.post_order):
+    gain = [0.0] * len(parent)
+    for y in reversed(post_order):
         w = feq[y]
         if w:
             ly = lv[y]

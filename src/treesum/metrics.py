@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import EmptySummary, NoImportantNodes
-from .tree import EulerLcaIndex, WeightedTree
+from .tree import EulerLcaIndex, WeightedTree, sequential_sum
 
 
 @dataclass
@@ -40,16 +40,14 @@ def closeness_distance(
         raise EmptySummary("closeness distance needs a nonempty summary")
     if index is None:
         index = EulerLcaIndex(tree)
-    ys = tree._important_pre_a
-    levels = tree._levels_a
+    ys = tree.important_pre
+    levels = tree.levels
     ly = levels[ys]
     best = None
     for x in selected:
         d = levels[x] + ly - 2 * levels[index.lca_many(x, ys)]
         best = d if best is None else np.minimum(best, d)
-    terms = best * tree._important_feq_a
-    # cumsum adds in preorder as a loop would; np.sum pairs terms up
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+    return sequential_sum(best * tree.feq[ys])
 
 
 def avg_level_difference(tree: WeightedTree, members: Iterable[int]) -> float:
@@ -59,22 +57,23 @@ def avg_level_difference(tree: WeightedTree, members: Iterable[int]) -> float:
     gap to an imaginary node above the root.  Both sums add in preorder.
     """
     selected = {tree.check_node(v) for v in members}
-    imp = tree._important_pre_a
+    imp = tree.important_pre
     if not imp.size:
         raise NoImportantNodes("no node carries positive weight")
     z = tree._nearest_selected(selected, imp)
-    levels = tree._levels_a
+    levels = tree.levels
     gap = levels[imp] - np.where(z >= 0, levels[z], 0)
-    w = tree._important_feq_a
-    return float(np.cumsum(gap * w)[-1] / np.cumsum(w)[-1])
+    w = tree.feq[imp]
+    return sequential_sum(gap * w) / sequential_sum(w)
 
 
 def weighted_coverage(tree: WeightedTree, members: Iterable[int]) -> float:
     """Total weight of positively weighted nodes that are members or their
     direct children."""
-    selected = {tree.check_node(v) for v in members}
-    parent = tree.parent
-    return sum(tree.feq[y] for y in tree.important if y in selected or parent[y] in selected)
+    chosen = np.zeros(tree.n + 1, dtype=bool)  # a parent of -1 reads the last, unchosen slot
+    chosen[[tree.check_node(v) for v in members]] = True
+    imp = tree.important
+    return sequential_sum(tree.feq[imp[chosen[imp] | chosen[tree.parent[imp]]]])
 
 
 def compute_metrics(

@@ -125,7 +125,8 @@ class OtsSolver:
             raise InvalidK(f"k={k} outside 0..{tree.n}")
         self.tree = tree
         self.k = k
-        self.cap = [min(k, s) for s in tree.subtree_size]
+        self.cap = np.minimum(tree.subtree_size, k).tolist()
+        self._levels = tree.levels.tolist()
         # memo[u][r, b]: best value of u's subtree at budget b (0..cap[u])
         # when the nearest selected ancestor is row r's: r = 0 for none,
         # r = levels[na] + 1 for ancestor na
@@ -136,9 +137,9 @@ class OtsSolver:
 
     def _evaluate_all(self):
         tree = self.tree
-        feq = tree.feq
-        slv = tree.score_levels
-        levels = tree.levels
+        feq = tree.feq.tolist()
+        slv = tree.score_levels.tolist()
+        levels = self._levels
         memo = self.memo
         cap = self.cap
         # base[u][r]: what row r's ancestor earns by representing u.  In
@@ -147,11 +148,11 @@ class OtsSolver:
         base = [None] * tree.n
         path = np.empty(tree.height + 2)
         path[0] = _NEG
-        for u in tree.pre_order:
+        for u in tree.pre_order.tolist():
             d = levels[u]
             path[d + 1] = slv[u]
             base[u] = feq[u] / (slv[u] + 1 - path[: d + 1])
-        for u in tree.post_order:
+        for u in tree.post_order.tolist():
             cap_u = cap[u]
             d = levels[u]
             tails = self._tables(u)[0]
@@ -186,7 +187,7 @@ class OtsSolver:
     def _tables(self, u: int) -> List[np.ndarray]:
         """Suffix tables of u's children over every row u's cases read: rows
         0..levels[u] for the no-case, row levels[u] + 1 for the yes-case."""
-        return self._knap(self.tree.children[u], slice(0, self.tree.levels[u] + 2), self.cap[u])
+        return self._knap(self.tree.children[u], slice(0, self._levels[u] + 2), self.cap[u])
 
     def _split(self, kids, tables, budget: int, row: int) -> Tuple[int, ...]:
         """Lexicographically smallest per-child budget split hitting
@@ -216,11 +217,11 @@ class OtsSolver:
 
     def _row(self, na: int) -> int:
         """Memo row of nearest selected ancestor ``na`` (or _NO_ANCESTOR)."""
-        return 0 if na < 0 else self.tree.levels[na] + 1
+        return 0 if na < 0 else self._levels[na] + 1
 
     def _yes(self, u: int, b: int, tables) -> float:
         """Yes-case value of state (u, b), b >= 1, from u's tables."""
-        return self.tree.feq[u] + float(tables[0][self.tree.levels[u] + 1, b - 1])
+        return self.tree.feq[u] + float(tables[0][self._levels[u] + 1, b - 1])
 
     def _no(self, u: int, b: int, na: int, tables) -> float:
         """No-case value of state (u, b, na), from u's tables."""

@@ -49,11 +49,11 @@ class ReducedTree:
 def vtree(tree: WeightedTree, index: Optional[EulerLcaIndex] = None) -> ReducedTree:
     """Reduce a tree to its important nodes, their pairwise-consecutive LCAs
     and the root."""
-    pre_rank = tree._pre_rank_a
-    pre_order = tree._pre_order_a
+    pre_rank = tree.pre_rank
+    pre_order = tree.pre_order
     keep = np.zeros(tree.n, dtype=bool)  # by preorder rank; the root is rank 0
     keep[0] = True
-    keep[pre_rank[tree._important_pre_a]] = True
+    keep[pre_rank[tree.important_pre]] = True
     kept = pre_order[keep]
     up = kept[:0]
     if len(kept) > 1:
@@ -64,16 +64,16 @@ def vtree(tree: WeightedTree, index: Optional[EulerLcaIndex] = None) -> ReducedT
         # the kept set is LCA-closed, so in preorder each node's nearest kept
         # proper ancestor is its LCA with the node just before it
         up = index.lca_many(kept[:-1], kept[1:])
-    parent = [-1] + np.searchsorted(np.flatnonzero(keep), pre_rank[up]).tolist()
-    edge_weights = [0] + (tree._levels_a[kept[1:]] - tree._levels_a[up]).tolist()
+    parent = np.append(-1, np.searchsorted(np.flatnonzero(keep), pre_rank[up]))
+    edge_weights = [0] + (tree.levels[kept[1:]] - tree.levels[up]).tolist()
     ordered = kept.tolist()
 
     reduced = WeightedTree(
         ids=[tree.ids[v] for v in ordered],
         parent=parent,
-        feq=[tree.feq[v] for v in ordered],
+        feq=tree.feq[kept],
         labels=[tree.labels[v] for v in ordered],
-        score_levels=[tree.score_levels[v] for v in ordered],
+        score_levels=tree.score_levels[kept],
     )
     return ReducedTree(
         tree=reduced,

@@ -26,10 +26,8 @@ from __future__ import annotations
 
 from typing import Iterable, Set
 
-import numpy as np
-
 from .errors import AlreadySelected
-from .tree import WeightedTree
+from .tree import WeightedTree, sequential_sum
 
 
 def cor(tree: WeightedTree, x: int, y: int) -> float:
@@ -70,13 +68,12 @@ def g_score(tree: WeightedTree, members: Iterable[int]) -> float:
 
 
 def _g_unchecked(tree: WeightedTree, selected: Set[int]) -> float:
-    imp = tree._important_pre_a
+    imp = tree.important_pre
     z = tree._nearest_selected(selected, imp)
-    lv = tree._score_levels_a
+    lv = tree.score_levels
     hit = z >= 0
-    terms = tree._important_feq_a[hit] / (lv[imp[hit]] - lv[z[hit]] + 1)
-    # cumsum adds in preorder as a loop would; np.sum pairs terms up
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+    y = imp[hit]
+    return sequential_sum(tree.feq[y] / (lv[y] - lv[z[hit]] + 1))
 
 
 def marginal_gain_naive(tree: WeightedTree, members: Iterable[int], x: int) -> float:
@@ -103,23 +100,23 @@ def marginal_gain_fast(tree: WeightedTree, members: Iterable[int], x: int) -> fl
     selected = members if isinstance(members, (set, frozenset)) else set(members)
     if x in selected:
         raise AlreadySelected(f"node {tree.ids[x]!r} is already selected")
-    return _gain_unchecked(tree, selected, x, tree.children)
+    return _gain_unchecked(
+        selected, x, tree.parent, tree.children, tree.score_levels, tree.feq
+    )
 
 
-def _gain_unchecked(tree: WeightedTree, selected: Set[int], x: int, children: list) -> float:
-    """marginal_gain_fast for a valid unselected x; ``children`` is
-    ``tree.children``, read once by the caller."""
-    lv = tree.score_levels
-    feq = tree.feq
-
+def _gain_unchecked(selected: Set[int], x: int, parent, children, lv, feq) -> float:
+    """marginal_gain_fast for a valid unselected x, read from the tree's
+    ``parent``, ``children``, ``score_levels`` and ``feq``; callers that
+    loop pass them as lists, read once."""
     # a scalar walk: this runs once per stale gain, far too often for a numpy call
     lz = None
-    v = tree.parent[x]
+    v = parent[x]
     while v >= 0:
         if v in selected:
             lz = lv[v]
             break
-        v = tree.parent[v]
+        v = parent[v]
 
     lx = lv[x]
     gain = 0.0

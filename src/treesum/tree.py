@@ -20,11 +20,11 @@ A node left off the root's tour sits on a parent cycle.  Subtree sizes make
 pre_rank[x] <= pre_rank[y] < pre_rank[x] + subtree_size[x].
 
 Child order is input order and defines every deterministic traversal and
-tie-break downstream.  The public attributes are plain Python lists, because
-the solvers index them in pure-Python loops.  ``children`` and
-``subtree_weight`` are the exceptions to eager construction: they are filled
-the first time they are read, so callers on hot paths read them once into a
-local.
+tie-break downstream.  Each per-node number is stored once, as a read-only
+int64 or float64 numpy array, and one element of it reads as a Python int or
+float; pure-Python loops take ``.tolist()`` copies once per call.
+``children`` and ``subtree_weight`` are filled the first time they are read,
+so callers on hot paths read them once into a local.
 
 EulerLcaIndex answers lowest-common-ancestor queries in O(1), one at a time
 or as a vectorized batch, after an O(n log n) build: a sparse table of range
@@ -75,17 +75,9 @@ class WeightedTree:
         "_id_to_index",
         "_children",
         "_subtree_weight",
-        # numpy twins of the lists above, for vectorized callers
+        # the compressed rows behind ``children``
         "_child_order",
         "_child_start",
-        "_parent_a",
-        "_levels_a",
-        "_pre_rank_a",
-        "_pre_order_a",
-        "_size_a",
-        "_score_levels_a",
-        "_important_pre_a",
-        "_important_feq_a",
     )
 
     def __init__(
@@ -104,11 +96,9 @@ class WeightedTree:
 
         self.n = n
         self.ids = list(ids)
-        self.labels = list(labels) if labels is not None else list(ids)
-        self.parent = list(parent)
-        par = np.array(self.parent, dtype=np.int64)
+        self.labels = self.ids if labels is None else list(labels)
+        par = np.array(parent, dtype=np.int64)
         weights = np.array(feq, dtype=np.float64)
-        self.feq = weights.tolist()
 
         self._id_to_index = dict(zip(self.ids, range(n)))
         if len(self._id_to_index) != n:
@@ -124,15 +114,15 @@ class WeightedTree:
         bad = np.flatnonzero(~np.isfinite(weights))
         if bad.size:
             i = bad[0]
-            raise NonFiniteWeight(f"node {self.ids[i]!r} has weight {self.feq[i]}")
+            raise NonFiniteWeight(f"node {self.ids[i]!r} has weight {weights[i]}")
         bad = np.flatnonzero(weights < 0)
         if bad.size:
             i = bad[0]
-            raise NegativeWeight(f"node {self.ids[i]!r} has weight {self.feq[i]}")
+            raise NegativeWeight(f"node {self.ids[i]!r} has weight {weights[i]}")
         bad = np.flatnonzero(par >= n)
         if bad.size:
             i = bad[0]
-            raise OrphanParentReference(f"node {self.ids[i]!r} references index {self.parent[i]}")
+            raise OrphanParentReference(f"node {self.ids[i]!r} references index {par[i]}")
 
         # Children as compressed rows: the root sorts first (its parent is the
         # only negative one), every other node lands in its parent's run, and
@@ -141,8 +131,8 @@ class WeightedTree:
         child_parent = par[child_order]
         child_start = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(child_parent, minlength=n), out=child_start[1:])
-        self._child_order = child_order
-        self._child_start = child_start
+        self._child_order = _frozen(child_order)
+        self._child_start = _frozen(child_start)
         self._children = None
         self._subtree_weight = None
 
@@ -185,32 +175,23 @@ class WeightedTree:
         post_order = np.empty(n, dtype=np.int64)
         post_order[pre_rank - levels + size - 1] = nodes
 
-        self._parent_a = par
-        self._levels_a = levels
-        self._pre_rank_a = pre_rank
-        self._pre_order_a = pre_order
-        self._size_a = size
-        self.levels = levels.tolist()
-        self.pre_rank = pre_rank.tolist()
-        self.pre_order = pre_order.tolist()
-        self.post_order = post_order.tolist()
-        self.subtree_size = size.tolist()
-
+        self.parent = _frozen(par)
+        self.feq = _frozen(weights)
+        self.levels = _frozen(levels)
+        self.pre_rank = _frozen(pre_rank)
+        self.pre_order = _frozen(pre_order)
+        self.post_order = _frozen(post_order)
+        self.subtree_size = _frozen(size)
         if score_levels is None:
             self.score_levels = self.levels
-            self._score_levels_a = levels
         else:
             if len(score_levels) != n:
                 raise ValueError("score_levels length mismatch")
-            self.score_levels = list(score_levels)
-            self._score_levels_a = np.array(self.score_levels, dtype=np.int64)
+            self.score_levels = _frozen(np.array(score_levels, dtype=np.int64))
 
         weighted = weights > 0
-        important_pre = pre_order[weighted[pre_order]]
-        self._important_pre_a = important_pre
-        self._important_feq_a = weights[important_pre]
-        self.important = np.flatnonzero(weighted).tolist()
-        self.important_pre = important_pre.tolist()
+        self.important = _frozen(np.flatnonzero(weighted))
+        self.important_pre = _frozen(pre_order[weighted[pre_order]])
         self.height = int(levels.max())
 
     @property
@@ -235,15 +216,14 @@ class WeightedTree:
         af = self._subtree_weight
         if af is None:
             af = np.array(self.feq)
-            levels = self._levels_a
-            by_depth = self._pre_order_a[np.argsort(levels[self._pre_order_a], kind="stable")]
-            to_parent = self._parent_a[by_depth]
+            levels = self.levels
+            by_depth = self.pre_order[np.argsort(levels[self.pre_order], kind="stable")]
+            to_parent = self.parent[by_depth]
             bounds = np.cumsum(np.bincount(levels)).tolist()
             for d in range(len(bounds) - 1, 0, -1):
                 lo, hi = bounds[d - 1], bounds[d]
                 np.add.at(af, to_parent[lo:hi], af[by_depth[lo:hi]])
-            af.flags.writeable = False
-            self._subtree_weight = af
+            af = self._subtree_weight = _frozen(af)
         return af
 
     # -- lookups --------------------------------------------------------
@@ -276,10 +256,10 @@ class WeightedTree:
         members' nearest selected proper ancestors until an interval holds it.
         """
         members = np.fromiter(selected, dtype=np.int64, count=len(selected))
-        members = members[np.argsort(self._pre_rank_a[members])]
-        lo = self._pre_rank_a[members]
+        members = members[np.argsort(self.pre_rank[members])]
+        lo = self.pre_rank[members]
         # position -1 is a sentinel: no member, with an interval holding every node
-        ends = (lo + self._size_a[members]).tolist() + [self.n]
+        ends = (lo + self.subtree_size[members]).tolist() + [self.n]
         up = []
         stack = [-1]
         for i, start in enumerate(lo.tolist()):
@@ -290,7 +270,7 @@ class WeightedTree:
         up = np.array(up, dtype=np.int64)
         hi = np.array(ends)
 
-        rank = self._pre_rank_a[np.asarray(nodes, dtype=np.int64)]
+        rank = self.pre_rank[np.asarray(nodes, dtype=np.int64)]
         at = np.searchsorted(lo, rank, side="right") - 1
         todo = np.arange(len(at))
         while todo.size:
@@ -301,13 +281,45 @@ class WeightedTree:
         return np.append(members, -1)[at]
 
     def total_weight(self) -> float:
-        return sum(self.feq[i] for i in self.important)
+        return sequential_sum(self.feq[self.important])
 
     def __repr__(self):
         return (
             f"WeightedTree(n={self.n}, important={len(self.important)}, "
             f"height={self.height}, root={self.ids[self.root]!r})"
         )
+
+
+class _NodeArray(np.ndarray):
+    """A per-node array of a tree whose single elements read as Python
+    scalars, as list items did, so values that reach results, JSON or text
+    keep plain Python types.
+
+    Arrays taken from it, by indexing or by ufuncs, are plain ndarrays, so
+    only the read from the tree itself runs Python code.
+    """
+
+    def __getitem__(self, key):
+        out = np.ndarray.__getitem__(self, key)
+        return out.item() if isinstance(out, np.generic) else out.view(np.ndarray)
+
+    def __array_wrap__(self, out, context=None, return_scalar=False):
+        return out[()] if return_scalar else out
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """``values`` made read-only and viewed as a _NodeArray."""
+    values.flags.writeable = False
+    return values.view(_NodeArray)
+
+
+def sequential_sum(terms: np.ndarray) -> float:
+    """Left-to-right float sum of ``terms``, as a ``+=`` loop adds them.
+
+    ``np.sum`` adds pairwise and, from Python 3.12, the builtin ``sum``
+    compensates, so neither reproduces a loop's result bit for bit.
+    """
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
 def raise_first_duplicate(ids: Sequence[str]):
@@ -357,17 +369,6 @@ def build_tree(records) -> WeightedTree:
     return WeightedTree(ids, parent, weights, labels)
 
 
-def ancestors(tree: WeightedTree, v: int) -> list:
-    """Ancestors of v from v up to the root, inclusive of v."""
-    tree.check_node(v)
-    out = [v]
-    p = tree.parent[v]
-    while p >= 0:
-        out.append(p)
-        p = tree.parent[p]
-    return out
-
-
 class EulerLcaIndex:
     """O(1) LCA queries by range minima over levels in preorder.
 
@@ -389,13 +390,13 @@ class EulerLcaIndex:
     def __init__(self, tree: WeightedTree):
         self.tree = tree
         n = tree.n
-        pre_order = tree._pre_order_a
+        pre_order = tree.pre_order
         n_rows = n.bit_length()
         # keys stay below (height + 1) * n; 32 bits halve the table when they fit
         dtype = np.int32 if (tree.height + 1) * n < 2**31 else np.int64
         flat = np.empty(n_rows * n, dtype=dtype)
         row = flat[:n]
-        np.multiply(tree._levels_a[pre_order], n, out=row)
+        np.multiply(tree.levels[pre_order], n, out=row)
         row += np.arange(n)
         table = [row]
         for j in range(1, n_rows):
@@ -406,7 +407,7 @@ class EulerLcaIndex:
             table.append(row)
         self.table = table
         self._flat = flat
-        self._parent_pre = tree._parent_a[pre_order]
+        self._parent_pre = tree.parent[pre_order]
 
     def lca(self, a: int, b: int) -> int:
         """Deepest common ancestor of a and b (self-inclusive)."""
@@ -421,7 +422,7 @@ class EulerLcaIndex:
             bad = np.flatnonzero((side < 0) | (side >= n))
             if bad.size:
                 tree.check_node(int(side.flat[bad[0]]))
-        pre_rank = tree._pre_rank_a
+        pre_rank = tree.pre_rank
         ra = pre_rank[a]
         rb = pre_rank[b]
         hi = np.maximum(ra, rb)
@@ -434,8 +435,3 @@ class EulerLcaIndex:
         key = np.minimum(flat[base + lo], flat[base + hi - (1 << j) + 1])
         return np.where(a == b, a, self._parent_pre[key % n])
 
-    def distance(self, a: int, b: int) -> int:
-        """Hop count of the unique path between a and b."""
-        c = self.lca(a, b)
-        levels = self.tree.levels
-        return levels[a] + levels[b] - 2 * levels[c]

@@ -1,7 +1,27 @@
 import ast
+import json
 import pathlib
 
 import treesum
+from treesum import (
+    GenSpec,
+    OtsSolver,
+    agg_topk,
+    brute_force,
+    cagg_topk,
+    compute_metrics,
+    feq_topk,
+    g_score,
+    gen_random_tree,
+    gts,
+    lift_result,
+    ots,
+    rep,
+    smy,
+    vtree,
+)
+from treesum.optimal import DpKey
+from treesum.scoring import cor
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -62,3 +82,38 @@ def test_benchmark_imports_are_exported():
         names = _treesum_imports(PERFBENCH / script)
         assert names, script
         assert names <= set(treesum.__all__), (script, names - set(treesum.__all__))
+
+
+def _assert_plain_result(res):
+    assert all(type(v) is int for v in res.selected), res
+    assert type(res.score) is float, res
+    assert all(type(v) is int and type(gain) is float for v, gain in res.trace), res
+    json.dumps(list(res.selected))
+
+
+def test_public_results_are_python_scalars(ontology):
+    k = 3
+    generated = vtree(gen_random_tree(GenSpec(n=300, important_count=6, seed=5)))
+    for reduced in (vtree(ontology), generated):
+        trees = [reduced.tree] if reduced is generated else [ontology, reduced.tree]
+        for t in trees:
+            for summarize in (gts, ots, feq_topk, agg_topk, cagg_topk, brute_force):
+                _assert_plain_result(summarize(t, k))
+            x, y = t.root, t.important_pre[-1]
+            for value in (g_score(t, [x]), smy(t, [x], y), rep(t, x, y), cor(t, x, y)):
+                assert type(value) is float
+            assert type(t.is_ancestor(x, y)) is bool
+            solver = OtsSolver(t, k)
+            assert type(solver.optimum()) is float
+            entry = solver.dp_eval(DpKey(x, k))
+            assert type(entry.value) is float and all(type(b) is int for b in entry.split)
+            assert type(solver.yes_case(DpKey(x, k))) is float
+            assert type(solver.no_case(DpKey(x, k))) is float
+            value, split = solver.knapsack_combine(t.children[x], k, None)
+            assert type(value) is float and all(type(b) is int for b in split)
+        for summarize in (gts, ots):
+            lifted = lift_result(reduced, summarize(reduced.tree, k))
+            _assert_plain_result(lifted)
+            report = compute_metrics(reduced.original, lifted.selected)
+            assert all(type(v) is float for v in (report.cd, report.ald, report.wc)), report
+            assert type(report.k) is int

@@ -28,7 +28,7 @@ def test_feq_topk(ontology):
 def test_feq_tie_break_preorder():
     t = gen_random_tree(GenSpec(n=6, important_count=6, seed=1, weight_low=5, weight_high=5))
     res = feq_topk(t, 2)
-    assert res.selected == t.pre_order[:2]
+    assert res.selected == t.pre_order[:2].tolist()
 
 
 def test_aggregate_weights(ontology):

@@ -91,7 +91,9 @@ def test_write_keeps_unusual_but_parseable_fields(tmp_path):
     out = tmp_path / "odd.tsv"
     write_tree_tsv(t, out)
     again = parse_tree_tsv(out)
-    assert (again.ids, again.parent, again.feq) == (t.ids, t.parent, t.feq)
+    assert (again.ids, again.parent.tolist(), again.feq.tolist()) == (
+        t.ids, t.parent.tolist(), t.feq.tolist()
+    )
     assert again.labels == ["a b", "#", "-", "label é"]
 
 
@@ -104,7 +106,7 @@ def test_labels_round_trip(tmp_path):
     write_tree_tsv(t, out)
     again = parse_tree_tsv(out)
     assert again.labels == t.labels
-    assert again.feq == t.feq
+    assert again.feq.tolist() == t.feq.tolist()
 
 
 def test_round_trip_identity(ontology, tmp_path):
@@ -115,7 +117,7 @@ def test_round_trip_identity(ontology, tmp_path):
     assert [again.ids[v] for v in again.pre_order] == [
         ontology.ids[v] for v in ontology.pre_order
     ]
-    assert again.feq == ontology.feq
+    assert again.feq.tolist() == ontology.feq.tolist()
     s = ["r", "A", "a1", "b1", "c0"]
     assert g_score(again, again.indices(s)) == g_score(ontology, ontology.indices(s))
 
@@ -139,7 +141,9 @@ def test_write_parse_round_trip_property(tmp_path_factory, shape, data):
     out = tmp_path_factory.mktemp("rt") / "t.tsv"
     write_tree_tsv(t, out)
     again = parse_tree_tsv(out)
-    assert (again.ids, again.parent, again.feq) == (t.ids, t.parent, t.feq)
+    assert (again.ids, again.parent.tolist(), again.feq.tolist()) == (
+        t.ids, t.parent.tolist(), t.feq.tolist()
+    )
 
 
 def test_write_singleton_tree(tmp_path):
@@ -166,10 +170,10 @@ def test_generator_contract():
     t2 = gen_random_tree(spec)
     assert t1.n == 20
     assert len(t1.important) == 10
-    assert t1.parent == t2.parent
-    assert t1.feq == t2.feq
+    assert t1.parent.tolist() == t2.parent.tolist()
+    assert t1.feq.tolist() == t2.feq.tolist()
     other = gen_random_tree(GenSpec(n=20, important_count=10, seed=2))
-    assert other.parent != t1.parent or other.feq != t1.feq
+    assert other.parent.tolist() != t1.parent.tolist() or other.feq.tolist() != t1.feq.tolist()
 
 
 def test_generator_respects_max_children():
@@ -253,7 +257,7 @@ def _outcome(parse, path):
         t = parse(path)
     except TreesumError as err:
         return type(err), str(err), getattr(err, "line_no", None)
-    return t.ids, t.parent, t.feq, t.labels, t.pre_order
+    return t.ids, t.parent.tolist(), t.feq.tolist(), t.labels, t.pre_order.tolist()
 
 
 PARSE_CASES = [

@@ -17,20 +17,26 @@ TIE_WEIGHTS = (0.0, 1.0, 2.0)
 ORDER_WEIGHTS = (0.0, 0.1, 1 / 3, 1e16, 7.0)
 
 
+def _lists(tree):
+    """The tree's parent, children, score levels and weights as lists, the
+    way gts passes them to _gain_unchecked."""
+    return tree.parent.tolist(), tree.children, tree.score_levels.tolist(), tree.feq.tolist()
+
+
 def _scan_gts(tree, k):
     """The greedy loop gts replaces: every round rescans every candidate in
     preorder and keeps the first strict maximum."""
     selected = set()
     order = []
     trace = []
-    children = tree.children
+    lists = _lists(tree)
     for _ in range(k):
         best = None
         best_gain = -1.0
         for x in tree.pre_order:
             if x in selected:
                 continue
-            gain = _gain_unchecked(tree, selected, x, children)
+            gain = _gain_unchecked(selected, x, *lists)
             if gain > best_gain:
                 best_gain = gain
                 best = x
@@ -142,13 +148,14 @@ def test_gts_matches_scan(weights, data):
 @given(data=st.data())
 def test_first_round_matches_subtree_walks(weights, data):
     t = data.draw(shuffled_trees(max_n=40, weights=weights))
-    children = t.children
-    assert _first_round(t) == [_gain_unchecked(t, set(), x, children) for x in range(t.n)]
+    parent, children, lv, feq = _lists(t)
+    gains = [_gain_unchecked(set(), x, parent, children, lv, feq) for x in range(t.n)]
+    assert _first_round(parent, lv, feq, t.post_order.tolist()) == gains
 
 
 def test_gts_matches_scan_on_reduced_tree():
     reduced = vtree(gen_random_tree(GenSpec(n=10**4, important_count=10**3, seed=70_707))).tree
-    children = reduced.children
-    gains = [_gain_unchecked(reduced, set(), x, children) for x in range(reduced.n)]
-    assert _first_round(reduced) == gains
+    parent, children, lv, feq = _lists(reduced)
+    gains = [_gain_unchecked(set(), x, parent, children, lv, feq) for x in range(reduced.n)]
+    assert _first_round(parent, lv, feq, reduced.post_order.tolist()) == gains
     _assert_matches_scan(reduced, 100)

@@ -69,6 +69,17 @@ def test_weighted_coverage(ontology, summary):
     assert weighted_coverage(t, t.important) <= t.total_weight()
 
 
+@pytest.mark.parametrize("ones", [2, 9])
+def test_weight_sums_add_sequentially(ones):
+    # in index order each 1e16 + 1.0 rounds back to 1e16; a compensated sum
+    # (the builtin sum from Python 3.12) keeps the ones, and from 8 terms
+    # np.sum's pairwise blocks do too
+    n = ones + 1
+    t = WeightedTree([f"n{i}" for i in range(n)], [-1] + [0] * ones, [1e16] + [1.0] * ones)
+    assert t.total_weight() == 1e16
+    assert weighted_coverage(t, [t.root]) == 1e16
+
+
 def test_compute_metrics_report(ontology, summary):
     report = compute_metrics(ontology, summary, algorithm="gts")
     assert (report.cd, report.ald, report.wc) == (80.0, 0.4, 200.0)
@@ -160,7 +171,7 @@ def test_metrics_match_walks_bit_for_bit(t, data):
         if selected:
             got = closeness_distance(t, selected, index=index)
             assert repr(got) == repr(_closeness_per_pair(t, selected, index))
-        if not t.important:
+        if not t.important.size:
             with pytest.raises(NoImportantNodes):
                 avg_level_difference(t, selected)
             continue

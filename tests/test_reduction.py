@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -160,9 +161,10 @@ def _assert_links_match_stack(tree):
     rt = vtree(tree)
     ordered, parent, edge_weights = _stack_vtree_links(tree)
     assert rt.orig_index == ordered
-    assert rt.tree.parent == parent
+    assert rt.tree.parent.tolist() == parent
     assert rt.edge_weights == edge_weights
-    assert all(type(x) is int for x in rt.orig_index + rt.tree.parent + rt.edge_weights)
+    assert all(type(x) is int for x in rt.orig_index + rt.edge_weights)
+    assert rt.tree.parent.dtype == np.int64 and not rt.tree.parent.flags.writeable
 
 
 @settings(max_examples=150, deadline=None)

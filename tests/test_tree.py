@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from treesum import (
     WeightedTree,
     build_tree,
     gen_random_tree,
+    vtree,
 )
 from treesum.errors import (
     CycleDetected,
@@ -18,7 +20,6 @@ from treesum.errors import (
     OrphanParentReference,
     UnknownNode,
 )
-from treesum.tree import ancestors
 
 
 def test_build_running_example(ontology):
@@ -34,7 +35,7 @@ def test_build_singleton():
     t = build_tree([{"id": "r", "parent": None, "weight": 7}])
     assert t.n == 1
     assert t.levels[t.root] == 0
-    assert t.important == [t.root]
+    assert t.important.tolist() == [t.root]
 
 
 def test_build_two_roots():
@@ -96,7 +97,7 @@ def test_preorder_running_example(ontology):
 
 def test_preorder_singleton():
     t = build_tree([{"id": "x", "parent": None, "weight": 0}])
-    assert t.pre_order == [t.root]
+    assert t.pre_order.tolist() == [t.root]
 
 
 def test_preorder_restricted_to_weighted(sparse_tree):
@@ -104,15 +105,6 @@ def test_preorder_restricted_to_weighted(sparse_tree):
     imp = set(t.important)
     order = [t.ids[v] for v in t.pre_order if v in imp]
     assert order == ["v7", "v9", "v6"]
-
-
-def test_ancestors(ontology):
-    t = ontology
-    assert [t.ids[v] for v in ancestors(t, t.index("C"))] == ["C", "r"]
-    assert ancestors(t, t.root) == [t.root]
-    assert len(ancestors(t, t.index("c2"))) == 4
-    with pytest.raises(UnknownNode):
-        ancestors(t, 999)
 
 
 def test_lca_golden(sparse_tree):
@@ -142,8 +134,16 @@ def test_preorder_table_shape(ontology):
             assert level == level_pre[pos] == min(level_pre[i : i + width])
 
 
+def _ancestors(tree, v):
+    """Ancestors of v from v up to the root, by walking parents: an oracle."""
+    out = [v]
+    while tree.parent[out[-1]] >= 0:
+        out.append(tree.parent[out[-1]])
+    return out
+
+
 def _naive_lca(tree, a, b):
-    seen = set(ancestors(tree, a))
+    seen = set(_ancestors(tree, a))
     v = b
     while v not in seen:
         v = tree.parent[v]
@@ -185,7 +185,7 @@ def test_child_counts_sum_to_edges(t):
     assert sum(len(c) for c in t.children) == t.n - 1
     for v in range(t.n):
         expected = t.levels[v] + 1
-        assert len(ancestors(t, v)) == expected
+        assert len(_ancestors(t, v)) == expected
 
 
 # -- equivalence of the array build and the preorder-RMQ index -------------
@@ -237,18 +237,34 @@ def _reference_build(parent, feq):
     }
 
 
+# each per-node number of a tree, stored as one read-only array of this dtype
+ARRAYS = {
+    "parent": np.int64,
+    "feq": np.float64,
+    "levels": np.int64,
+    "score_levels": np.int64,
+    "pre_order": np.int64,
+    "pre_rank": np.int64,
+    "post_order": np.int64,
+    "subtree_size": np.int64,
+    "important": np.int64,
+    "important_pre": np.int64,
+    "subtree_weight": np.float64,
+}
+
+
 def _assert_matches_reference(t):
-    expected = _reference_build(t.parent, t.feq)
+    expected = _reference_build(t.parent.tolist(), t.feq.tolist())
     for name, value in expected.items():
         got = getattr(t, name)
+        if name in ARRAYS:
+            assert isinstance(got, np.ndarray) and got.dtype == ARRAYS[name], name
+            assert not got.flags.writeable, name
+            # one element reads as a Python int, as a list item did
+            assert all(type(x) is int for x in got), name
+            got = got.tolist()
         assert got == value, name
         assert type(got) is type(value), name
-    for name in ("levels", "pre_order", "pre_rank", "post_order", "subtree_size"):
-        assert all(type(x) is int for x in getattr(t, name)), name
-    # the array twins that the nearest-selected-ancestor query reads
-    assert t._size_a.tolist() == t.subtree_size
-    assert t._important_pre_a.tolist() == t.important_pre
-    assert t._important_feq_a.tolist() == [t.feq[y] for y in t.important_pre]
 
 
 # 1e16 next to 0.1 and 1/3 makes a sum depend on the order of its terms
@@ -347,7 +363,8 @@ def test_lca_on_chain_with_64_bit_keys():
     b = [n - 1, n - 1, 0, 40_000, n - 1, 31_000]
     assert idx.lca_many(a, b).tolist() == [min(x, y) for x, y in zip(a, b)]
     assert [idx.lca(x, y) for x, y in zip(a, b)] == [min(x, y) for x, y in zip(a, b)]
-    assert idx.distance(0, n - 1) == n - 1
+    lv = t.levels
+    assert lv[0] + lv[n - 1] - 2 * lv[idx.lca(0, n - 1)] == n - 1
 
 
 def _walk_nearest(tree, selected, v):
@@ -384,3 +401,22 @@ def test_nearest_selected_climbs_a_nested_spine(m):
     got = t._nearest_selected(spine, nodes)
     assert got.tolist() == [_walk_nearest(t, spine, v) for v in nodes]
     assert got.tolist()[m + 1:] == list(range(m))
+
+
+def test_arrays_are_read_only(ontology):
+    for t in (ontology, vtree(ontology).tree):
+        arrays = {
+            name: getattr(t, name)
+            for name in (*WeightedTree.__slots__, "subtree_weight")
+            if isinstance(getattr(t, name), np.ndarray)
+        }
+        assert ARRAYS.keys() <= arrays.keys()
+        for name, a in arrays.items():
+            assert name not in ARRAYS or a.dtype == ARRAYS[name], name
+            assert not a.flags.writeable, name
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+        with pytest.raises(ValueError):
+            t.feq[0] = 1.0
+        lists = {name for name in WeightedTree.__slots__ if isinstance(getattr(t, name), list)}
+        assert lists <= {"ids", "labels", "_children"}
