@@ -97,6 +97,7 @@ def _cmd_summarize(args) -> int:
         "score": score,
         "selected": ids,
         "time_ms": elapsed_ms,
+        "stats": result.stats,
     }
     if args.with_metrics:
         report["metrics"] = _metrics_dict(
@@ -104,7 +105,7 @@ def _cmd_summarize(args) -> int:
         )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(report, fh, indent=2, allow_nan=False)
             fh.write("\n")
     print(f"score: {score:.10g}")
     print("selected: " + " ".join(ids))
@@ -131,7 +132,7 @@ def _cmd_metrics(args) -> int:
     payload["k"] = report.k
     if report.cd is None:
         print("note: closeness distance undefined for an empty summary", file=sys.stderr)
-    text = json.dumps(payload)
+    text = json.dumps(payload, allow_nan=False)
     print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -26,7 +26,11 @@ from .tree import WeightedTree
 
 
 def gts(tree: WeightedTree, k: int) -> SummaryResult:
-    """Select k summary nodes greedily by largest marginal gain."""
+    """Select k summary nodes greedily by largest marginal gain.
+
+    ``stats`` holds ``gain_evals`` (gains recomputed after the first round)
+    and ``first_round_terms`` (the ancestor-path terms the first round adds).
+    """
     if not 1 <= k <= tree.n:
         raise InvalidK(f"k={k} outside 1..{tree.n}")
 
@@ -47,10 +51,12 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
     selected = set()
     order = []
     trace = []
+    gain_evals = 0
     while len(order) < k:
         neg_gain, rank, x = heap[0]
         if not fresh[x]:
             fresh[x] = True
+            gain_evals += 1
             gain = _gain_unchecked(selected, x, parent, children, lv, feq)
             heapq.heapreplace(heap, (-gain, rank, x))
             continue
@@ -75,6 +81,11 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
         score=_g_unchecked(tree, selected),
         algorithm="gts",
         trace=trace,
+        stats={
+            "gain_evals": gain_evals,
+            # each weighted node adds one term per node on its root path
+            "first_round_terms": int(tree.levels[tree.important].sum()) + len(tree.important),
+        },
     )
 
 

@@ -30,13 +30,28 @@ hurts and the at-most-k optimum equals the exactly-k optimum).
 
 The fold is size-bounded.  The rightmost child seeds it with its own rows;
 each child to the left is merged over pairs (j, t) with j at most its cap
-and t at most the suffix's total cap, looping over the shorter of the two,
-and only budgets up to the merged total cap are computed; the rest repeat
-the last column.  Memo rows never decrease with budget, so every candidate
-the bounds drop is matched or beaten by one they keep, and the values are
-the same floats as the unbounded fold.  With the childless suffix worth 0 at
-budget 0 and -inf otherwise, the rightmost child takes whatever budget is
-left, even beyond its cap.
+and t at most the suffix's total cap, and only budgets up to the merged
+total cap are computed.  A suffix table stops there, and a budget past its
+last column reads that column; only tables[0], which the cases of u read
+directly, is widened to the full budget range.  Memo rows never decrease
+with budget, so every candidate the bounds drop is matched or beaten by one
+they keep, and the values are the same floats as the unbounded fold.  With
+the childless suffix worth 0 at budget 0 and -inf otherwise, the rightmost
+child takes whatever budget is left, even beyond its cap.  Over the whole
+tree the bounded merges cost O(n * k) per memo row (Johnson & Niemi 1983),
+and a node has at most h + 2 rows, so the evaluation is O(n * h * k).
+
+One merge (``_max_plus``) is a fixed number of numpy calls per block of
+``_BLOCK`` columns of its shorter operand, not a pair of calls per column.
+The block's pairwise sums a[:, i] + g[:, j] are written into a scratch of
+shape (rows, block, lg + block) whose last ``block`` columns are -inf; read
+with a row length one shorter, row i of that scratch shifts right by i, so
+every anti-diagonal i + j = b lines up in column b and one max over the
+block axis gives the block's part of the result.  Max is exact and ignores
+order (entries are >= 0 or -inf, so no NaN or -0.0 arises), so the values
+are the floats of the column-by-column loop.  Blocking keeps the scratch at
+rows * block * (lg + block) floats, the order of the output, instead of
+rows * la * (la + lg).
 
 Evaluation walks the postorder bottom-up with no recursion, one kernel call
 per node (``_tables``): the children's levels[u] + 2 rows give every no-case
@@ -49,6 +64,7 @@ repeating that one call for the state's node; ``dp_eval`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,6 +76,9 @@ from .tree import WeightedTree
 
 _NEG = float("-inf")
 _NO_ANCESTOR = -1
+# columns of the shorter operand per max-plus block: the scratch of one block
+# is rows * _BLOCK * (width + _BLOCK) floats
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -84,21 +103,33 @@ def _max_plus(a: np.ndarray, g: np.ndarray, width: int) -> np.ndarray:
     """Row-wise max-plus convolution, c[:, b] = max over i + j = b of
     a[:, i] + g[:, j], for b below min(width, a's length + g's length - 1).
 
-    Loops over the shorter operand; addition commutes exactly, so swapping
-    them changes no value.
+    Blocks the shorter operand by ``_BLOCK`` columns and reduces each block's
+    pairwise sums along their anti-diagonals (see the module docstring);
+    addition commutes exactly, so swapping the operands changes no value.
     """
     if a.shape[1] > g.shape[1]:
         a, g = g, a
-    lg = g.shape[1]
+    rows, lg = g.shape
     size = min(width, a.shape[1] + lg - 1)  # >= lg, as g comes cut to width
-    out = np.empty((a.shape[0], size))
-    np.add(a[:, :1], g, out=out[:, :lg])
-    out[:, lg:] = _NEG
-    for i in range(1, min(a.shape[1], size)):
-        m = min(lg, size - i)
-        seg = out[:, i : i + m]
-        np.maximum(seg, a[:, i : i + 1] + g[:, :m], out=seg)
-    return out
+    la = min(a.shape[1], size)  # columns of a past size reach no budget
+    block = min(la, _BLOCK)
+    span = lg + block
+    scratch = np.empty((rows, block, span))
+    scratch[:, :, lg:] = _NEG
+    # row i of skew starts i columns before row i of scratch, so skew[:, i, b]
+    # is scratch[:, i, b - i]: g's column b - i, or -inf from a row's tail
+    skew = scratch.reshape(rows, block * span)[:, : block * (span - 1)]
+    skew = skew.reshape(rows, block, span - 1)
+    if la == block:
+        np.add(a[:, :la, None], g[:, None], out=scratch[:, :, :lg])
+        return np.maximum.reduce(skew, axis=1)[:, :size]
+    out = np.full((rows, la + lg - 1), _NEG)
+    for i in range(0, la, block):
+        bw = min(block, la - i)
+        np.add(a[:, i : i + bw, None], g[:, None], out=scratch[:, :bw, :lg])
+        seg = out[:, i : i + lg + bw - 1]
+        np.maximum(seg, np.maximum.reduce(skew[:, :bw, : lg + bw - 1], axis=1), out=seg)
+    return out[:, :size]
 
 
 def _plateau(table: np.ndarray, width: int) -> np.ndarray:
@@ -131,7 +162,12 @@ class OtsSolver:
         # when the nearest selected ancestor is row r's: r = 0 for none,
         # r = levels[na] + 1 for ancestor na
         self.memo: List[np.ndarray] = [None] * tree.n
+        # the empty suffix of every knapsack: 0.0 at budget 0, -inf past it
+        self._seed = self._empty_suffix(k + 1)
+        self._merges = 0  # max-plus merges run so far
+        start = perf_counter()
         self._evaluate_all()
+        self._evaluate_ms = (perf_counter() - start) * 1000.0
 
     # -- bulk evaluation --------------------------------------------------
 
@@ -166,28 +202,38 @@ class OtsSolver:
 
     # -- the knapsack kernel and the state decision -------------------------
 
-    def _knap(self, kids, rows: slice, max_budget: int) -> List[np.ndarray]:
-        """Suffix tables over the memo rows ``rows`` of every child:
-        tables[i][r, b] is the best exact-sum total of kids[i:] at budget b,
-        for b in 0..max_budget; tables[len(kids)] is the empty suffix."""
+    def _empty_suffix(self, width: int) -> np.ndarray:
+        """Read-only table of the childless suffix over every memo row."""
+        seed = np.full((self.tree.height + 2, width), _NEG)
+        seed[:, 0] = 0.0
+        seed.flags.writeable = False
+        return seed
+
+    def _knap(self, kids, rows: int, max_budget: int) -> List[np.ndarray]:
+        """Suffix tables over memo rows 0..rows - 1 of every child:
+        tables[i][r, b] is the best exact-sum total of kids[i:] at budget b.
+        tables[0] spans b in 0..max_budget; every other table stops at its
+        suffix's total cap (budgets past its last column read that column),
+        except tables[len(kids)], the empty suffix, which spans them all."""
         width = max_budget + 1
-        empty = np.empty((rows.stop - rows.start, width))
-        empty.fill(_NEG)
-        empty[:, 0] = 0.0
-        tables = [empty]
+        if width > self._seed.shape[1]:  # only knapsack_combine budgets pass k
+            self._seed = self._empty_suffix(width)
+        tables = [self._seed[:rows, :width]]
         memo = self.memo
-        acc = None  # suffix table up to the suffix's total cap
+        acc = None
         for x in reversed(kids):
-            arr = memo[x][rows, :width]
+            arr = memo[x][:rows, :width]
             acc = arr if acc is None else _max_plus(arr, acc, width)
-            tables.append(_plateau(acc, width))
+            tables.append(acc)
+        self._merges += max(len(kids) - 1, 0)
         tables.reverse()
+        tables[0] = _plateau(tables[0], width)
         return tables
 
     def _tables(self, u: int) -> List[np.ndarray]:
         """Suffix tables of u's children over every row u's cases read: rows
         0..levels[u] for the no-case, row levels[u] + 1 for the yes-case."""
-        return self._knap(self.tree.children[u], slice(0, self._levels[u] + 2), self.cap[u])
+        return self._knap(self.tree.children[u], self._levels[u] + 2, self.cap[u])
 
     def _split(self, kids, tables, budget: int, row: int) -> Tuple[int, ...]:
         """Lexicographically smallest per-child budget split hitting
@@ -195,24 +241,25 @@ class OtsSolver:
         memo = self.memo
         split = []
         b = budget
-        here = tables[0][row].tolist()
+        target = float(tables[0][row, b])
         for i, x in enumerate(kids):
             vals = memo[x][row].tolist()
             rest = tables[i + 1][row].tolist()
             top = len(vals) - 1
+            end = len(rest) - 1
             tries = list(range(min(b, top) + 1))
             if b > top:
                 # past its cap a child reads its plateau; only the last child,
                 # which takes the whole remainder, ever gets that far
                 tries.append(b)
             for j in tries:
-                if vals[min(j, top)] + rest[b - j] == here[b]:
+                if vals[min(j, top)] + rest[min(b - j, end)] == target:
                     break
             else:
-                raise InconsistentMemo(f"no split reaches {here[b]!r} at child {x}")
+                raise InconsistentMemo(f"no split reaches {target!r} at child {x}")
             split.append(j)
             b -= j
-            here = rest
+            target = rest[min(b, end)]
         return tuple(split)
 
     def _row(self, na: int) -> int:
@@ -298,7 +345,7 @@ class OtsSolver:
                         f"{self.tree.ids[x]!r}"
                     )
         row = self._row(na)
-        tables = self._knap(kids, slice(0, row + 1), budget)
+        tables = self._knap(kids, row + 1, budget)
         return float(tables[0][row, budget]), self._split(kids, tables, budget, row)
 
     def reconstruct(self) -> set:
@@ -325,7 +372,15 @@ class OtsSolver:
         return float(self.memo[self.tree.root][0, self.k])
 
     def solve(self) -> SummaryResult:
+        """The optimal summary, rescored and checked against the DP value.
+
+        ``stats`` holds ``dp_cells`` (``state_count()``), ``merges`` (the
+        max-plus merges this solver has run: the bulk evaluation and the
+        reconstruction) and the wall times of ``evaluate_ms``,
+        ``reconstruct_ms`` and ``rescore_ms``.
+        """
         value = self.optimum()
+        start = perf_counter()
         selected = self.reconstruct()
         if len(selected) < self.k:
             for v in self.tree.pre_order:
@@ -333,7 +388,9 @@ class OtsSolver:
                     selected.add(v)
                     if len(selected) == self.k:
                         break
+        rebuilt = perf_counter()
         score = _g_unchecked(self.tree, selected)
+        rescored = perf_counter()
         # the DP and the rescore accumulate the same terms in different
         # orders, so the guard scales with the magnitude of the value
         if abs(score - value) > max(1e-9, 1e-12 * abs(value)):
@@ -345,6 +402,13 @@ class OtsSolver:
             selected=sorted(selected, key=pre_rank.__getitem__),
             score=score,
             algorithm="ots",
+            stats={
+                "dp_cells": self.state_count(),
+                "merges": self._merges,
+                "evaluate_ms": self._evaluate_ms,
+                "reconstruct_ms": (rebuilt - start) * 1000.0,
+                "rescore_ms": (rescored - rebuilt) * 1000.0,
+            },
         )
 
     def state_count(self) -> int:

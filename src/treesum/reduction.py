@@ -104,4 +104,5 @@ def lift_result(reduced: ReducedTree, result: SummaryResult) -> SummaryResult:
         algorithm=result.algorithm,
         trace=[(reduced.orig_index[v], gain) for v, gain in result.trace],
         underfilled=result.underfilled,
+        stats=dict(result.stats),
     )

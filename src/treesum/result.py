@@ -15,7 +15,9 @@ class SummaryResult:
     preorder for set-valued ones.  ``trace`` holds (node, marginal gain)
     per greedy iteration and is empty for non-iterative algorithms.
     ``underfilled`` marks results that legitimately carry fewer than k
-    nodes (only the contribution-ratio baseline can do that).
+    nodes (only the contribution-ratio baseline can do that).  ``stats``
+    holds the solver's counters and stage times in milliseconds as plain
+    Python numbers; it never takes part in equality.
     """
 
     selected: List[int]
@@ -23,6 +25,7 @@ class SummaryResult:
     algorithm: str
     trace: List[Tuple[int, float]] = field(default_factory=list)
     underfilled: bool = False
+    stats: dict = field(default_factory=dict, compare=False)
 
     def selected_ids(self, tree: WeightedTree) -> List[str]:
         return [tree.ids[v] for v in self.selected]

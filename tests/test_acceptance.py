@@ -235,6 +235,9 @@ def test_criterion_7_desk_scale():
     assert gts_time < ots_time
     assert greedy.score <= exact.score + 1e-9
     assert greedy.score >= GUARANTEE * exact.score - 1e-9
+    # the work counters, carried through lift_result
+    assert greedy.stats == {"gain_evals": 168, "first_round_terms": 123_816}
+    assert exact.stats["dp_cells"] > 0
     print(
         f"\nacceptance 7 (desk-scale run, n=1e6): PASS — reduce {reduced_at-start:.1f}s, "
         f"ots {ots_time:.1f}s, gts {gts_time:.1f}s, |V*|={rt.tree.n}"

@@ -88,7 +88,9 @@ def _assert_plain_result(res):
     assert all(type(v) is int for v in res.selected), res
     assert type(res.score) is float, res
     assert all(type(v) is int and type(gain) is float for v, gain in res.trace), res
+    assert all(type(v) in (int, float) for v in res.stats.values()), res.stats
     json.dumps(list(res.selected))
+    json.dumps(res.stats, allow_nan=False)
 
 
 def test_public_results_are_python_scalars(ontology):
@@ -112,8 +114,10 @@ def test_public_results_are_python_scalars(ontology):
             value, split = solver.knapsack_combine(t.children[x], k, None)
             assert type(value) is float and all(type(b) is int for b in split)
         for summarize in (gts, ots):
-            lifted = lift_result(reduced, summarize(reduced.tree, k))
+            res = summarize(reduced.tree, k)
+            lifted = lift_result(reduced, res)
             _assert_plain_result(lifted)
+            assert lifted.stats == res.stats and lifted.stats
             report = compute_metrics(reduced.original, lifted.selected)
             assert all(type(v) is float for v in (report.cd, report.ald, report.wc)), report
             assert type(report.k) is int

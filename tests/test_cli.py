@@ -132,6 +132,36 @@ def test_metrics_from_run_report(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["k"] == 5
 
 
+def _strict_json(text):
+    """Parse ``text`` as strict JSON: NaN, Infinity and -Infinity raise."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("algo", ["ots", "gts", "feq"])
+def test_reports_are_strict_json(tmp_path, capsys, algo):
+    report = tmp_path / "run.json"
+    scores = tmp_path / "metrics.json"
+    code = main(["summarize", ONTOLOGY, "--algo", algo, "--k", "5", "--with-metrics",
+                 "--out", str(report)])
+    assert code == 0
+    run = _strict_json(report.read_text())
+    assert run["time_ms"] >= 0
+    expected = {
+        "ots": {"dp_cells", "merges", "evaluate_ms", "reconstruct_ms", "rescore_ms"},
+        "gts": {"gain_evals", "first_round_terms"},
+        "feq": set(),
+    }[algo]
+    assert set(run["stats"]) == expected
+    capsys.readouterr()
+    assert main(["metrics", ONTOLOGY, "--summary", str(report), "--out", str(scores)]) == 0
+    printed = _strict_json(capsys.readouterr().out)
+    assert printed == _strict_json(scores.read_text()) == {**run["metrics"], "k": 5}
+
+
 def test_metrics_unknown_node():
     assert main(["metrics", ONTOLOGY, "--summary", "r,zzz"]) == 3
 

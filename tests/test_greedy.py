@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from treesum import GenSpec, brute_force, g_score, gen_random_tree, gts, vtree
 from treesum.errors import InvalidK
+from treesum import greedy
 from treesum.greedy import _first_round
 from treesum.scoring import _g_unchecked, _gain_unchecked
 
@@ -159,3 +160,41 @@ def test_gts_matches_scan_on_reduced_tree():
     gains = [_gain_unchecked(set(), x, parent, children, lv, feq) for x in range(reduced.n)]
     assert _first_round(parent, lv, feq, reduced.post_order.tolist()) == gains
     _assert_matches_scan(reduced, 100)
+
+
+@pytest.mark.parametrize("weights", [TIE_WEIGHTS, ORDER_WEIGHTS], ids=["ties", "order"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_gts_is_prefix_nested(weights, data):
+    # the picks of a larger budget, cut to k, are the picks of budget k
+    t = data.draw(shuffled_trees(max_n=40, weights=weights))
+    big = data.draw(st.integers(1, t.n))
+    full = gts(t, big)
+    for k in sorted({1, data.draw(st.integers(1, big)), big}):
+        res = gts(t, k)
+        assert res.selected == full.selected[:k]
+        assert res.trace == full.trace[:k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_trees(max_n=40, weights=ORDER_WEIGHTS), st.data())
+def test_gts_stats_count_the_work(t, data):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _gain_unchecked(*args)
+
+    k = data.draw(st.integers(1, t.n))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(greedy, "_gain_unchecked", counted)
+        res = gts(t, k)
+    # the first round adds one term per (weighted node, node on its root path)
+    terms = 0
+    for y in range(t.n):
+        v = y
+        while v >= 0 and t.feq[y]:
+            terms += 1
+            v = t.parent[v]
+    assert res.stats == {"gain_evals": len(calls), "first_round_terms": terms}
+    assert all(type(v) is int for v in res.stats.values())

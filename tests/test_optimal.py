@@ -1,5 +1,7 @@
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +17,9 @@ from treesum import (
     ots,
     vtree,
 )
+from treesum import optimal
 from treesum.errors import InvalidK, UnknownNode
-from treesum.optimal import DpKey
+from treesum.optimal import _BLOCK, DpKey, _max_plus
 
 from test_tree import random_trees
 
@@ -221,6 +224,110 @@ def test_state_count_bound(ontology):
         solver = OtsSolver(ontology, k)
         bound = ontology.n * (ontology.height + 1) * (k + 1)
         assert solver.state_count() <= bound
+
+
+# -- the blocked anti-diagonal merge against the column loop ------------------
+
+
+def _loop_max_plus(a, g, width):
+    """The merge the blocked kernel replaced, as an oracle: one add and one
+    maximum per column of the shorter operand."""
+    if a.shape[1] > g.shape[1]:
+        a, g = g, a
+    lg = g.shape[1]
+    size = min(width, a.shape[1] + lg - 1)
+    out = np.empty((a.shape[0], size))
+    np.add(a[:, :1], g, out=out[:, :lg])
+    out[:, lg:] = float("-inf")
+    for i in range(1, min(a.shape[1], size)):
+        m = min(lg, size - i)
+        seg = out[:, i : i + m]
+        np.maximum(seg, a[:, i : i + 1] + g[:, :m], out=seg)
+    return out
+
+
+# 1e16 next to 0.1 and 1/3 makes a sum's rounding depend on its terms
+MERGE_ENTRIES = (0.0, 0.1, 1 / 3, 7.0, 1e16, float("-inf"))
+
+
+@st.composite
+def merge_operands(draw):
+    """(a, g, width) as _knap passes them: row bands of wider matrices, each
+    cut to ``width`` columns, with ``width`` below, at or above the longest
+    budget la + lg - 1 that the merge can reach."""
+    rows = draw(st.integers(1, 5))
+    la, lg = draw(st.integers(1, 70)), draw(st.integers(1, 70))
+    width = draw(st.integers(max(la, lg), la + lg + 3))
+
+    def operand(cols):
+        cells = draw(st.lists(st.sampled_from(MERGE_ENTRIES), min_size=rows * cols, max_size=rows * cols))
+        wide = np.zeros((rows + 1, cols + 2))
+        wide[:rows, :cols] = np.reshape(cells, (rows, cols))
+        return wide[:rows, :cols]
+
+    return operand(la), operand(lg), width
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_operands())
+def test_max_plus_matches_loop(operands):
+    a, g, width = operands
+    for x, y in ((a, g), (g, a)):
+        got, want = _max_plus(x, y, width), _loop_max_plus(x, y, width)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("la", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1])
+def test_max_plus_block_edges(la):
+    rng = np.random.default_rng(la)
+    for lg in (la, la + 1, 3 * _BLOCK + 2):
+        a, g = rng.random((3, la)) * 1e16, rng.random((3, lg)) / 3
+        for width in (lg, la + lg - 2, la + lg - 1, la + lg + 5):
+            if width < lg:
+                continue
+            got, want = _max_plus(a, g, width), _loop_max_plus(a, g, width)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_max_plus_scratch_is_blocked():
+    # unblocked, the pairwise sums of this merge would take 30 * 1001 * 2002
+    # floats (481 MB); blocked, the scratch and the output stay near 4 MB
+    rows, k = 30, 1000
+    width = k + 1
+    rng = np.random.default_rng(0)
+    a, g = rng.random((rows, width)), rng.random((rows, width))
+    tracemalloc.start()
+    try:
+        out = _max_plus(a, g, width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (rows, width)
+    assert peak <= 2 * rows * _BLOCK * (width + _BLOCK) * 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_trees(max_n=24), st.data())
+def test_ots_stats_count_the_work(t, data):
+    calls = []
+
+    def counted(a, g, width):
+        calls.append(width)
+        return _max_plus(a, g, width)
+
+    k = data.draw(st.integers(1, t.n))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(optimal, "_max_plus", counted)
+        solver = OtsSolver(t, k)
+        stats = solver.solve().stats
+    assert set(stats) == {"dp_cells", "merges", "evaluate_ms", "reconstruct_ms", "rescore_ms"}
+    assert stats["dp_cells"] == solver.state_count()
+    assert stats["merges"] == len(calls)
+    assert all(type(stats[key]) is int for key in ("dp_cells", "merges"))
+    assert all(type(stats[key]) is float and stats[key] >= 0 for key in stats if key.endswith("_ms"))
+    # stats never take part in result equality
+    assert ots(t, k) == solver.solve()
 
 
 # -- the scalar DP as an oracle for the row kernel ----------------------------
