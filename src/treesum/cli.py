@@ -34,41 +34,40 @@ from .metrics import compute_metrics
 from .optimal import ots
 from .reduction import lift_result, vtree
 from .result import SummaryResult
-from .scoring import g_score
 from .viz import summary_dot
 
 REDUCIBLE = ("gts", "ots")
 
-_USAGE_ERRORS = (InvalidK, InvalidSpec, AlreadySelected)
+# every summarizer the CLI runs, by name, called as (tree, k, theta); only
+# cagg reads theta
+_SUMMARIZERS = {
+    "gts": lambda tree, k, theta: gts(tree, k),
+    "ots": lambda tree, k, theta: ots(tree, k),
+    "feq": lambda tree, k, theta: feq_topk(tree, k),
+    "agg": lambda tree, k, theta: agg_topk(tree, k),
+    "cagg": cagg_topk,
+    "brute": lambda tree, k, theta: brute_force(tree, k),
+}
 
 
 class _CliUsageError(Exception):
     pass
 
 
+_USAGE_ERRORS = (_CliUsageError, InvalidK, InvalidSpec, AlreadySelected)
+
+
 def _run_algorithm(tree, algo: str, k: int, theta: float, reduced: bool) -> SummaryResult:
-    if reduced:
-        rt = vtree(tree)
-        if k > rt.tree.n:
-            raise InvalidK(
-                f"k={k} exceeds the reduced tree size {rt.tree.n}; "
-                "rerun with --no-reduce to select among all nodes"
-            )
-        runner = gts if algo == "gts" else ots
-        return lift_result(rt, runner(rt.tree, k))
-    if algo == "gts":
-        return gts(tree, k)
-    if algo == "ots":
-        return ots(tree, k)
-    if algo == "feq":
-        return feq_topk(tree, k)
-    if algo == "agg":
-        return agg_topk(tree, k)
-    if algo == "cagg":
-        return cagg_topk(tree, k, theta)
-    if algo == "brute":
-        return brute_force(tree, k)
-    raise _CliUsageError(f"unknown algorithm {algo!r}")
+    summarize = _SUMMARIZERS[algo]
+    if not reduced:
+        return summarize(tree, k, theta)
+    rt = vtree(tree)
+    if k > rt.tree.n:
+        raise InvalidK(
+            f"k={k} exceeds the reduced tree size {rt.tree.n}; "
+            "rerun with --no-reduce to select among all nodes"
+        )
+    return lift_result(rt, summarize(rt.tree, k, theta))
 
 
 def _metrics_dict(report) -> dict:
@@ -88,7 +87,7 @@ def _cmd_summarize(args) -> int:
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     ids = result.selected_ids(tree)
-    score = g_score(tree, result.selected)
+    score = result.score
     report = {
         "input": args.input,
         "algorithm": args.algo,
@@ -179,12 +178,31 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _positive_ints(flag: str, text: str) -> list:
+    """Comma-separated integers >= 1, at least one, else a usage error."""
+    try:
+        values = [int(x) for x in text.split(",") if x]
+    except ValueError:
+        values = []
+    if not values or min(values) < 1:
+        raise _CliUsageError(f"{flag} takes comma-separated integers >= 1, got {text!r}")
+    return values
+
+
 def _cmd_bench(args) -> int:
+    # every flag is checked before --out is created, so a usage error
+    # leaves no file behind
+    algos = [a for a in args.algos.split(",") if a]
+    if not algos or not set(algos) <= set(_SUMMARIZERS):
+        raise _CliUsageError(
+            f"--algos takes names from {', '.join(_SUMMARIZERS)}, got {args.algos!r}"
+        )
+    ks = _positive_ints("--ks", args.ks)
+    if args.repeat < 1:
+        raise _CliUsageError(f"--repeat takes an integer >= 1, got {args.repeat}")
     paths = sorted(glob.glob(args.inputs))
     if not paths:
         raise FileNotFoundError(f"no inputs match {args.inputs!r}")
-    algos = [a for a in args.algos.split(",") if a]
-    ks = [int(x) for x in args.ks.split(",") if x]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "algo", "k", "reduced", "score", "time_ms", "repeat"])
@@ -221,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summarize", help="run a summarizer on a tree file")
     p.add_argument("input")
-    p.add_argument("--algo", required=True, choices=["gts", "ots", "feq", "agg", "cagg", "brute"])
+    p.add_argument("--algo", required=True, choices=list(_SUMMARIZERS))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--theta", type=float, default=0.4, help="cagg contribution threshold")
     p.add_argument(
@@ -280,9 +298,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

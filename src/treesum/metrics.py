@@ -40,6 +40,8 @@ def closeness_distance(
         raise EmptySummary("closeness distance needs a nonempty summary")
     if index is None:
         index = EulerLcaIndex(tree)
+    elif index.tree is not tree:
+        raise ValueError("the LCA index was built for another tree")
     ys = tree.important_pre
     levels = tree.levels
     ly = levels[ys]

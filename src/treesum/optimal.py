@@ -17,8 +17,8 @@ ancestor, row levels[na] + 1 means ancestor na.  A child of u therefore reads
 its first levels[u] + 1 rows exactly as u does, and its last row is the
 case "u selected".
 
-Distributing a budget over an ordered child list is a small knapsack, and
-one kernel (``_knap``) solves it everywhere, over any band of memo rows at
+Distributing u's budget over u's children is a small knapsack, and one
+node-level kernel (``_tables``) solves it for every row u's cases read at
 once: with G_i(b) the best total for children i.. with budget exactly b, G
 is folded right to left by a max-plus convolution with each child's rows,
 and every suffix table is kept so that ``_split`` can walk the winning
@@ -54,18 +54,19 @@ rows * block * (lg + block) floats, the order of the output, instead of
 rows * la * (la + lg).
 
 Evaluation walks the postorder bottom-up with no recursion, one kernel call
-per node (``_tables``): the children's levels[u] + 2 rows give every no-case
-of u and its yes-case together.  Value–choice ties prefer the no-case;
-knapsack split ties prefer the lexicographically smallest budget vector.
-One decision routine (``_decide``) re-derives a state's choice and split by
-repeating that one call for the state's node; ``dp_eval`` and
-``reconstruct`` both use it, so nothing beyond the value matrices is stored.
+per node: the children's levels[u] + 2 rows give every no-case of u and its
+yes-case together.  Value–choice ties prefer the no-case; knapsack split
+ties prefer the lexicographically smallest budget vector.  The per-state
+queries repeat that one call for the state's node (``_cases``), and one
+decision routine (``_decide``) picks a state's choice and split from it;
+``dp_eval`` and ``reconstruct`` both use it, so nothing beyond the value
+matrices is stored.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -162,8 +163,12 @@ class OtsSolver:
         # when the nearest selected ancestor is row r's: r = 0 for none,
         # r = levels[na] + 1 for ancestor na
         self.memo: List[np.ndarray] = [None] * tree.n
-        # the empty suffix of every knapsack: 0.0 at budget 0, -inf past it
-        self._seed = self._empty_suffix(k + 1)
+        # the empty suffix of every knapsack over every memo row: 0.0 at
+        # budget 0, -inf past it
+        seed = np.full((tree.height + 2, k + 1), _NEG)
+        seed[:, 0] = 0.0
+        seed.flags.writeable = False
+        self._seed = seed
         self._merges = 0  # max-plus merges run so far
         start = perf_counter()
         self._evaluate_all()
@@ -202,47 +207,36 @@ class OtsSolver:
 
     # -- the knapsack kernel and the state decision -------------------------
 
-    def _empty_suffix(self, width: int) -> np.ndarray:
-        """Read-only table of the childless suffix over every memo row."""
-        seed = np.full((self.tree.height + 2, width), _NEG)
-        seed[:, 0] = 0.0
-        seed.flags.writeable = False
-        return seed
-
-    def _knap(self, kids, rows: int, max_budget: int) -> List[np.ndarray]:
-        """Suffix tables over memo rows 0..rows - 1 of every child:
-        tables[i][r, b] is the best exact-sum total of kids[i:] at budget b.
-        tables[0] spans b in 0..max_budget; every other table stops at its
-        suffix's total cap (budgets past its last column read that column),
-        except tables[len(kids)], the empty suffix, which spans them all."""
-        width = max_budget + 1
-        if width > self._seed.shape[1]:  # only knapsack_combine budgets pass k
-            self._seed = self._empty_suffix(width)
-        tables = [self._seed[:rows, :width]]
+    def _tables(self, u: int) -> List[np.ndarray]:
+        """Suffix tables of u's children over every memo row u's cases read
+        (rows 0..levels[u] for the no-case, row levels[u] + 1 for the
+        yes-case): tables[i][r, b] is the best exact-sum total of children
+        i.. at budget b.  tables[0] spans b in 0..cap[u]; every other table
+        stops at its suffix's total cap (budgets past its last column read
+        that column), except the last one, the empty suffix, which spans
+        them all."""
+        kids = self.tree.children[u]
+        width = self.cap[u] + 1
+        tables = [self._seed[: self._levels[u] + 2, :width]]
         memo = self.memo
         acc = None
         for x in reversed(kids):
-            arr = memo[x][:rows, :width]
-            acc = arr if acc is None else _max_plus(arr, acc, width)
+            # a child's matrix is exactly these rows, and cap[x] <= cap[u]
+            acc = memo[x] if acc is None else _max_plus(memo[x], acc, width)
             tables.append(acc)
         self._merges += max(len(kids) - 1, 0)
         tables.reverse()
         tables[0] = _plateau(tables[0], width)
         return tables
 
-    def _tables(self, u: int) -> List[np.ndarray]:
-        """Suffix tables of u's children over every row u's cases read: rows
-        0..levels[u] for the no-case, row levels[u] + 1 for the yes-case."""
-        return self._knap(self.tree.children[u], self._levels[u] + 2, self.cap[u])
-
-    def _split(self, kids, tables, budget: int, row: int) -> Tuple[int, ...]:
-        """Lexicographically smallest per-child budget split hitting
+    def _split(self, u: int, tables, budget: int, row: int) -> Tuple[int, ...]:
+        """Lexicographically smallest budget split over u's children hitting
         tables[0][row, budget], reading memo row ``row`` of every child."""
         memo = self.memo
         split = []
         b = budget
         target = float(tables[0][row, b])
-        for i, x in enumerate(kids):
+        for i, x in enumerate(self.tree.children[u]):
             vals = memo[x][row].tolist()
             rest = tables[i + 1][row].tolist()
             top = len(vals) - 1
@@ -266,15 +260,16 @@ class OtsSolver:
         """Memo row of nearest selected ancestor ``na`` (or _NO_ANCESTOR)."""
         return 0 if na < 0 else self._levels[na] + 1
 
-    def _yes(self, u: int, b: int, tables) -> float:
-        """Yes-case value of state (u, b), b >= 1, from u's tables."""
-        return self.tree.feq[u] + float(tables[0][self._levels[u] + 1, b - 1])
-
-    def _no(self, u: int, b: int, na: int, tables) -> float:
-        """No-case value of state (u, b, na), from u's tables."""
+    def _cases(self, u: int, b: int, na: int) -> Tuple[float, Optional[float], List[np.ndarray]]:
+        """(no-case value, yes-case value, u's tables) of state (u, b, na);
+        the yes-case is None at budget 0."""
+        tables = self._tables(u)
+        feq = self.tree.feq[u]
         slv = self.tree.score_levels
-        base = 0.0 if na < 0 else self.tree.feq[u] / (slv[u] - slv[na] + 1)
-        return base + float(tables[0][self._row(na), b])
+        base = 0.0 if na < 0 else feq / (slv[u] - slv[na] + 1)
+        no_v = base + float(tables[0][self._row(na), b])
+        yes_v = feq + float(tables[0][self._row(u), b - 1]) if b > 0 else None
+        return no_v, yes_v, tables
 
     def _decide(self, u: int, b: int, na: int) -> Tuple[float, str, Tuple[int, ...]]:
         """(value, choice, split) of state (u, b, na), with b already clamped.
@@ -283,14 +278,10 @@ class OtsSolver:
         the value equals memo[u][row of na, b] (_evaluate_all makes the same
         floats in the same call).
         """
-        kids = self.tree.children[u]
-        tables = self._tables(u)
-        no_v = self._no(u, b, na, tables)
-        if b > 0:
-            yes_v = self._yes(u, b, tables)
-            if no_v < yes_v:
-                return yes_v, "yes", self._split(kids, tables, b - 1, self._row(u))
-        return no_v, "no", self._split(kids, tables, b, self._row(na))
+        no_v, yes_v, tables = self._cases(u, b, na)
+        if yes_v is not None and no_v < yes_v:
+            return yes_v, "yes", self._split(u, tables, b - 1, self._row(u))
+        return no_v, "no", self._split(u, tables, b, self._row(na))
 
     # -- per-state queries -------------------------------------------------
 
@@ -315,38 +306,14 @@ class OtsSolver:
 
     def yes_case(self, key: DpKey) -> float:
         """Score of selecting the node itself and splitting the rest below."""
-        u, b, _ = self._state(key)
+        u, b, na = self._state(key)
         if b < 1:
             raise InvalidK("yes-case requires budget >= 1")
-        return self._yes(u, b, self._tables(u))
+        return self._cases(u, b, na)[1]
 
     def no_case(self, key: DpKey) -> float:
         """Score of skipping the node: ancestor's impact plus the child split."""
-        u, b, na = self._state(key)
-        return self._no(u, b, na, self._tables(u))
-
-    def knapsack_combine(self, kids: Sequence[int], budget: int, ancestor: Optional[int]):
-        """Optimal budget assignment over an ordered child list.
-
-        Returns (value, split); ties prefer smaller budgets for earlier
-        children.  Children may receive more than their subtree size, in
-        which case the excess is simply unspent.
-        """
-        if budget < 0:
-            raise InvalidK(f"negative budget {budget}")
-        kids = [self.tree.check_node(x) for x in kids]
-        na = _NO_ANCESTOR
-        if ancestor is not None:
-            na = self.tree.check_node(ancestor)
-            for x in kids:
-                if na == x or not self.tree.is_ancestor(na, x):
-                    raise UnknownNode(
-                        f"{self.tree.ids[na]!r} is not a strict ancestor of "
-                        f"{self.tree.ids[x]!r}"
-                    )
-        row = self._row(na)
-        tables = self._knap(kids, row + 1, budget)
-        return float(tables[0][row, budget]), self._split(kids, tables, budget, row)
+        return self._cases(*self._state(key))[0]
 
     def reconstruct(self) -> set:
         """Walk the winning choices from the root down; returns the raw DP set."""

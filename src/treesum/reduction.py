@@ -49,6 +49,8 @@ class ReducedTree:
 def vtree(tree: WeightedTree, index: Optional[EulerLcaIndex] = None) -> ReducedTree:
     """Reduce a tree to its important nodes, their pairwise-consecutive LCAs
     and the root."""
+    if index is not None and index.tree is not tree:
+        raise ValueError("the LCA index was built for another tree")
     pre_rank = tree.pre_rank
     pre_order = tree.pre_order
     keep = np.zeros(tree.n, dtype=bool)  # by preorder rank; the root is rank 0

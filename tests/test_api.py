@@ -111,8 +111,6 @@ def test_public_results_are_python_scalars(ontology):
             assert type(entry.value) is float and all(type(b) is int for b in entry.split)
             assert type(solver.yes_case(DpKey(x, k))) is float
             assert type(solver.no_case(DpKey(x, k))) is float
-            value, split = solver.knapsack_combine(t.children[x], k, None)
-            assert type(value) is float and all(type(b) is int for b in split)
         for summarize in (gts, ots):
             res = summarize(reduced.tree, k)
             lifted = lift_result(reduced, res)

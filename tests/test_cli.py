@@ -310,6 +310,22 @@ def test_bench_empty_glob(tmp_path):
     ) == 3
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--algos", "foo", "--ks", "2"],
+        ["--algos", "gts,", "--ks", "abc"],
+        ["--algos", "gts", "--ks", "2,0"],
+        ["--algos", "gts", "--ks", "2", "--repeat", "0"],
+    ],
+)
+def test_bench_rejects_bad_arguments_before_writing(tmp_path, capsys, flags):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--inputs", GAP, *flags, "--out", str(out)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_timeout_marks_inf(tmp_path):
     data = tmp_path / "t.tsv"
     main(["gen", "--n", "30", "--important", "12", "--seed", "3", "--out", str(data)])

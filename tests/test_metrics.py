@@ -11,6 +11,7 @@ from treesum import (
     closeness_distance,
     compute_metrics,
     gen_random_tree,
+    vtree,
     weighted_coverage,
 )
 from treesum.errors import EmptySummary, NoImportantNodes
@@ -183,3 +184,21 @@ def test_metrics_leave_children_unbuilt(ontology, summary):
     t = WeightedTree(ontology.ids, ontology.parent, ontology.feq)
     compute_metrics(t, summary)
     assert t._children is None
+
+
+def test_lca_index_of_another_tree_is_rejected():
+    # both trees have 200 nodes, so the other tree's index answers every
+    # query, only about the wrong nodes
+    t, other = (gen_random_tree(GenSpec(n=200, important_count=40, seed=s)) for s in (1, 2))
+    foreign = EulerLcaIndex(other)
+    members = t.important_pre[:5].tolist()
+    for call in (
+        lambda: vtree(t, foreign),
+        lambda: closeness_distance(t, members, index=foreign),
+        lambda: compute_metrics(t, members, index=foreign),
+    ):
+        with pytest.raises(ValueError, match="another tree"):
+            call()
+    own = EulerLcaIndex(t)
+    assert vtree(t, own).tree.n == vtree(t).tree.n == 52
+    assert closeness_distance(t, members, index=own) == closeness_distance(t, members) == 7479.0

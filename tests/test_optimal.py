@@ -1,4 +1,3 @@
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -105,16 +104,32 @@ def test_invalid_ancestor_key(gap_tree, gap_solver):
         s.dp_eval(DpKey(t.index("v3"), 1, t.index("v3")))
 
 
-def test_knapsack_combine(gap_tree, gap_solver):
+def _node_combine(solver, u, budget, na):
+    """(value, split) of u's knapsack over its children at ``budget``, in the
+    memo row of ancestor ``na`` (a node or None), from u's own tables."""
+    row = 0 if na is None else solver.tree.levels[na] + 1
+    tables = solver._tables(u)
+    return float(tables[0][row, budget]), solver._split(u, tables, budget, row)
+
+
+def test_node_knapsack(gap_tree, gap_solver):
     t, s = gap_tree, gap_solver
-    value, split = s.knapsack_combine([t.index("v3"), t.index("v4")], 2, None)
-    assert value == 81.0
-    assert split == (1, 1)
-    kids = [t.index(x) for x in ("v5", "v6", "v7")]
-    value, split = s.knapsack_combine(kids, 0, t.index("v3"))
-    assert value == 15.0
-    assert split == (0, 0, 0)
-    assert s.knapsack_combine([], 0, None) == (0.0, ())
+    assert _node_combine(s, t.index("v2"), 2, None) == (81.0, (1, 1))
+    v3 = t.index("v3")
+    assert _node_combine(s, v3, 0, v3) == (15.0, (0, 0, 0))
+    assert _node_combine(s, t.index("v4"), 0, None) == (0.0, ())
+
+
+def _compositions(parts, total):
+    """Every vector of ``parts`` non-negative ints summing to ``total``, in
+    lexicographic order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for j in range(total + 1):
+        for rest in _compositions(parts - 1, total - j):
+            yield (j,) + rest
 
 
 def _exhaustive_combine(solver, kids, budget, na):
@@ -123,13 +138,12 @@ def _exhaustive_combine(solver, kids, budget, na):
     Totals are summed right to left, as the knapsack tables add them, so
     the maximum and its ties are compared on the same floats.
     """
+    vals = {x: [solver.dp_eval(DpKey(x, j, na)).value for j in range(budget + 1)] for x in kids}
     best, best_mix = float("-inf"), None
-    for mix in itertools.product(range(budget + 1), repeat=len(kids)):
-        if sum(mix) != budget:
-            continue
+    for mix in _compositions(len(kids), budget):
         total = 0.0
         for x, j in reversed(list(zip(kids, mix))):
-            total = solver.dp_eval(DpKey(x, j, na)).value + total
+            total = vals[x][j] + total
         if total > best:
             best, best_mix = total, mix
     return best, best_mix
@@ -152,10 +166,12 @@ def test_knapsack_matches_exhaustive(seed):
     wide = [v for v in range(t.n) if len(t.children[v]) >= 2]
     for u in wide[:4]:
         kids = t.children[u]
-        # u itself and each of its ancestors is a strict ancestor of the kids
+        # every row u's cases read: no ancestor, each strict ancestor of u,
+        # and u itself; budgets past the children's total cap reach the
+        # last child's plateau
         for na in [None, u] + _ancestor_keys(t, u)[1:]:
-            for budget in range(0, 5):
-                got, split = s.knapsack_combine(kids, budget, na)
+            for budget in range(s.cap[u] + 1):
+                got, split = _node_combine(s, u, budget, na)
                 want, want_split = _exhaustive_combine(s, kids, budget, na)
                 assert got == want
                 assert split == want_split
@@ -177,17 +193,17 @@ def test_dp_eval_is_the_better_case(seed):
                 no = s.no_case(DpKey(u, b, na))
                 if b == 0:
                     assert (entry.value, entry.choice) == (no, "no")
-                    assert entry.split == s.knapsack_combine(kids, 0, na)[1]
+                    assert entry.split == _exhaustive_combine(s, kids, 0, na)[1]
                     continue
                 yes = s.yes_case(DpKey(u, b, na))
                 ties += yes == no
                 assert entry.value == max(yes, no)
                 if no >= yes:
                     assert entry.choice == "no"
-                    assert entry.split == s.knapsack_combine(kids, b, na)[1]
+                    assert entry.split == _exhaustive_combine(s, kids, b, na)[1]
                 else:
                     assert entry.choice == "yes"
-                    assert entry.split == s.knapsack_combine(kids, b - 1, u)[1]
+                    assert entry.split == _exhaustive_combine(s, kids, b - 1, u)[1]
     assert ties > 0
 
 
@@ -252,8 +268,8 @@ MERGE_ENTRIES = (0.0, 0.1, 1 / 3, 7.0, 1e16, float("-inf"))
 
 @st.composite
 def merge_operands(draw):
-    """(a, g, width) as _knap passes them: row bands of wider matrices, each
-    cut to ``width`` columns, with ``width`` below, at or above the longest
+    """(a, g, width): strided views into wider matrices, each cut to
+    ``width`` columns, with ``width`` below, at or above the longest
     budget la + lg - 1 that the merge can reach."""
     rows = draw(st.integers(1, 5))
     la, lg = draw(st.integers(1, 70)), draw(st.integers(1, 70))
@@ -461,13 +477,11 @@ def test_states_match_scalar_dp(t, data):
                     assert solver.no_case(key) == ref.no(u, clamped, na)[0]
                     if clamped:
                         assert solver.yes_case(key) == ref.yes(u, clamped)[0]
-            if not kids:
-                continue
-            # past the children's total cap the rest goes to the last child
-            top = sum(ref.cap[x] for x in kids) + 2
+            # every row of u's tables, at every budget up to cap[u], which
+            # may pass the children's total cap by one
             for na in [u] + [a for a in ref.memo[u] if a >= 0] + [-1]:
-                for b in range(top + 1):
-                    got = solver.knapsack_combine(kids, b, None if na < 0 else na)
+                for b in range(ref.cap[u] + 1):
+                    got = _node_combine(solver, u, b, None if na < 0 else na)
                     assert got == ref.combine(kids, b, na)
 
 
