@@ -19,11 +19,6 @@ from .scoring import _g_unchecked
 from .tree import WeightedTree
 
 
-def _check_k(tree: WeightedTree, k: int):
-    if not 1 <= k <= tree.n:
-        raise InvalidK(f"k={k} outside 1..{tree.n}")
-
-
 def _top_by(
     tree: WeightedTree, k: int, value: np.ndarray, algorithm: str, candidates: np.ndarray
 ) -> SummaryResult:
@@ -49,13 +44,13 @@ def _top_by(
 
 def feq_topk(tree: WeightedTree, k: int) -> SummaryResult:
     """The k nodes with the largest weights; ties go to preorder rank."""
-    _check_k(tree, k)
+    tree.check_k(k)
     return _top_by(tree, k, tree.feq, "feq", tree.pre_order)
 
 
 def agg_topk(tree: WeightedTree, k: int) -> SummaryResult:
     """The k nodes with the largest aggregate (subtree) weights."""
-    _check_k(tree, k)
+    tree.check_k(k)
     return _top_by(tree, k, tree.subtree_weight, "agg", tree.pre_order)
 
 
@@ -67,7 +62,7 @@ def cagg_topk(tree: WeightedTree, k: int, theta: float = 0.4) -> SummaryResult:
     weightless subtree).  The filter runs before the top-k cut; when fewer
     than k nodes qualify the result is returned short and flagged.
     """
-    _check_k(tree, k)
+    tree.check_k(k)
     if not 0.0 <= theta <= 1.0:
         raise InvalidK(f"theta={theta} outside 0..1")
     af = tree.subtree_weight
@@ -91,7 +86,7 @@ def brute_force(
     first maximum wins, so ties resolve to the lexicographically smallest
     preorder index vector.  Refuses instances above ``subset_cap`` subsets.
     """
-    _check_k(tree, k)
+    tree.check_k(k)
     n = tree.n
     total = comb(n, k)
     if total > subset_cap:

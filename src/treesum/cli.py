@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import csv
 import glob
+import itertools
 import json
+import os
 import sys
 import time
 
@@ -117,7 +119,9 @@ def _parse_summary(tree, text: str):
     if text.endswith(".json"):
         with open(text, encoding="utf-8") as fh:
             payload = json.load(fh)
-        ids = payload["selected"] if isinstance(payload, dict) else payload
+        ids = payload.get("selected") if isinstance(payload, dict) else payload
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise TreesumError(f'{text}: not a list of ids or an object whose "selected" is one')
     else:
         ids = [part for part in text.split(",") if part]
     return tree.indices(ids)
@@ -203,30 +207,33 @@ def _cmd_bench(args) -> int:
     paths = sorted(glob.glob(args.inputs))
     if not paths:
         raise FileNotFoundError(f"no inputs match {args.inputs!r}")
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "algo", "k", "reduced", "score", "time_ms", "repeat"])
-        for path in paths:
-            tree = parse_tree_tsv(path)
-            for algo in algos:
-                reduced = algo in REDUCIBLE
-                for k in ks:
-                    for rep in range(args.repeat):
-                        start = time.perf_counter()
-                        try:
-                            result = _run_algorithm(tree, algo, k, args.theta, reduced)
-                        except EnumerationTooLarge:
-                            writer.writerow([path, algo, k, reduced, "", "inf", rep])
-                            continue
-                        elapsed = time.perf_counter() - start
-                        time_ms = (
-                            "inf"
-                            if args.timeout is not None and elapsed > args.timeout
-                            else f"{elapsed * 1000.0:.3f}"
-                        )
-                        writer.writerow(
-                            [path, algo, k, reduced, repr(result.score), time_ms, rep]
-                        )
+    # a failed sweep leaves neither --out nor a partial temporary file
+    tmp = f"{args.out}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["dataset", "algo", "k", "reduced", "score", "time_ms", "repeat"])
+            for path in paths:
+                tree = parse_tree_tsv(path)
+                for algo, k, rep in itertools.product(algos, ks, range(args.repeat)):
+                    reduced = algo in REDUCIBLE
+                    start = time.perf_counter()
+                    try:
+                        result = _run_algorithm(tree, algo, k, args.theta, reduced)
+                    except EnumerationTooLarge:
+                        writer.writerow([path, algo, k, reduced, "", "inf", rep])
+                        continue
+                    except InvalidK as exc:
+                        raise InvalidK(f"{path}: {exc}") from None
+                    elapsed = time.perf_counter() - start
+                    timed_out = args.timeout is not None and elapsed > args.timeout
+                    time_ms = "inf" if timed_out else f"{elapsed * 1000.0:.3f}"
+                    writer.writerow([path, algo, k, reduced, repr(result.score), time_ms, rep])
+        os.replace(tmp, args.out)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     return 0
 
 

@@ -19,8 +19,8 @@ import os
 from dataclasses import dataclass
 from itertools import repeat
 
-from .errors import InvalidSpec, MalformedLine, NoRoot, OrphanParentReference
-from .tree import WeightedTree, raise_first_duplicate
+from .errors import InvalidSpec, MalformedLine, NoRoot
+from .tree import WeightedTree
 
 _MASK64 = (1 << 64) - 1
 _NO_PARENT = "-"  # the parent column of the root
@@ -124,10 +124,11 @@ def gen_random_tree(spec: GenSpec) -> WeightedTree:
 def parse_tree_tsv(path) -> WeightedTree:
     """Read a tree file in one pass over its text.
 
-    All fields are split at once and handed to WeightedTree as flat lists;
-    only a file that fails the bulk checks is scanned line by line, to name
-    the first bad line in its MalformedLine.  Raises MalformedLine,
-    DuplicateId, OrphanParentReference, or any WeightedTree error.
+    All fields are split at once and handed to
+    ``WeightedTree.from_parent_ids`` as flat lists; only a file that fails
+    the bulk checks is scanned line by line, to name the first bad line in
+    its MalformedLine.  Raises MalformedLine, or any error of
+    ``from_parent_ids``.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -144,30 +145,18 @@ def parse_tree_tsv(path) -> WeightedTree:
         lines = [line if t == 3 else line + "\t" for line, t in zip(lines, tabs)]
     fields = "\t".join(lines).split("\t")
     ids = fields[0::width]
-    if not all(ids):
+    if not all(ids) or _NO_PARENT in ids:
         _raise_malformed(text)
     try:
         weights = list(map(float, fields[2::width]))
     except ValueError:
         _raise_malformed(text)
-
-    index = dict(zip(ids, range(len(ids))))
-    if _NO_PARENT in index:
-        _raise_malformed(text)
-    if len(index) != len(ids):
-        raise_first_duplicate(ids)
-    index[_NO_PARENT] = -1
-    parent_ids = fields[1::width]
-    parent = list(map(index.get, parent_ids))
-    if None in parent:
-        i = parent.index(None)
-        raise OrphanParentReference(
-            f"node {ids[i]!r} references unknown parent {parent_ids[i]!r}"
-        )
     labels = None
     if width == 4:
         labels = [label or node_id for label, node_id in zip(fields[3::4], ids)]
-    return WeightedTree(ids, parent, weights, labels)
+    return WeightedTree.from_parent_ids(
+        ids, fields[1::width], weights, labels, root_parent=_NO_PARENT
+    )
 
 
 def _raise_malformed(text: str):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 
-from .errors import InvalidK
 from .result import SummaryResult
 from .scoring import _g_unchecked, _gain_unchecked
 from .tree import WeightedTree
@@ -31,8 +30,7 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
     ``stats`` holds ``gain_evals`` (gains recomputed after the first round)
     and ``first_round_terms`` (the ancestor-path terms the first round adds).
     """
-    if not 1 <= k <= tree.n:
-        raise InvalidK(f"k={k} outside 1..{tree.n}")
+    tree.check_k(k)
 
     parent = tree.parent.tolist()
     children = tree.children

@@ -384,6 +384,5 @@ class OtsSolver:
 
 def ots(tree: WeightedTree, k: int) -> SummaryResult:
     """Optimal k-node summary via the budgeted tree DP."""
-    if not 1 <= k <= tree.n:
-        raise InvalidK(f"k={k} outside 1..{tree.n}")
+    tree.check_k(k)
     return OtsSolver(tree, k).solve()

@@ -42,9 +42,6 @@ class ReducedTree:
     orig_index: List[int]
     edge_weights: List[int]
 
-    def to_original(self, nodes) -> List[int]:
-        return [self.orig_index[v] for v in nodes]
-
 
 def vtree(tree: WeightedTree, index: Optional[EulerLcaIndex] = None) -> ReducedTree:
     """Reduce a tree to its important nodes, their pairwise-consecutive LCAs
@@ -77,12 +74,7 @@ def vtree(tree: WeightedTree, index: Optional[EulerLcaIndex] = None) -> ReducedT
         labels=[tree.labels[v] for v in ordered],
         score_levels=tree.score_levels[kept],
     )
-    return ReducedTree(
-        tree=reduced,
-        original=tree,
-        orig_index=ordered,
-        edge_weights=edge_weights,
-    )
+    return ReducedTree(tree=reduced, original=tree, orig_index=ordered, edge_weights=edge_weights)
 
 
 def lift_result(reduced: ReducedTree, result: SummaryResult) -> SummaryResult:
@@ -92,7 +84,7 @@ def lift_result(reduced: ReducedTree, result: SummaryResult) -> SummaryResult:
     reduced-tree score; a disagreement means the reduction broke scoring
     and raises ScoreMismatch.
     """
-    mapped = reduced.to_original(result.selected)
+    mapped = [reduced.orig_index[v] for v in result.selected]
     score = g_score(reduced.original, mapped)
     # both sides sum the same contributions in different orders, hence the
     # magnitude-scaled guard

@@ -2,8 +2,10 @@
 
 A WeightedTree is built once and never mutated.  Nodes are addressed by dense
 integer indices in input-record order; the external string ids map to indices
-through ``tree.index()``.  Construction is a fixed number of numpy passes with
-no per-node Python loop:
+through ``tree.index()``.  Ids are resolved here only: the constructor, or
+``from_parent_ids`` for parents given by id (the TSV parser, ``build_tree``),
+builds the one id -> index dict, which is the one duplicate check.
+Construction is a fixed number of numpy passes with no per-node Python loop:
 
   * the children of every node come from a stable argsort of the parent
     array (compressed rows, child order is input order);
@@ -39,6 +41,7 @@ import numpy as np
 from .errors import (
     CycleDetected,
     DuplicateId,
+    InvalidK,
     MultipleRoots,
     NegativeWeight,
     NoRoot,
@@ -88,6 +91,34 @@ class WeightedTree:
         labels: Optional[Sequence[str]] = None,
         score_levels: Optional[Sequence[int]] = None,
     ):
+        ids = list(ids)
+        self._build(ids, _index_ids(ids), parent, feq, labels, score_levels)
+
+    @classmethod
+    def from_parent_ids(cls, ids, parent_ids, feq, labels=None, root_parent=None) -> "WeightedTree":
+        """A tree whose parents are given by id, ``root_parent`` for the root.
+
+        Raises DuplicateId for the first repeated id, OrphanParentReference
+        for the first parent id, in input order, that names no node, or any
+        error of the constructor.  The id index built here is the tree's.
+        """
+        ids = list(ids)
+        index = _index_ids(ids)
+        if root_parent in index:
+            raise ValueError(f"id {root_parent!r} is the root's parent marker")
+        index[root_parent] = -1
+        parent = list(map(index.get, parent_ids))
+        del index[root_parent]
+        if None in parent:
+            i = parent.index(None)
+            raise OrphanParentReference(
+                f"node {ids[i]!r} references unknown parent {parent_ids[i]!r}"
+            )
+        tree = cls.__new__(cls)
+        tree._build(ids, index, parent, feq, labels, None)
+        return tree
+
+    def _build(self, ids: list, index: dict, parent, feq, labels, score_levels):
         n = len(ids)
         if n == 0:
             raise NoRoot("empty node list")
@@ -95,14 +126,11 @@ class WeightedTree:
             raise ValueError("ids, parent and feq must have equal length")
 
         self.n = n
-        self.ids = list(ids)
-        self.labels = self.ids if labels is None else list(labels)
+        self.ids = ids
+        self.labels = ids if labels is None else list(labels)
+        self._id_to_index = index
         par = np.array(parent, dtype=np.int64)
         weights = np.array(feq, dtype=np.float64)
-
-        self._id_to_index = dict(zip(self.ids, range(n)))
-        if len(self._id_to_index) != n:
-            raise_first_duplicate(self.ids)
 
         roots = np.flatnonzero(par < 0)
         if roots.size == 0:
@@ -242,6 +270,10 @@ class WeightedTree:
             raise UnknownNode(f"node index {v} out of range")
         return v
 
+    def check_k(self, k: int):
+        if not 1 <= k <= self.n:
+            raise InvalidK(f"k={k} outside 1..{self.n}")
+
     def is_ancestor(self, x: int, y: int) -> bool:
         """True when x is a (self-inclusive) ancestor of y."""
         rx = self.pre_rank[x]
@@ -322,13 +354,16 @@ def sequential_sum(terms: np.ndarray) -> float:
     return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
-def raise_first_duplicate(ids: Sequence[str]):
-    """Raise DuplicateId for the first id that repeats an earlier one."""
-    seen = set()
-    for node_id in ids:
-        if node_id in seen:
-            raise DuplicateId(f"duplicate node id {node_id!r}")
-        seen.add(node_id)
+def _index_ids(ids: list) -> dict:
+    """The id -> index dict of ``ids``; DuplicateId names the first repeat."""
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) != len(ids):
+        seen = set()
+        for node_id in ids:
+            if node_id in seen:
+                raise DuplicateId(f"duplicate node id {node_id!r}")
+            seen.add(node_id)
+    return index
 
 
 def build_tree(records) -> WeightedTree:
@@ -340,33 +375,13 @@ def build_tree(records) -> WeightedTree:
     OrphanParentReference, CycleDetected, NonFiniteWeight or NegativeWeight.
     """
     records = list(records)
-    ids = []
-    weights = []
-    labels = []
-    parent_ids = []
-    seen = set()
-    for rec in records:
-        node_id = rec["id"]
-        if node_id in seen:
-            raise DuplicateId(f"duplicate node id {node_id!r}")
-        seen.add(node_id)
-        ids.append(node_id)
-        parent_ids.append(rec.get("parent"))
-        weights.append(float(rec["weight"]))
-        labels.append(rec.get("label") or node_id)
-
-    id_to_index = {node_id: i for i, node_id in enumerate(ids)}
-    parent = []
-    for node_id, parent_id in zip(ids, parent_ids):
-        if parent_id is None:
-            parent.append(-1)
-        else:
-            if parent_id not in id_to_index:
-                raise OrphanParentReference(
-                    f"node {node_id!r} references unknown parent {parent_id!r}"
-                )
-            parent.append(id_to_index[parent_id])
-    return WeightedTree(ids, parent, weights, labels)
+    ids = [rec["id"] for rec in records]
+    return WeightedTree.from_parent_ids(
+        ids,
+        [rec.get("parent") for rec in records],
+        [float(rec["weight"]) for rec in records],
+        [rec.get("label") or node_id for rec, node_id in zip(records, ids)],
+    )
 
 
 class EulerLcaIndex:

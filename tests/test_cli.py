@@ -132,6 +132,29 @@ def test_metrics_from_run_report(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["k"] == 5
 
 
+@pytest.mark.parametrize("command", ["metrics", "viz"])
+@pytest.mark.parametrize("payload", [{"foo": 1}, {"selected": "A"}, [1, 2], "A"])
+def test_summary_json_of_wrong_shape(tmp_path, capsys, command, payload):
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps(payload))
+    assert main([command, ONTOLOGY, "--summary", str(summary)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["metrics", "viz"])
+def test_summary_json_shapes(tmp_path, capsys, command):
+    expected = None
+    for payload in (["r", "A", "a1"], {"selected": ["r", "A", "a1"], "k": 3}):
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps(payload))
+        assert main([command, ONTOLOGY, "--summary", str(summary)]) == 0
+        out = capsys.readouterr().out
+        assert out == (expected or out)
+        expected = out
+
+
 def _strict_json(text):
     """Parse ``text`` as strict JSON: NaN, Infinity and -Infinity raise."""
 
@@ -324,6 +347,21 @@ def test_bench_rejects_bad_arguments_before_writing(tmp_path, capsys, flags):
     assert main(["bench", "--inputs", GAP, *flags, "--out", str(out)]) == 2
     assert "error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bench_bad_k_leaves_no_file(tmp_path, capsys):
+    # k=9 passes the flag check but exceeds the 7-node tree after the feq,2 row
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--inputs", GAP, "--algos", "feq,gts", "--ks", "2,9", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and GAP in err and "k=9 outside 1..7" in err
+    assert list(tmp_path.iterdir()) == []
+    # an earlier --out survives a failed sweep
+    out.write_text("earlier\n")
+    assert main(argv) == 2
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_text() == "earlier\n"
 
 
 def test_bench_timeout_marks_inf(tmp_path):

@@ -13,12 +13,15 @@ from treesum import (
     write_tree_tsv,
 )
 from treesum.errors import (
+    DuplicateId,
     InvalidSpec,
     MalformedLine,
     MultipleRoots,
     NegativeWeight,
     NonFiniteWeight,
+    OrphanParentReference,
     TreesumError,
+    UnknownNode,
 )
 
 from test_tree import shuffled_trees
@@ -220,6 +223,39 @@ def test_parse_rejects_non_finite_weight(tmp_path, text):
         parse_tree_tsv(p)
 
 
+def _reference_build(records):
+    """The record builder that resolved parent ids before
+    ``WeightedTree.from_parent_ids`` did."""
+    records = list(records)
+    ids = []
+    weights = []
+    labels = []
+    parent_ids = []
+    seen = set()
+    for rec in records:
+        node_id = rec["id"]
+        if node_id in seen:
+            raise DuplicateId(f"duplicate node id {node_id!r}")
+        seen.add(node_id)
+        ids.append(node_id)
+        parent_ids.append(rec.get("parent"))
+        weights.append(float(rec["weight"]))
+        labels.append(rec.get("label") or node_id)
+
+    id_to_index = {node_id: i for i, node_id in enumerate(ids)}
+    parent = []
+    for node_id, parent_id in zip(ids, parent_ids):
+        if parent_id is None:
+            parent.append(-1)
+        else:
+            if parent_id not in id_to_index:
+                raise OrphanParentReference(
+                    f"node {node_id!r} references unknown parent {parent_id!r}"
+                )
+            parent.append(id_to_index[parent_id])
+    return WeightedTree(ids, parent, weights, labels)
+
+
 def _reference_parse(path):
     """The per-line record parser that the bulk parser replaced, with the
     rule that reserves the id "-" added."""
@@ -249,7 +285,7 @@ def _reference_parse(path):
                     "label": parts[3] if len(parts) == 4 else None,
                 }
             )
-    return build_tree(records)
+    return _reference_build(records)
 
 
 def _outcome(parse, path):
@@ -302,3 +338,81 @@ def test_parse_generated_tree_matches_reference(tmp_path):
     p = tmp_path / "gen.tsv"
     write_tree_tsv(t, p)
     assert _outcome(parse_tree_tsv, p) == _outcome(_reference_parse, p)
+
+
+def _records(rows):
+    return [dict(zip(("id", "parent", "weight", "label"), row)) for row in rows]
+
+
+BUILD_CASES = [
+    [("a", None, 1), ("b", "a", 2), ("c", "a", 0)],
+    # duplicates: the first repeat is named, before a later orphan
+    [("a", None, 1), ("b", "a", 2), ("b", "a", 3), ("c", "zzz", 1)],
+    [("a", None, 1), ("a", None, 1)],
+    # orphans: the first in record order is named
+    [("a", None, 1), ("b", "zzz", 2), ("c", "yyy", 1)],
+    [("a", None, 1), ("b", "c", 2), ("c", "q", 1)],
+    # a cycle, two roots, no root, an empty list
+    [("a", None, 1), ("b", "c", 1), ("c", "b", 1)],
+    [("a", None, 1), ("b", None, 2)],
+    [("a", "b", 1), ("b", "a", 1)],
+    [],
+    # labels, empty labels, children listed before their parent
+    [("b", "a", 2, "x"), ("c", "a", 3, ""), ("a", None, 0, "root"), ("d", "b", 1, None)],
+    # weights: negative, non-finite, given as text
+    [("a", None, 1), ("b", "a", -2)],
+    [("a", None, 1), ("b", "a", float("nan"))],
+    [("a", None, "1"), ("b", "a", "2.5")],
+]
+
+
+@pytest.mark.parametrize("case", range(len(BUILD_CASES)))
+def test_build_matches_reference(case):
+    records = _records(BUILD_CASES[case])
+    assert _outcome(build_tree, records) == _outcome(_reference_build, records)
+
+
+def test_build_generated_tree_matches_reference():
+    t = gen_random_tree(GenSpec(n=3000, important_count=300, seed=21))
+    records = [
+        {"id": node_id, "parent": None if p < 0 else t.ids[p], "weight": w}
+        for node_id, p, w in zip(t.ids, t.parent.tolist(), t.feq.tolist())
+    ]
+    # record order is not preorder, so child order comes from record order
+    records.reverse()
+    got = _outcome(build_tree, records)
+    assert got == _outcome(_reference_build, records)
+    assert len(got[0]) == 3000
+
+
+def test_root_marker_is_not_an_id(tmp_path):
+    p = tmp_path / "t.tsv"
+    p.write_text("a\t-\t1\nb\ta\t2\n")
+    built = build_tree(_records([("a", None, 1), ("b", "a", 2)]))
+    for tree, marker in ((parse_tree_tsv(p), "-"), (built, None)):
+        with pytest.raises(UnknownNode):
+            tree.index(marker)
+        assert len(tree._id_to_index) == tree.n == 2
+    with pytest.raises(ValueError, match="root's parent marker"):
+        build_tree(_records([("a", None, 1), (None, "a", 2)]))
+
+
+def test_one_id_index_per_tree(tmp_path, monkeypatch):
+    import treesum.tree
+
+    built = []
+
+    def counting(ids):
+        built.append(index_ids(ids))
+        return built[-1]
+
+    index_ids = treesum.tree._index_ids
+    monkeypatch.setattr(treesum.tree, "_index_ids", counting)
+    p = tmp_path / "t.tsv"
+    p.write_text("a\t-\t1\nb\ta\t2\tlabel b\nc\tb\t3\n")
+    records = _records([("a", None, 1), ("b", "a", 2), ("c", "b", 3)])
+    for build in (lambda: parse_tree_tsv(p), lambda: build_tree(records)):
+        tree = build()
+        assert len(built) == 1
+        assert tree._id_to_index is built.pop()
+        assert tree._id_to_index == {"a": 0, "b": 1, "c": 2}
