@@ -214,7 +214,10 @@ def _cmd_bench(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["dataset", "algo", "k", "reduced", "score", "time_ms", "repeat"])
             for path in paths:
-                tree = parse_tree_tsv(path)
+                try:
+                    tree = parse_tree_tsv(path)
+                except TreesumError as exc:
+                    raise TreesumError(f"{path}: {exc}") from None
                 for algo, k, rep in itertools.product(algos, ks, range(args.repeat)):
                     reduced = algo in REDUCIBLE
                     start = time.perf_counter()

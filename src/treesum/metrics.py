@@ -32,8 +32,11 @@ def closeness_distance(
 ) -> float:
     """Sum over weighted nodes of (hop distance to the nearest member) * weight.
 
-    Distances from each member to all weighted nodes come from one batched
-    LCA query; the weighted sum adds in preorder of the weighted nodes.
+    For a common ancestor a of x and y, level(x) + level(y) - 2 level(a) is
+    least, and is their distance, at a = LCA(x, y).  The LCA closure of the
+    members and weighted nodes holds each such LCA, so y's distance is
+    level(y) plus the least low(a) - 2 level(a) over y's closure ancestors a,
+    low(a) being the least member level under a.  The sum adds in preorder.
     """
     selected = [tree.check_node(v) for v in set(members)]
     if not selected:
@@ -43,13 +46,23 @@ def closeness_distance(
     elif index.tree is not tree:
         raise ValueError("the LCA index was built for another tree")
     ys = tree.important_pre
-    levels = tree.levels
-    ly = levels[ys]
-    best = None
-    for x in selected:
-        d = levels[x] + ly - 2 * levels[index.lca_many(x, ys)]
-        best = d if best is None else np.minimum(best, d)
-    return sequential_sum(best * tree.feq[ys])
+    kept, up = index._closure(np.append(selected, ys))
+    c = len(kept)
+    rank = tree.pre_rank[kept]
+    levels = tree.levels[kept]
+    # low(a) reduces a's run of positions, which ends at the first one past
+    # its preorder interval; the extra slot only pads the last bound
+    member_level = np.full(c + 1, np.iinfo(np.int64).max)
+    member_level[np.searchsorted(rank, tree.pre_rank[selected])] = tree.levels[selected]
+    bounds = np.stack((np.arange(c), np.searchsorted(rank, rank + tree.subtree_size[kept])), 1)
+    best = np.minimum.reduceat(member_level, bounds.ravel())[::2] - 2 * levels
+    # pointer jumping: round r takes in the next 2**r closure ancestors
+    up[0] = 0
+    for _ in range((c - 1).bit_length()):
+        best = np.minimum(best, best[up])
+        up = up[up]
+    at = np.searchsorted(rank, tree.pre_rank[ys])
+    return sequential_sum((levels[at] + best[at]) * tree.feq[ys])
 
 
 def avg_level_difference(tree: WeightedTree, members: Iterable[int]) -> float:

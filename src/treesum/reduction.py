@@ -1,12 +1,11 @@
 """Tree reduction: drop zero-weight nodes that can never help a summary.
 
-The nodes worth keeping are the positively weighted ones, the root, and the
-lowest common ancestors of consecutive positively weighted nodes in preorder;
-every LCA of any subset of important nodes is already the LCA of such a
-consecutive pair, so this closure is enough.  The kept nodes are re-linked to
-their nearest kept proper ancestor, which compresses chains of useless nodes
-into single edges weighted by the original level difference; one batched
-LCA query finds those ancestors.
+The nodes worth keeping are the positively weighted ones and the root,
+closed under lowest common ancestors: ``EulerLcaIndex._closure`` adds the LCA
+of each pair consecutive in preorder, which is every LCA of every subset,
+and links each kept node to its nearest kept proper ancestor.  That
+compresses chains of useless nodes into single edges weighted by the
+original level difference.
 
 The reduced tree carries the nodes' original levels as its ``score_levels``,
 so the objective evaluated on it agrees exactly with the original tree, and
@@ -46,27 +45,15 @@ class ReducedTree:
 def vtree(tree: WeightedTree, index: Optional[EulerLcaIndex] = None) -> ReducedTree:
     """Reduce a tree to its important nodes, their pairwise-consecutive LCAs
     and the root."""
-    if index is not None and index.tree is not tree:
+    if index is None:
+        index = EulerLcaIndex(tree)
+    elif index.tree is not tree:
         raise ValueError("the LCA index was built for another tree")
-    pre_rank = tree.pre_rank
-    pre_order = tree.pre_order
-    keep = np.zeros(tree.n, dtype=bool)  # by preorder rank; the root is rank 0
-    keep[0] = True
-    keep[pre_rank[tree.important_pre]] = True
-    kept = pre_order[keep]
-    up = kept[:0]
-    if len(kept) > 1:
-        if index is None:
-            index = EulerLcaIndex(tree)
-        keep[pre_rank[index.lca_many(kept[:-1], kept[1:])]] = True
-        kept = pre_order[keep]
-        # the kept set is LCA-closed, so in preorder each node's nearest kept
-        # proper ancestor is its LCA with the node just before it
-        up = index.lca_many(kept[:-1], kept[1:])
-    parent = np.append(-1, np.searchsorted(np.flatnonzero(keep), pre_rank[up]))
-    edge_weights = [0] + (tree.levels[kept[1:]] - tree.levels[up]).tolist()
+    kept, parent = index._closure(np.append(tree.root, tree.important_pre))
+    levels = tree.levels[kept]
+    edge_weights = (levels - levels[parent]).tolist()
+    edge_weights[0] = 0
     ordered = kept.tolist()
-
     reduced = WeightedTree(
         ids=[tree.ids[v] for v in ordered],
         parent=parent,

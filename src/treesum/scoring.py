@@ -110,7 +110,8 @@ def _gain_unchecked(selected: Set[int], x: int, parent, children, lv, feq) -> fl
     ``parent``, ``children``, ``score_levels`` and ``feq``; callers that
     loop pass them as lists, read once."""
     # a scalar walk: this runs once per stale gain, far too often for a numpy call
-    lz = None
+    # with no selected ancestor, lz = -inf makes the second term 0.0, an exact no-op
+    lz = float("-inf")
     v = parent[x]
     while v >= 0:
         if v in selected:
@@ -121,23 +122,13 @@ def _gain_unchecked(selected: Set[int], x: int, parent, children, lv, feq) -> fl
     lx = lv[x]
     gain = 0.0
     stack = [x]
-    if lz is None:
-        while stack:
-            y = stack.pop()
-            w = feq[y]
-            if w:
-                gain += w / (lv[y] - lx + 1)
-            for c in children[y]:
-                if c not in selected:
-                    stack.append(c)
-    else:
-        while stack:
-            y = stack.pop()
-            w = feq[y]
-            if w:
-                ly = lv[y]
-                gain += w / (ly - lx + 1) - w / (ly - lz + 1)
-            for c in children[y]:
-                if c not in selected:
-                    stack.append(c)
+    while stack:
+        y = stack.pop()
+        w = feq[y]
+        if w:
+            ly = lv[y]
+            gain += w / (ly - lx + 1) - w / (ly - lz + 1)
+        for c in children[y]:
+            if c not in selected:
+                stack.append(c)
     return gain

@@ -30,7 +30,8 @@ so callers on hot paths read them once into a local.
 
 EulerLcaIndex answers lowest-common-ancestor queries in O(1), one at a time
 or as a vectorized batch, after an O(n log n) build: a sparse table of range
-minima over the node levels in preorder (Bender & Farach-Colton 2000).
+minima over the node levels in preorder (Bender & Farach-Colton 2000).  Its
+``_closure`` serves both the reduction and the closeness distance.
 """
 from __future__ import annotations
 
@@ -450,3 +451,17 @@ class EulerLcaIndex:
         key = np.minimum(flat[base + lo], flat[base + hi - (1 << j) + 1])
         return np.where(a == b, a, self._parent_pre[key % n])
 
+    def _closure(self, nodes):
+        """The LCA closure of ``nodes`` (valid indices, repeats allowed) in
+        preorder, and the position of each kept node's nearest kept proper
+        ancestor (-1 for the first, an ancestor of all).  Every subset's LCA
+        is the LCA of a pair consecutive in preorder, and in a closed set a
+        node's LCA with the kept node before it is its nearest kept ancestor."""
+        pre_rank, pre_order = self.tree.pre_rank, self.tree.pre_order
+        # a repeat only adds LCA(v, v) = v, which the de-duplication drops
+        nodes = pre_order[np.sort(pre_rank[nodes])]
+        rank = np.sort(pre_rank[np.append(nodes, self.lca_many(nodes[:-1], nodes[1:]))])
+        rank = rank[np.diff(rank, prepend=-1) > 0]
+        kept = pre_order[rank]
+        up = np.searchsorted(rank, pre_rank[self.lca_many(kept[:-1], kept[1:])])
+        return kept, np.append(-1, up)

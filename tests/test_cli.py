@@ -364,6 +364,18 @@ def test_bench_bad_k_leaves_no_file(tmp_path, capsys):
     assert out.read_text() == "earlier\n"
 
 
+def test_bench_names_an_input_that_fails_to_parse(tmp_path, capsys):
+    good = tmp_path / "a.tsv"
+    good.write_text(pathlib.Path(GAP).read_text())
+    bad = tmp_path / "b.tsv"
+    bad.write_text("r\t-\t1\ny\tx\n")
+    out = tmp_path / "o.csv"
+    argv = ["bench", "--inputs", str(tmp_path / "*.tsv"), "--algos", "feq", "--ks", "1"]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {bad}: line 2: expected 3 or 4 columns, got 2\n"
+    assert sorted(tmp_path.iterdir()) == [good, bad]
+
+
 def test_bench_timeout_marks_inf(tmp_path):
     data = tmp_path / "t.tsv"
     main(["gen", "--n", "30", "--important", "12", "--seed", "3", "--out", str(data)])

@@ -125,6 +125,53 @@ def _closeness_per_pair(tree, members, index):
     return total
 
 
+def test_closeness_lca_queries_do_not_grow_with_k(monkeypatch):
+    t = gen_random_tree(GenSpec(n=2000, important_count=200, seed=11))
+    index = EulerLcaIndex(t)
+    calls = []
+    lca_many = EulerLcaIndex.lca_many
+
+    def counting(self, a, b):
+        calls.append(1)
+        return lca_many(self, a, b)
+
+    monkeypatch.setattr(EulerLcaIndex, "lca_many", counting)
+    counts = []
+    for k in (1, 50):
+        calls.clear()
+        closeness_distance(t, t.pre_order[::37][:k].tolist(), index=index)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2
+
+
+def test_closeness_without_weighted_nodes_is_zero():
+    t = WeightedTree(["r", "a", "b"], [-1, 0, 0], [0.0, 0.0, 0.0])
+    for members in ([0], [2], [0, 1, 2]):
+        got = closeness_distance(t, members)
+        assert got == 0.0 and type(got) is float
+
+
+def test_closeness_of_one_member_off_the_weighted_set():
+    t = gen_random_tree(GenSpec(n=300, important_count=40, seed=12))
+    index = EulerLcaIndex(t)
+    unweighted = [v for v in t.pre_order.tolist() if t.feq[v] == 0]
+    for x in unweighted[::13] + unweighted[-1:]:
+        assert repr(closeness_distance(t, [x], index=index)) == repr(
+            _closeness_per_pair(t, [x], index)
+        )
+
+
+def test_closeness_on_a_long_chain():
+    # every node is weighted, so the closure is the whole chain, and the
+    # members at the root end are reached only across all 4,999 links
+    n = 5000
+    t = WeightedTree([f"c{i}" for i in range(n)], [-1] + list(range(n - 1)), [1.0] * n)
+    index = EulerLcaIndex(t)
+    assert closeness_distance(t, [0, 1], index=index) == (n - 2) * (n - 1) // 2
+    assert closeness_distance(t, [1, 0], index=index) == _closeness_per_pair(t, [0, 1], index)
+    assert closeness_distance(t, [n - 1], index=index) == (n - 1) * n // 2
+
+
 def _coverage_from_children(tree, members):
     """The set-of-children coverage that the parent test replaced."""
     selected = {tree.check_node(v) for v in members}

@@ -336,6 +336,39 @@ def test_lca_many_matches_scalar_and_naive(t, data):
     assert [idx.lca(x, y) for x, y in pairs] == naive
 
 
+def _naive_closure(tree, nodes):
+    """Pairwise LCAs added until none is new: the LCA closure by definition."""
+    kept = set(nodes)
+    while True:
+        more = {_naive_lca(tree, a, b) for a in kept for b in kept} - kept
+        if not more:
+            return kept
+        kept |= more
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_trees(max_n=40), st.data())
+def test_closure_matches_naive(t, data):
+    idx = EulerLcaIndex(t)
+    drawn = data.draw(st.lists(st.integers(0, t.n - 1), min_size=1, max_size=2 * t.n))
+    everything = list(range(t.n))
+    # one node, the root, every node in either order, and any drawn list
+    # with repeats in any order
+    for nodes in ([t.n - 1], [t.root], everything, everything[::-1], drawn):
+        kept, up = idx._closure(nodes)
+        want = sorted(_naive_closure(t, nodes), key=t.pre_rank.__getitem__)
+        assert kept.tolist() == want
+        position = {v: i for i, v in enumerate(want)}
+        walked = []
+        for v in want:
+            u = t.parent[v]
+            while u >= 0 and u not in position:
+                u = t.parent[u]
+            walked.append(position.get(u, -1))
+        assert up.tolist() == walked
+        assert kept.dtype == up.dtype == np.int64
+
+
 def test_lca_many_broadcasts_and_checks_range(sparse_tree):
     t = sparse_tree
     idx = EulerLcaIndex(t)
