@@ -105,14 +105,23 @@ def _cmd_summarize(args) -> int:
             compute_metrics(tree, result.selected, algorithm=args.algo)
         )
     if args.out:
+        text = _strict_json(report, indent=2)
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+            fh.write(text + "\n")
     print(f"score: {score:.10g}")
     print("selected: " + " ".join(ids))
     if result.underfilled:
         print(f"note: only {len(ids)} nodes qualify (requested {args.k})", file=sys.stderr)
     return 0
+
+
+def _strict_json(payload, **kwargs) -> str:
+    """``payload`` as strict JSON, made before any file is opened.  A nan or
+    infinite value, such as a metric that overflowed, is a data error."""
+    try:
+        return json.dumps(payload, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise TreesumError(f"a result is not finite: {exc}") from None
 
 
 def _parse_summary(tree, text: str):
@@ -135,7 +144,7 @@ def _cmd_metrics(args) -> int:
     payload["k"] = report.k
     if report.cd is None:
         print("note: closeness distance undefined for an empty summary", file=sys.stderr)
-    text = json.dumps(payload, allow_nan=False)
+    text = _strict_json(payload)
     print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -216,22 +225,22 @@ def _cmd_bench(args) -> int:
             for path in paths:
                 try:
                     tree = parse_tree_tsv(path)
+                    for algo, k, rep in itertools.product(algos, ks, range(args.repeat)):
+                        reduced = algo in REDUCIBLE
+                        start = time.perf_counter()
+                        try:
+                            result = _run_algorithm(tree, algo, k, args.theta, reduced)
+                        except EnumerationTooLarge:
+                            writer.writerow([path, algo, k, reduced, "", "inf", rep])
+                            continue
+                        elapsed = time.perf_counter() - start
+                        timed_out = args.timeout is not None and elapsed > args.timeout
+                        time_ms = "inf" if timed_out else f"{elapsed * 1000.0:.3f}"
+                        writer.writerow([path, algo, k, reduced, repr(result.score), time_ms, rep])
                 except TreesumError as exc:
-                    raise TreesumError(f"{path}: {exc}") from None
-                for algo, k, rep in itertools.product(algos, ks, range(args.repeat)):
-                    reduced = algo in REDUCIBLE
-                    start = time.perf_counter()
-                    try:
-                        result = _run_algorithm(tree, algo, k, args.theta, reduced)
-                    except EnumerationTooLarge:
-                        writer.writerow([path, algo, k, reduced, "", "inf", rep])
-                        continue
-                    except InvalidK as exc:
-                        raise InvalidK(f"{path}: {exc}") from None
-                    elapsed = time.perf_counter() - start
-                    timed_out = args.timeout is not None and elapsed > args.timeout
-                    time_ms = "inf" if timed_out else f"{elapsed * 1000.0:.3f}"
-                    writer.writerow([path, algo, k, reduced, repr(result.score), time_ms, rep])
+                    # the same exception, so the same exit code, naming the input
+                    exc.args = (f"{path}: {exc}",)
+                    raise
         os.replace(tmp, args.out)
     except BaseException:
         if os.path.exists(tmp):

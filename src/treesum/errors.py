@@ -41,7 +41,7 @@ class NegativeWeight(TreeBuildError):
 
 
 class NonFiniteWeight(TreeBuildError):
-    """A node weight that is nan or infinite."""
+    """A node weight that is nan or infinite, or a total weight that is."""
 
 
 # --- lookups and algorithm arguments ----------------------------------------

@@ -16,14 +16,15 @@ so reduced trees score exactly like the originals they came from.  The best
 selected ancestor of y is its nearest one, which ``smy`` and g find with the
 tree's batched nearest-selected-ancestor query.
 
-``marginal_gain_fast`` computes g(S + {x}) - g(S) from a single pruned
-traversal of x's subtree; ``marginal_gain_naive`` computes the same number
-from two full evaluations of g and serves as its test oracle.  rep is
+``marginal_gain_fast`` computes g(S + {x}) - g(S) from the nodes of x's
+subtree that share x's nearest selected ancestor; ``marginal_gain_naive``
+computes it from two full evaluations of g and is its test oracle.  rep is
 evaluated as a single division feq(y) / (diff + 1), which keeps quantities
 like 18/3 exact in floating point.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable, Set
 
 from .errors import AlreadySelected
@@ -79,7 +80,7 @@ def _g_unchecked(tree: WeightedTree, selected: Set[int]) -> float:
 def marginal_gain_naive(tree: WeightedTree, members: Iterable[int], x: int) -> float:
     """g(S + {x}) - g(S) by two full evaluations; the slow reference route."""
     tree.check_node(x)
-    selected = set(members)
+    selected = {tree.check_node(v) for v in members}
     if x in selected:
         raise AlreadySelected(f"node {tree.ids[x]!r} is already selected")
     base = _g_unchecked(tree, selected)
@@ -88,47 +89,36 @@ def marginal_gain_naive(tree: WeightedTree, members: Iterable[int], x: int) -> f
 
 
 def marginal_gain_fast(tree: WeightedTree, members: Iterable[int], x: int) -> float:
-    """g(S + {x}) - g(S) from one pruned traversal of x's subtree.
+    """g(S + {x}) - g(S) from x's subtree and one nearest-selected query.
 
     Only nodes that would switch their representative to x matter: the
-    descendants of x with no selected node strictly between x and them.
-    For each such y the gain is rep(x, y) minus what the nearest selected
-    ancestor z of x contributed (zero when no z exists); descendants below
-    another selected node keep their representative and contribute nothing.
+    descendants of x whose nearest selected ancestor is x's own, z.  For each
+    such y the gain is rep(x, y) minus what z contributed (zero when no z
+    exists); descendants below another selected node keep their
+    representative and contribute nothing.
     """
     tree.check_node(x)
-    selected = members if isinstance(members, (set, frozenset)) else set(members)
+    selected = {tree.check_node(v) for v in members}
     if x in selected:
         raise AlreadySelected(f"node {tree.ids[x]!r} is already selected")
-    return _gain_unchecked(
-        selected, x, tree.parent, tree.children, tree.score_levels, tree.feq
-    )
+    # x's subtree is a postorder slice ending at x; reversed, it starts at x
+    start = tree.pre_rank[x] - tree.levels[x]
+    nodes = tree.post_order[start : start + tree.subtree_size[x]][::-1]
+    cover = tree._nearest_selected(selected, nodes)
+    lv = tree.score_levels
+    return _cover_gain(cover, tree.feq[nodes], lv[nodes] + 1.0, lv[x], lv)
 
 
-def _gain_unchecked(selected: Set[int], x: int, parent, children, lv, feq) -> float:
-    """marginal_gain_fast for a valid unselected x, read from the tree's
-    ``parent``, ``children``, ``score_levels`` and ``feq``; callers that
-    loop pass them as lists, read once."""
-    # a scalar walk: this runs once per stale gain, far too often for a numpy call
-    # with no selected ancestor, lz = -inf makes the second term 0.0, an exact no-op
-    lz = float("-inf")
-    v = parent[x]
-    while v >= 0:
-        if v in selected:
-            lz = lv[v]
-            break
-        v = parent[v]
-
-    lx = lv[x]
-    gain = 0.0
-    stack = [x]
-    while stack:
-        y = stack.pop()
-        w = feq[y]
-        if w:
-            ly = lv[y]
-            gain += w / (ly - lx + 1) - w / (ly - lz + 1)
-        for c in children[y]:
-            if c not in selected:
-                stack.append(c)
-    return gain
+def _cover_gain(cover, w, ly1, lx, lv) -> float:
+    """The gain of an unselected x from its subtree in reverse postorder, x
+    first: ``cover`` (each node's nearest selected self-inclusive ancestor,
+    -1 for none), ``w`` and ``ly1`` (score level + 1); x's level ``lx`` and
+    every node's, ``lv``.  x gains the nodes that share its cover, in the
+    order a stack walk of the subtree visits them.  A weightless one adds an
+    exact 0.0, and so does the second term when x has no cover (lz = -inf)."""
+    z = cover[0]
+    lz = lv[z] if z >= 0 else -math.inf
+    mine = cover == z
+    w = w[mine]
+    ly1 = ly1[mine]
+    return float((w / (ly1 - lx) - w / (ly1 - lz)).cumsum()[-1])

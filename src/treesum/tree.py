@@ -148,6 +148,11 @@ class WeightedTree:
         if bad.size:
             i = bad[0]
             raise NegativeWeight(f"node {self.ids[i]!r} has weight {weights[i]}")
+        # every score and DP value is bounded by the total
+        with np.errstate(over="ignore"):
+            total = weights.sum()
+        if not np.isfinite(total):
+            raise NonFiniteWeight(f"the total weight, {total}, is not finite")
         bad = np.flatnonzero(par >= n)
         if bad.size:
             i = bad[0]

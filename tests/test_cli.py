@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesum import summary_dot
+from treesum import cli, summary_dot
 from treesum.cli import main
+from treesum.errors import InconsistentMemo, ScoreMismatch
 from treesum.viz import VIRTUAL_ROOT, _quote
 
 from test_tree import shuffled_trees
@@ -92,6 +93,36 @@ def test_summarize_non_finite_weight_exit_code(tmp_path, capsys, weight):
     captured = capsys.readouterr()
     assert "score" not in captured.out
     assert "node 'a'" in captured.err
+
+
+def test_total_weight_overflow_exit_code(tmp_path, capsys):
+    p = tmp_path / "huge.tsv"
+    p.write_text("r\t-\t1e308\na\tr\t1e308\nb\tr\t1e308\n")
+    out = tmp_path / "r.json"
+    assert main(["summarize", str(p), "--algo", "ots", "--k", "2", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "total weight" in captured.err
+    assert not out.exists()
+    assert main(["metrics", str(p), "--summary", "r"]) == 3
+    assert "total weight" in capsys.readouterr().err
+
+
+# numpy warns as the closeness distance overflows; the CLI must then fail cleanly
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_metric_exit_code(tmp_path, capsys):
+    # the total weight is finite, but c lies 3 hops from the summary {a}
+    p = tmp_path / "far.tsv"
+    p.write_text("r\t-\t0\na\tr\t8e307\nb\tr\t0\nc\tb\t8e307\n")
+    report = tmp_path / "r.json"
+    scores = tmp_path / "m.json"
+    argv = ["summarize", str(p), "--algo", "gts", "--k", "1", "--with-metrics"]
+    assert main([*argv, "--out", str(report)]) == 3
+    assert main(["metrics", str(p), "--summary", "a", "--out", str(scores)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: a result is not finite") == 2
+    assert list(tmp_path.iterdir()) == [p]
 
 
 def test_brute_enumeration_cap_exit_code(tmp_path, capsys):
@@ -374,6 +405,19 @@ def test_bench_names_an_input_that_fails_to_parse(tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"error: {bad}: line 2: expected 3 or 4 columns, got 2\n"
     assert sorted(tmp_path.iterdir()) == [good, bad]
+
+
+@pytest.mark.parametrize("error", [ScoreMismatch, InconsistentMemo])
+def test_bench_names_the_input_of_a_failed_summarizer(tmp_path, capsys, monkeypatch, error):
+    def fail(tree, k, theta):
+        raise error("went wrong")
+
+    monkeypatch.setitem(cli._SUMMARIZERS, "feq", fail)
+    out = tmp_path / "o.csv"
+    argv = ["bench", "--inputs", GAP, "--algos", "gts,feq", "--ks", "1", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {GAP}: went wrong\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_timeout_marks_inf(tmp_path):

@@ -6,7 +6,7 @@ from treesum import GenSpec, brute_force, g_score, gen_random_tree, gts, vtree
 from treesum.errors import InvalidK
 from treesum import greedy
 from treesum.greedy import _first_round
-from treesum.scoring import _g_unchecked, _gain_unchecked
+from treesum.scoring import _cover_gain, _g_unchecked
 
 from test_tree import random_trees, shuffled_trees
 
@@ -19,9 +19,35 @@ ORDER_WEIGHTS = (0.0, 0.1, 1 / 3, 1e16, 7.0)
 
 
 def _lists(tree):
-    """The tree's parent, children, score levels and weights as lists, the
-    way gts passes them to _gain_unchecked."""
+    """The tree's parent, children, score levels and weights as lists."""
     return tree.parent.tolist(), tree.children, tree.score_levels.tolist(), tree.feq.tolist()
+
+
+def _walk_gain(selected, x, parent, children, lv, feq):
+    """The marginal gain of an unselected x by set-membership walks, the
+    bit-exact oracle of the cover gain: climb to x's nearest selected
+    ancestor, then stack-walk x's subtree without entering selected nodes."""
+    lz = float("-inf")
+    v = parent[x]
+    while v >= 0:
+        if v in selected:
+            lz = lv[v]
+            break
+        v = parent[v]
+
+    lx = lv[x]
+    gain = 0.0
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        w = feq[y]
+        if w:
+            ly = lv[y]
+            gain += w / (ly - lx + 1) - w / (ly - lz + 1)
+        for c in children[y]:
+            if c not in selected:
+                stack.append(c)
+    return gain
 
 
 def _scan_gts(tree, k):
@@ -37,7 +63,7 @@ def _scan_gts(tree, k):
         for x in tree.pre_order:
             if x in selected:
                 continue
-            gain = _gain_unchecked(selected, x, *lists)
+            gain = _walk_gain(selected, x, *lists)
             if gain > best_gain:
                 best_gain = gain
                 best = x
@@ -150,14 +176,14 @@ def test_gts_matches_scan(weights, data):
 def test_first_round_matches_subtree_walks(weights, data):
     t = data.draw(shuffled_trees(max_n=40, weights=weights))
     parent, children, lv, feq = _lists(t)
-    gains = [_gain_unchecked(set(), x, parent, children, lv, feq) for x in range(t.n)]
+    gains = [_walk_gain(set(), x, parent, children, lv, feq) for x in range(t.n)]
     assert _first_round(parent, lv, feq, t.post_order.tolist()) == gains
 
 
 def test_gts_matches_scan_on_reduced_tree():
     reduced = vtree(gen_random_tree(GenSpec(n=10**4, important_count=10**3, seed=70_707))).tree
     parent, children, lv, feq = _lists(reduced)
-    gains = [_gain_unchecked(set(), x, parent, children, lv, feq) for x in range(reduced.n)]
+    gains = [_walk_gain(set(), x, parent, children, lv, feq) for x in range(reduced.n)]
     assert _first_round(parent, lv, feq, reduced.post_order.tolist()) == gains
     _assert_matches_scan(reduced, 100)
 
@@ -182,12 +208,12 @@ def test_gts_stats_count_the_work(t, data):
     calls = []
 
     def counted(*args):
-        calls.append(args[1])
-        return _gain_unchecked(*args)
+        calls.append(args)
+        return _cover_gain(*args)
 
     k = data.draw(st.integers(1, t.n))
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(greedy, "_gain_unchecked", counted)
+        m.setattr(greedy, "_cover_gain", counted)
         res = gts(t, k)
     # the first round adds one term per (weighted node, node on its root path)
     terms = 0

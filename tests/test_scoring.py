@@ -17,6 +17,7 @@ from treesum import (
 from treesum.errors import AlreadySelected, UnknownNode
 from treesum.scoring import _g_unchecked, cor
 
+from test_greedy import _lists, _walk_gain
 from test_tree import ORDER_WEIGHTS, _walk_nearest, random_trees, shuffled_trees
 
 
@@ -86,6 +87,17 @@ def test_already_selected(ontology):
         marginal_gain_fast(t, {t.root}, t.root)
     with pytest.raises(AlreadySelected):
         marginal_gain_naive(t, {t.root}, t.root)
+
+
+def test_marginal_gain_rejects_unknown_members(ontology):
+    t = ontology
+    # -1 would read as the last node, and n past the end
+    for bad in (-1, t.n, 10**6):
+        for gain in (marginal_gain_fast, marginal_gain_naive):
+            with pytest.raises(UnknownNode):
+                gain(t, {bad}, t.root)
+            with pytest.raises(UnknownNode):
+                gain(t, [t.index("A"), bad], t.index("a1"))
 
 
 def test_gain_zero_for_nodes_without_weighted_descendants(sparse_tree):
@@ -173,3 +185,25 @@ def test_score_matches_walk_bit_for_bit(t, data):
             assert repr(g_score(tree, selected)) == repr(_walk_g(tree, selected))
             for y in range(tree.n):
                 assert repr(smy(tree, selected, y)) == repr(_walk_smy(tree, selected, y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_trees(max_n=40, weights=ORDER_WEIGHTS), st.data())
+def test_fast_gain_matches_walk_bit_for_bit(t, data):
+    # the reduced tree scores with score_levels that differ from its levels
+    for tree in (t, vtree(t).tree):
+        lists = _lists(tree)
+        drawn = data.draw(st.sets(st.integers(0, tree.n - 1)))
+        for x in range(tree.n):
+            for members in (set(), drawn - {x}):
+                fast = marginal_gain_fast(tree, members, x)
+                assert repr(fast) == repr(_walk_gain(members, x, *lists))
+        # members above and below x, which shield parts of its subtree
+        x = data.draw(st.integers(0, tree.n - 1))
+        ancestors = {v for v in range(tree.n) if v != x and tree.is_ancestor(v, x)}
+        descendants = {v for v in range(tree.n) if v != x and tree.is_ancestor(x, v)}
+        keep = data.draw(st.lists(st.booleans(), min_size=tree.n, max_size=tree.n))
+        mixed = {v for v in ancestors | descendants if keep[v]}
+        for members in (ancestors, descendants, ancestors | descendants, mixed):
+            fast = marginal_gain_fast(tree, members, x)
+            assert repr(fast) == repr(_walk_gain(members, x, *lists))

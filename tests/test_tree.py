@@ -384,6 +384,10 @@ def test_non_finite_weights_rejected():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(NonFiniteWeight, match="node 'b'"):
             WeightedTree(["a", "b"], [-1, 0], [1.0, bad])
+    # finite weights whose total is not: every score is bounded by the total
+    with pytest.raises(NonFiniteWeight, match="total weight"):
+        WeightedTree(["r", "a", "b"], [-1, 0, 0], [1e308] * 3)
+    assert WeightedTree(["r", "a"], [-1, 0], [1e308, 7e307]).total_weight() == 1.7e308
 
 
 def test_lca_on_chain_with_64_bit_keys():
