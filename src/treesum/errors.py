@@ -49,6 +49,9 @@ class NonFiniteWeight(TreeBuildError):
 class UnknownNode(TreesumError, KeyError):
     """A node id or index that does not exist in the tree."""
 
+    # KeyError's str() quotes its message; print it as it was given
+    __str__ = Exception.__str__
+
 
 class InvalidK(TreesumError, ValueError):
     """Summary size k outside the valid range for the given tree."""

@@ -53,14 +53,22 @@ are the floats of the column-by-column loop.  Blocking keeps the scratch at
 rows * block * (lg + block) floats, the order of the output, instead of
 rows * la * (la + lg).
 
-Evaluation walks the postorder bottom-up with no recursion, one kernel call
-per node: the children's levels[u] + 2 rows give every no-case of u and its
-yes-case together.  Value–choice ties prefer the no-case; knapsack split
-ties prefer the lexicographically smallest budget vector.  The per-state
-queries repeat that one call for the state's node (``_cases``), and one
-decision routine (``_decide``) picks a state's choice and split from it;
-``dp_eval`` and ``reconstruct`` both use it, so nothing beyond the value
-matrices is stored.
+Evaluation first does, in a fixed number of numpy calls per depth, the work
+that needs no kernel.  Every node's base row, what each row's ancestor earns
+by representing it, lies in one flat float64 array, ragged: Σ(levels + 1)
+floats, filled depth by depth (a node's ancestor path is its parent's plus
+the parent's score level) and then divided once (``_base_rows``).  A leaf's
+only suffix is the empty one, so its memo is written directly: column 0 is
+its base row and column 1 its weight.  Then the postorder walks the internal
+nodes bottom-up with no recursion, one kernel call per node: the children's
+levels[u] + 2 rows give every no-case of u and its yes-case together.
+Value–choice ties prefer the no-case; knapsack split ties prefer the
+lexicographically smallest budget vector.  The suffix tables of every node
+with two or more children are kept, so the per-state queries (``_cases``)
+and the reconstruction read the bulk pass's tables instead of merging again;
+a leaf or a single child merges nothing, and its tables are rebuilt on
+demand.  One decision routine (``_decide``) picks a state's choice and split
+from them, and ``dp_eval`` and ``reconstruct`` both use it.
 """
 from __future__ import annotations
 
@@ -144,6 +152,47 @@ def _plateau(table: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
+def _base_rows(tree: WeightedTree) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(base, offset, order): every node's base row, ragged in one flat array.
+
+    The nodes lie in ``order``, by depth and then by index, and node u owns
+    the levels[u] + 1 entries from offset[u].  Entry r is what row r's
+    ancestor earns by representing u: feq[u] / (slv[u] + 1 - slv[na]) for
+    the ancestor na at depth r - 1, and 0.0 for r = 0.
+    """
+    levels = tree.levels.view(np.ndarray)
+    order = np.argsort(levels, kind="stable")
+    width = levels[order] + 1
+    offset = np.empty(tree.n, dtype=np.int64)
+    offset[order] = np.cumsum(width) - width
+    counts = np.bincount(levels)
+    ends = np.cumsum(counts)
+    rank = np.empty(tree.n, dtype=np.int64)  # position among its depth's nodes
+    rank[order] = np.arange(tree.n) - (ends - counts)[width - 1]
+    ends = ends.tolist()
+    up = tree.parent[order]
+    up_rank = rank[up]
+    slv = tree.score_levels[order]
+    slv_up = tree.score_levels[up]
+    # path: the score level of u's ancestor at depth r - 1 in entry r, and
+    # -inf in entry 0, which makes row 0 come out as 0.0.  The nodes of depth
+    # d fill one (count, d + 1) block: each row is its parent's row of the
+    # block above plus the parent's score level.
+    path = np.empty(int(width.sum()))
+    above = path[:1].reshape(1, 1)
+    above[0, 0] = _NEG
+    lo = 1
+    for d in range(1, len(ends)):
+        nodes = slice(ends[d - 1], ends[d])
+        block = path[lo : lo + (ends[d] - ends[d - 1]) * (d + 1)].reshape(-1, d + 1)
+        block[:, :d] = above[up_rank[nodes]]
+        block[:, d] = slv_up[nodes]
+        above = block
+        lo += block.size
+    base = np.repeat(tree.feq[order], width) / (np.repeat(slv, width) + 1 - path)
+    return base, offset, order
+
+
 class OtsSolver:
     """All DP state for one (tree, k) run.
 
@@ -170,6 +219,10 @@ class OtsSolver:
         seed.flags.writeable = False
         self._seed = seed
         self._merges = 0  # max-plus merges run so far
+        # the bulk pass's suffix tables of every node with two or more
+        # children, for _cases to read; None elsewhere, where _tables runs no
+        # merge
+        self._kept: List[Optional[List[np.ndarray]]] = [None] * tree.n
         start = perf_counter()
         self._evaluate_all()
         self._evaluate_ms = (perf_counter() - start) * 1000.0
@@ -178,26 +231,38 @@ class OtsSolver:
 
     def _evaluate_all(self):
         tree = self.tree
-        feq = tree.feq.tolist()
-        slv = tree.score_levels.tolist()
         levels = self._levels
         memo = self.memo
         cap = self.cap
-        # base[u][r]: what row r's ancestor earns by representing u.  In
-        # preorder, path[j + 1] is the score level of u's ancestor at depth j;
-        # path[0] = -inf makes row 0 (no ancestor) come out as 0.0.
-        base = [None] * tree.n
-        path = np.empty(tree.height + 2)
-        path[0] = _NEG
-        for u in tree.pre_order.tolist():
+        base, offset, order = _base_rows(tree)
+        # A leaf's only suffix is the empty one, 0.0 at budget 0 and -inf
+        # past it, so its kernel pass gives column 0 = base + 0.0 and column
+        # 1 = max(base + -inf, feq + 0.0) = feq + 0.0.  The additions keep a
+        # -0.0 weight's +0.0, as the kernel does.
+        leaf = tree.subtree_size[order] == 1
+        width = tree.levels[order] + 1
+        leaves = order[leaf]
+        block = np.empty((int(width[leaf].sum()), min(self.k, 1) + 1))
+        np.add(base[np.repeat(leaf, width)], 0.0, out=block[:, 0])
+        if self.k:
+            np.add(np.repeat(tree.feq[leaves], width[leaf]), 0.0, out=block[:, 1])
+        ends = np.cumsum(width[leaf]).tolist()
+        for u, lo, hi in zip(leaves.tolist(), [0] + ends, ends):
+            memo[u] = block[lo:hi]
+        feq = tree.feq.tolist()
+        offset = offset.tolist()
+        children = tree.children
+        kept = self._kept
+        post = tree.post_order
+        for u in post[tree.subtree_size[post] > 1].tolist():
             d = levels[u]
-            path[d + 1] = slv[u]
-            base[u] = feq[u] / (slv[u] + 1 - path[: d + 1])
-        for u in tree.post_order.tolist():
+            tables = self._tables(u)
+            if len(children[u]) > 1:
+                kept[u] = tables
+            tails = tables[0]
+            lo = offset[u]
+            vals = base[lo : lo + d + 1, None] + tails[: d + 1]
             cap_u = cap[u]
-            d = levels[u]
-            tails = self._tables(u)[0]
-            vals = base[u][:, None] + tails[: d + 1]
             if cap_u:
                 # the better case per budget; equal cases are the same float,
                 # so the no-case tie rule only matters in _decide
@@ -228,6 +293,13 @@ class OtsSolver:
         tables.reverse()
         tables[0] = _plateau(tables[0], width)
         return tables
+
+    def _node_tables(self, u: int) -> List[np.ndarray]:
+        """u's suffix tables: the bulk pass's where it kept them, else a
+        fresh ``_tables(u)``, which for a leaf or a single child merges
+        nothing."""
+        tables = self._kept[u]
+        return self._tables(u) if tables is None else tables
 
     def _split(self, u: int, tables, budget: int, row: int) -> Tuple[int, ...]:
         """Lexicographically smallest budget split over u's children hitting
@@ -263,7 +335,7 @@ class OtsSolver:
     def _cases(self, u: int, b: int, na: int) -> Tuple[float, Optional[float], List[np.ndarray]]:
         """(no-case value, yes-case value, u's tables) of state (u, b, na);
         the yes-case is None at budget 0."""
-        tables = self._tables(u)
+        tables = self._node_tables(u)
         feq = self.tree.feq[u]
         slv = self.tree.score_levels
         base = 0.0 if na < 0 else feq / (slv[u] - slv[na] + 1)
@@ -342,8 +414,9 @@ class OtsSolver:
         """The optimal summary, rescored and checked against the DP value.
 
         ``stats`` holds ``dp_cells`` (``state_count()``), ``merges`` (the
-        max-plus merges this solver has run: the bulk evaluation and the
-        reconstruction) and the wall times of ``evaluate_ms``,
+        max-plus merges this solver has run, all in the bulk evaluation: one
+        fewer than the children of each node, as the reconstruction reads
+        the kept tables) and the wall times of ``evaluate_ms``,
         ``reconstruct_ms`` and ``rescore_ms``.
         """
         value = self.optimum()
@@ -359,8 +432,9 @@ class OtsSolver:
         score = _g_unchecked(self.tree, selected)
         rescored = perf_counter()
         # the DP and the rescore accumulate the same terms in different
-        # orders, so the guard scales with the magnitude of the value
-        if abs(score - value) > max(1e-9, 1e-12 * abs(value)):
+        # orders, so the guard scales with the magnitude of the value; it is
+        # written so that a nan difference (inf against inf) fails it
+        if not abs(score - value) <= max(1e-9, 1e-12 * abs(value)):
             raise InconsistentMemo(
                 f"reconstructed set scores {score!r}, DP value is {value!r}"
             )

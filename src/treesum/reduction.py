@@ -74,8 +74,8 @@ def lift_result(reduced: ReducedTree, result: SummaryResult) -> SummaryResult:
     mapped = [reduced.orig_index[v] for v in result.selected]
     score = g_score(reduced.original, mapped)
     # both sides sum the same contributions in different orders, hence the
-    # magnitude-scaled guard
-    if abs(score - result.score) > max(1e-9, 1e-12 * abs(score)):
+    # magnitude-scaled guard; a nan difference fails it
+    if not abs(score - result.score) <= max(1e-9, 1e-12 * abs(score)):
         raise ScoreMismatch(
             f"summary scores {result.score!r} reduced but {score!r} original"
         )

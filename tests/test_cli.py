@@ -220,6 +220,11 @@ def test_metrics_unknown_node():
     assert main(["metrics", ONTOLOGY, "--summary", "r,zzz"]) == 3
 
 
+def test_unknown_node_message_is_unquoted(capsys):
+    assert main(["metrics", ONTOLOGY, "--summary", "r,zzz"]) == 3
+    assert capsys.readouterr().err == "error: unknown node id 'zzz'\n"
+
+
 def test_viz_golden(ontology):
     dot = summary_dot(ontology, ontology.indices(["r", "A", "a1", "b1", "c0"]))
     assert dot == (
@@ -417,6 +422,18 @@ def test_bench_names_the_input_of_a_failed_summarizer(tmp_path, capsys, monkeypa
     argv = ["bench", "--inputs", GAP, "--algos", "gts,feq", "--ks", "1", "--out", str(out)]
     assert main(argv) == 3
     assert capsys.readouterr().err == f"error: {GAP}: went wrong\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_names_the_input_outside_the_message_quotes(tmp_path, capsys, monkeypatch):
+    def fail(tree, k, theta):
+        tree.index("zzz")
+
+    monkeypatch.setitem(cli._SUMMARIZERS, "feq", fail)
+    out = tmp_path / "o.csv"
+    argv = ["bench", "--inputs", GAP, "--algos", "feq", "--ks", "1", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {GAP}: unknown node id 'zzz'\n"
     assert list(tmp_path.iterdir()) == []
 
 

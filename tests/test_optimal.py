@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from treesum import (
     GenSpec,
     OtsSolver,
+    WeightedTree,
     brute_force,
     g_score,
     gen_random_tree,
@@ -17,10 +18,13 @@ from treesum import (
     vtree,
 )
 from treesum import optimal
-from treesum.errors import InvalidK, UnknownNode
-from treesum.optimal import _BLOCK, DpKey, _max_plus
+from treesum.errors import InconsistentMemo, InvalidK, UnknownNode
+from treesum.optimal import _BLOCK, DpKey, _base_rows, _max_plus
 
-from test_tree import random_trees
+from test_tree import random_trees, shuffled_trees
+
+INF = float("inf")
+NAN = float("nan")
 
 
 @pytest.fixture(scope="module")
@@ -106,9 +110,10 @@ def test_invalid_ancestor_key(gap_tree, gap_solver):
 
 def _node_combine(solver, u, budget, na):
     """(value, split) of u's knapsack over its children at ``budget``, in the
-    memo row of ancestor ``na`` (a node or None), from u's own tables."""
+    memo row of ancestor ``na`` (a node or None), from the tables u's cases
+    read."""
     row = 0 if na is None else solver.tree.levels[na] + 1
-    tables = solver._tables(u)
+    tables = solver._node_tables(u)
     return float(tables[0][row, budget]), solver._split(u, tables, budget, row)
 
 
@@ -346,6 +351,131 @@ def test_ots_stats_count_the_work(t, data):
     assert ots(t, k) == solver.solve()
 
 
+@settings(max_examples=40, deadline=None)
+@given(random_trees(max_n=24), st.data())
+def test_merges_are_the_bulk_pass_merges(t, data):
+    calls = []
+
+    def counted(a, g, width):
+        calls.append(width)
+        return _max_plus(a, g, width)
+
+    k = data.draw(st.integers(0, t.n))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(optimal, "_max_plus", counted)
+        solver = OtsSolver(t, k)
+        bulk = sum(max(len(kids) - 1, 0) for kids in t.children)
+        assert len(calls) == solver._merges == bulk
+        # the reconstruction and the per-state queries merge nothing
+        assert solver.solve().stats["merges"] == bulk
+        for u in range(t.n):
+            for b in range(solver.cap[u] + 1):
+                solver.dp_eval(DpKey(u, b, t.parent[u] if t.parent[u] >= 0 else None))
+    assert len(calls) == solver._merges == bulk
+
+
+@pytest.mark.parametrize(
+    "value, score", [(INF, INF), (160.0, NAN), (NAN, NAN)], ids=["inf-inf", "nan-score", "nan-both"]
+)
+def test_rescore_guard_fails_a_non_finite_mismatch(ontology, monkeypatch, value, score):
+    # inf - inf is nan, and a nan difference is no agreement
+    solver = OtsSolver(ontology, 5)
+    monkeypatch.setattr(solver, "optimum", lambda: value)
+    monkeypatch.setattr(optimal, "_g_unchecked", lambda tree, selected: score)
+    with pytest.raises(InconsistentMemo):
+        solver.solve()
+
+
+# -- the batched base rows and leaf memos against the per-node pass -----------
+
+
+def _path_base_rows(tree):
+    """The per-node preorder loop the batched base rows replaced, as an
+    oracle: base[u][r] = feq[u] / (slv[u] + 1 - path[r]), with path[j + 1]
+    the score level of u's ancestor at depth j and path[0] = -inf."""
+    feq = tree.feq.tolist()
+    slv = tree.score_levels.tolist()
+    levels = tree.levels.tolist()
+    base = [None] * tree.n
+    path = np.empty(tree.height + 2)
+    path[0] = -INF
+    for u in tree.pre_order.tolist():
+        d = levels[u]
+        path[d + 1] = slv[u]
+        base[u] = feq[u] / (slv[u] + 1 - path[: d + 1])
+    return base
+
+
+# -0.0 passes the weight check, and its memo bytes must survive the batch
+SIGNED_ZERO_WEIGHTS = (-0.0, 0.0, 1.0, 2.5, 7.0, 40.0)
+
+
+@st.composite
+def deep_trees(draw, min_height=50):
+    """Path-like trees of height at least ``min_height``: a spine with leaves
+    and short branches hanging at many depths, node indices relabelled at
+    random."""
+    spine = draw(st.integers(min_height + 1, min_height + 5))
+    shape = [-1] + list(range(spine - 1))
+    for _ in range(draw(st.integers(8, 16))):
+        shape.append(draw(st.integers(0, len(shape) - 1)))
+    n = len(shape)
+    perm = draw(st.permutations(range(n)))
+    parent = [-1] * n
+    for i, p in enumerate(shape):
+        parent[perm[i]] = -1 if p < 0 else perm[p]
+    feq = [draw(st.sampled_from(SIGNED_ZERO_WEIGHTS)) for _ in range(n)]
+    return WeightedTree([f"n{i}" for i in range(n)], parent, feq)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(shuffled_trees(weights=SIGNED_ZERO_WEIGHTS), deep_trees()), st.booleans())
+def test_base_rows_match_path_loop(t, reduced):
+    if reduced:
+        # score levels are the original levels, not the reduced ones
+        t = vtree(t).tree
+    base, offset, order = _base_rows(t)
+    widths = t.levels + 1
+    # ragged: exactly sum(levels + 1) floats, each node's segment in place
+    assert base.dtype == np.float64
+    assert base.shape == (int(widths.sum()),)
+    assert sorted(order.tolist()) == list(range(t.n))
+    assert offset[order].tolist() == (np.cumsum(widths[order]) - widths[order]).tolist()
+    for u, want in enumerate(_path_base_rows(t)):
+        got = base[offset[u] : offset[u] + widths[u]]
+        assert got.tobytes() == want.tobytes()
+
+
+def _kernel_memo(solver, base, u):
+    """memo[u] as the per-node pass made it before leaves and base rows were
+    batched: one kernel call on u's children, leaves included."""
+    tails = solver._tables(u)[0]
+    d = solver.tree.levels[u]
+    cap_u = solver.cap[u]
+    vals = base[u][:, None] + tails[: d + 1]
+    if cap_u:
+        no = vals[:, 1:]
+        np.maximum(no, solver.tree.feq[u] + tails[d + 1, :cap_u], out=no)
+    return vals
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(shuffled_trees(max_n=30, weights=SIGNED_ZERO_WEIGHTS), deep_trees()), st.data())
+def test_memo_and_kept_tables_match_the_per_node_pass(t, data):
+    base = _path_base_rows(t)
+    for k in _budgets(t.n, data):
+        solver = OtsSolver(t, k)
+        for u in range(t.n):
+            want = _kernel_memo(solver, base, u)
+            assert solver.memo[u].shape == want.shape
+            assert solver.memo[u].tobytes() == want.tobytes()
+            # the tables the cases read are the ones a fresh kernel call makes
+            kept, fresh = solver._node_tables(u), solver._tables(u)
+            assert [a.tobytes() for a in kept] == [a.tobytes() for a in fresh]
+            assert [a.shape for a in kept] == [a.shape for a in fresh]
+            assert (solver._kept[u] is not None) == (len(t.children[u]) > 1)
+
+
 # -- the scalar DP as an oracle for the row kernel ----------------------------
 
 
@@ -445,7 +575,7 @@ def _row(tree, na):
 
 
 @settings(max_examples=60, deadline=None)
-@given(random_trees(max_n=24), st.data())
+@given(st.one_of(random_trees(max_n=24), deep_trees()), st.data())
 def test_row_memo_matches_scalar_dp(t, data):
     for k in _budgets(t.n, data):
         solver = OtsSolver(t, k)

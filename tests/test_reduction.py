@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -15,10 +16,13 @@ from treesum import (
     ots,
     vtree,
 )
+from treesum import reduction
 from treesum.errors import InvalidK, ScoreMismatch
 from treesum.reduction import ReducedTree
 
 from test_tree import shuffled_trees
+
+INF = float("inf")
 
 
 def test_sparse_tree_reduction(sparse_tree):
@@ -99,6 +103,17 @@ def test_lift_rejects_bad_mapping(sparse_tree):
     )
     with pytest.raises(ScoreMismatch):
         lift_result(broken, res)
+
+
+@pytest.mark.parametrize("reduced, original", [(float("nan"), None), (INF, INF)], ids=["nan", "inf"])
+def test_lift_guard_fails_a_non_finite_mismatch(sparse_tree, monkeypatch, reduced, original):
+    # inf - inf is nan, and a nan difference is no agreement
+    rt = vtree(sparse_tree)
+    res = ots(rt.tree, 2)
+    if original is not None:
+        monkeypatch.setattr(reduction, "g_score", lambda tree, selected: original)
+    with pytest.raises(ScoreMismatch):
+        lift_result(rt, dataclasses.replace(res, score=reduced))
 
 
 def test_k_larger_than_reduced_tree(sparse_tree):
