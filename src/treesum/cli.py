@@ -126,8 +126,11 @@ def _strict_json(payload, **kwargs) -> str:
 
 def _parse_summary(tree, text: str):
     if text.endswith(".json"):
-        with open(text, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        try:
+            with open(text, encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise TreesumError(f"{text}: {exc}") from None
         ids = payload.get("selected") if isinstance(payload, dict) else payload
         if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
             raise TreesumError(f'{text}: not a list of ids or an object whose "selected" is one')
@@ -323,7 +326,7 @@ def main(argv=None) -> int:
     except EnumerationTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (TreesumError, OSError, json.JSONDecodeError) as exc:
+    except (TreesumError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -130,8 +130,11 @@ def parse_tree_tsv(path) -> WeightedTree:
     its MalformedLine.  Raises MalformedLine, or any error of
     ``from_parent_ids``.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     lines = [line for line in text.split("\n") if line and line[0] != "#"]
     if not lines:
         raise NoRoot("empty node list")
@@ -156,6 +159,20 @@ def parse_tree_tsv(path) -> WeightedTree:
         labels = [label or node_id for label, node_id in zip(fields[3::4], ids)]
     return WeightedTree.from_parent_ids(
         ids, fields[1::width], weights, labels, root_parent=_NO_PARENT
+    )
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> MalformedLine:
+    """MalformedLine, naming ``path``, for the line of the file's first byte
+    that is not UTF-8.  A whole-file read decodes the file's bytes in one
+    call, so ``exc.object`` is the file; lines are counted as the text read
+    counts them, with universal newlines."""
+    head = exc.object[: exc.start].decode("utf-8", "replace")
+    head = head.replace("\r\n", "\n").replace("\r", "\n")
+    column = len(head) - head.rfind("\n")
+    byte = exc.object[exc.start]
+    return MalformedLine(
+        head.count("\n") + 1, f"byte 0x{byte:02x} at column {column} is not UTF-8 text in {path}"
     )
 
 

@@ -59,16 +59,22 @@ by representing it, lies in one flat float64 array, ragged: Σ(levels + 1)
 floats, filled depth by depth (a node's ancestor path is its parent's plus
 the parent's score level) and then divided once (``_base_rows``).  A leaf's
 only suffix is the empty one, so its memo is written directly: column 0 is
-its base row and column 1 its weight.  Then the postorder walks the internal
-nodes bottom-up with no recursion, one kernel call per node: the children's
-levels[u] + 2 rows give every no-case of u and its yes-case together.
+its base row and column 1 its weight.  Then the postorder walks the
+internal nodes bottom-up with no recursion.  A node with two or more children
+makes one kernel call: the children's levels[u] + 2 rows give every no-case
+of u and its yes-case together.  A node with one child x merges nothing: x's
+memo is already u's tables[0], short by at most the one plateau column that
+cap[x] = cap[u] - 1 leaves out, so u's memo is read straight from it.
 Value–choice ties prefer the no-case; knapsack split ties prefer the
 lexicographically smallest budget vector.  The suffix tables of every node
 with two or more children are kept, so the per-state queries (``_cases``)
-and the reconstruction read the bulk pass's tables instead of merging again;
-a leaf or a single child merges nothing, and its tables are rebuilt on
-demand.  One decision routine (``_decide``) picks a state's choice and split
-from them, and ``dp_eval`` and ``reconstruct`` both use it.
+and the reconstruction read the bulk pass's tables instead of merging again.
+A node with fewer than two children needs neither tables nor a split
+search: a single child is worth its memo entry at min(b, cap), and it takes
+all of the budget b, since the empty suffix is finite only at budget 0; a
+leaf's children are worth 0.0 at budget 0 and -inf above it, with the empty
+split.  One decision routine (``_decide``) picks a state's choice and split,
+and ``dp_eval`` and ``reconstruct`` both use it.
 """
 from __future__ import annotations
 
@@ -208,6 +214,9 @@ class OtsSolver:
         self.k = k
         self.cap = np.minimum(tree.subtree_size, k).tolist()
         self._levels = tree.levels.tolist()
+        # per-node scalars the per-state decisions read, as Python lists
+        self._feq = tree.feq.tolist()
+        self._slv = tree.score_levels.tolist()
         # memo[u][r, b]: best value of u's subtree at budget b (0..cap[u])
         # when the nearest selected ancestor is row r's: r = 0 for none,
         # r = levels[na] + 1 for ancestor na
@@ -220,8 +229,8 @@ class OtsSolver:
         self._seed = seed
         self._merges = 0  # max-plus merges run so far
         # the bulk pass's suffix tables of every node with two or more
-        # children, for _cases to read; None elsewhere, where _tables runs no
-        # merge
+        # children, for _cases to read; None elsewhere, where the cases read
+        # the child's memo or the empty suffix directly
         self._kept: List[Optional[List[np.ndarray]]] = [None] * tree.n
         start = perf_counter()
         self._evaluate_all()
@@ -249,20 +258,28 @@ class OtsSolver:
         ends = np.cumsum(width[leaf]).tolist()
         for u, lo, hi in zip(leaves.tolist(), [0] + ends, ends):
             memo[u] = block[lo:hi]
-        feq = tree.feq.tolist()
+        feq = self._feq
         offset = offset.tolist()
         children = tree.children
         kept = self._kept
         post = tree.post_order
         for u in post[tree.subtree_size[post] > 1].tolist():
             d = levels[u]
-            tables = self._tables(u)
-            if len(children[u]) > 1:
-                kept[u] = tables
-            tails = tables[0]
-            lo = offset[u]
-            vals = base[lo : lo + d + 1, None] + tails[: d + 1]
+            kids = children[u]
+            if len(kids) > 1:
+                kept[u] = self._tables(u)
+                tails = kept[u][0]
+            else:
+                # a single child x merges nothing: its own memo is tables[0]
+                # up to the plateau column that cap[x] = cap[u] - 1 drops
+                tails = memo[kids[0]]
+            have = tails.shape[1]
             cap_u = cap[u]
+            lo = offset[u]
+            vals = np.empty((d + 1, cap_u + 1))
+            np.add(base[lo : lo + d + 1, None], tails[: d + 1], out=vals[:, :have])
+            if have == cap_u:
+                vals[:, cap_u] = vals[:, cap_u - 1]
             if cap_u:
                 # the better case per budget; equal cases are the same float,
                 # so the no-case tie rule only matters in _decide
@@ -279,7 +296,11 @@ class OtsSolver:
         i.. at budget b.  tables[0] spans b in 0..cap[u]; every other table
         stops at its suffix's total cap (budgets past its last column read
         that column), except the last one, the empty suffix, which spans
-        them all."""
+        them all.
+
+        The solver calls it once per node with two or more children, in the
+        bulk pass; for any other node it merges nothing and stays callable
+        as the oracle of the direct reads."""
         kids = self.tree.children[u]
         width = self.cap[u] + 1
         tables = [self._seed[: self._levels[u] + 2, :width]]
@@ -293,13 +314,6 @@ class OtsSolver:
         tables.reverse()
         tables[0] = _plateau(tables[0], width)
         return tables
-
-    def _node_tables(self, u: int) -> List[np.ndarray]:
-        """u's suffix tables: the bulk pass's where it kept them, else a
-        fresh ``_tables(u)``, which for a leaf or a single child merges
-        nothing."""
-        tables = self._kept[u]
-        return self._tables(u) if tables is None else tables
 
     def _split(self, u: int, tables, budget: int, row: int) -> Tuple[int, ...]:
         """Lexicographically smallest budget split over u's children hitting
@@ -332,28 +346,49 @@ class OtsSolver:
         """Memo row of nearest selected ancestor ``na`` (or _NO_ANCESTOR)."""
         return 0 if na < 0 else self._levels[na] + 1
 
-    def _cases(self, u: int, b: int, na: int) -> Tuple[float, Optional[float], List[np.ndarray]]:
-        """(no-case value, yes-case value, u's tables) of state (u, b, na);
-        the yes-case is None at budget 0."""
-        tables = self._node_tables(u)
-        feq = self.tree.feq[u]
-        slv = self.tree.score_levels
+    def _tail(self, u: int, row: int, b: int) -> float:
+        """tables[0][row, b] of u, the best total of u's children at budget
+        b in memo row ``row``: the kept table's entry, or for a single child
+        its own memo entry (tables[0] plateaus at its cap), or for a leaf the
+        empty suffix's."""
+        kids = self.tree.children[u]
+        if len(kids) > 1:
+            return float(self._kept[u][0][row, b])
+        if kids:
+            x = kids[0]
+            return float(self.memo[x][row, min(b, self.cap[x])])
+        return 0.0 if b == 0 else _NEG
+
+    def _children_split(self, u: int, b: int, row: int) -> Tuple[int, ...]:
+        """The split of ``_tail(u, row, b)`` over u's children.  The empty
+        suffix is finite only at budget 0, so a single child takes all of b
+        and a leaf's split is empty; only a wider node searches its kept
+        tables."""
+        kids = self.tree.children[u]
+        if len(kids) > 1:
+            return self._split(u, self._kept[u], b, row)
+        return (b,) if kids else ()
+
+    def _cases(self, u: int, b: int, na: int) -> Tuple[float, Optional[float]]:
+        """(no-case value, yes-case value) of state (u, b, na); the yes-case
+        is None at budget 0."""
+        feq = self._feq[u]
+        slv = self._slv
         base = 0.0 if na < 0 else feq / (slv[u] - slv[na] + 1)
-        no_v = base + float(tables[0][self._row(na), b])
-        yes_v = feq + float(tables[0][self._row(u), b - 1]) if b > 0 else None
-        return no_v, yes_v, tables
+        no_v = base + self._tail(u, self._row(na), b)
+        yes_v = feq + self._tail(u, self._row(u), b - 1) if b > 0 else None
+        return no_v, yes_v
 
     def _decide(self, u: int, b: int, na: int) -> Tuple[float, str, Tuple[int, ...]]:
         """(value, choice, split) of state (u, b, na), with b already clamped.
 
-        One kernel call gives both cases; value ties go to the no-case, and
-        the value equals memo[u][row of na, b] (_evaluate_all makes the same
-        floats in the same call).
+        Value ties go to the no-case, and the value equals memo[u][row of na,
+        b] (_evaluate_all adds the same floats).
         """
-        no_v, yes_v, tables = self._cases(u, b, na)
+        no_v, yes_v = self._cases(u, b, na)
         if yes_v is not None and no_v < yes_v:
-            return yes_v, "yes", self._split(u, tables, b - 1, self._row(u))
-        return no_v, "no", self._split(u, tables, b, self._row(na))
+            return yes_v, "yes", self._children_split(u, b - 1, self._row(u))
+        return no_v, "no", self._children_split(u, b, self._row(na))
 
     # -- per-state queries -------------------------------------------------
 
@@ -415,8 +450,9 @@ class OtsSolver:
 
         ``stats`` holds ``dp_cells`` (``state_count()``), ``merges`` (the
         max-plus merges this solver has run, all in the bulk evaluation: one
-        fewer than the children of each node, as the reconstruction reads
-        the kept tables) and the wall times of ``evaluate_ms``,
+        fewer than the children of each node with two or more, as the
+        reconstruction reads their kept tables and, for any other node, the
+        child's memo) and the wall times of ``evaluate_ms``,
         ``reconstruct_ms`` and ``rescore_ms``.
         """
         value = self.optimum()

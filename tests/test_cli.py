@@ -216,6 +216,53 @@ def test_reports_are_strict_json(tmp_path, capsys, algo):
     assert printed == _strict_json(scores.read_text()) == {**run["metrics"], "k": 5}
 
 
+def test_summarize_non_utf8_tree_file(tmp_path, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"\xff\xfer\t-\t1\n")
+    out = tmp_path / "r.json"
+    argv = ["summarize", str(bad), "--algo", "ots", "--k", "1", "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 1: byte 0xff at column 1 is not UTF-8 text in {bad}\n"
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+def test_bench_names_a_non_utf8_input(tmp_path, capsys):
+    good = tmp_path / "a.tsv"
+    good.write_text(pathlib.Path(GAP).read_text())
+    bad = tmp_path / "b.tsv"
+    bad.write_bytes(b"\xff\xfer\t-\t1\n")
+    out = tmp_path / "o.csv"
+    argv = ["bench", "--inputs", str(tmp_path / "*.tsv"), "--algos", "ots", "--ks", "1"]
+    assert main([*argv, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {bad}: line 1: byte 0xff at column 1 is not UTF-8 text in {bad}\n"
+    )
+    assert sorted(tmp_path.iterdir()) == [good, bad]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff\xfe[]", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b'{"selected": ["A"', "Expecting ',' delimiter: line 1 column 18 (char 17)"),
+    ],
+    ids=["not-utf8", "malformed"],
+)
+@pytest.mark.parametrize("command", ["metrics", "viz"])
+def test_unreadable_summary_json_names_the_file(tmp_path, capsys, command, data, message):
+    summary = tmp_path / "summary.json"
+    summary.write_bytes(data)
+    out = tmp_path / "out"
+    assert main([command, ONTOLOGY, "--summary", str(summary), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {summary}: {message}\n"
+    assert list(tmp_path.iterdir()) == [summary]
+
+
 def test_metrics_unknown_node():
     assert main(["metrics", ONTOLOGY, "--summary", "r,zzz"]) == 3
 

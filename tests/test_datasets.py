@@ -69,6 +69,24 @@ def test_parse_malformed_line(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "data, line_no, message",
+    [
+        (b"\xff\xfer\t-\t1\n", 1, "byte 0xff at column 1"),
+        # lines count as the text read counts them: \r\n and a lone \r end one
+        (b"r\t-\t1\r\na\tr\t2\rb\tr\t3 \xe9\n", 3, "byte 0xe9 at column 7"),
+        (b"r\t-\t1\n# caf\xc3\xa9\na\tr\t\xc3\n", 3, "byte 0xc3 at column 5"),
+    ],
+)
+def test_parse_names_a_file_that_is_not_utf8(tmp_path, data, line_no, message):
+    p = tmp_path / "bad.tsv"
+    p.write_bytes(data)
+    with pytest.raises(MalformedLine) as err:
+        parse_tree_tsv(p)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {message} is not UTF-8 text in {p}"
+
+
+@pytest.mark.parametrize(
     "ids, labels, line_no",
     [
         (["a", "b\tc"], None, 2),

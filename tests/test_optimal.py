@@ -110,10 +110,13 @@ def test_invalid_ancestor_key(gap_tree, gap_solver):
 
 def _node_combine(solver, u, budget, na):
     """(value, split) of u's knapsack over its children at ``budget``, in the
-    memo row of ancestor ``na`` (a node or None), from the tables u's cases
-    read."""
+    memo row of ancestor ``na`` (a node or None), from the tables the bulk
+    pass kept for u, or for a node with fewer than two children, which reads
+    no tables, from the oracle ``_tables(u)``."""
     row = 0 if na is None else solver.tree.levels[na] + 1
-    tables = solver._node_tables(u)
+    tables = solver._kept[u]
+    if tables is None:
+        tables = solver._tables(u)
     return float(tables[0][row, budget]), solver._split(u, tables, budget, row)
 
 
@@ -469,11 +472,82 @@ def test_memo_and_kept_tables_match_the_per_node_pass(t, data):
             want = _kernel_memo(solver, base, u)
             assert solver.memo[u].shape == want.shape
             assert solver.memo[u].tobytes() == want.tobytes()
-            # the tables the cases read are the ones a fresh kernel call makes
-            kept, fresh = solver._node_tables(u), solver._tables(u)
-            assert [a.tobytes() for a in kept] == [a.tobytes() for a in fresh]
-            assert [a.shape for a in kept] == [a.shape for a in fresh]
-            assert (solver._kept[u] is not None) == (len(t.children[u]) > 1)
+            # the tables the cases read are the ones a fresh kernel call
+            # makes; nodes with fewer than two children keep none
+            kept = solver._kept[u]
+            assert (kept is not None) == (len(t.children[u]) > 1)
+            if kept is not None:
+                fresh = solver._tables(u)
+                assert [a.tobytes() for a in kept] == [a.tobytes() for a in fresh]
+                assert [a.shape for a in kept] == [a.shape for a in fresh]
+
+
+# -- the direct reads of nodes with fewer than two children -------------------
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(random_trees(max_n=24, weights=SIGNED_ZERO_WEIGHTS), deep_trees()))
+def test_direct_reads_match_the_tables(t):
+    # the oracle is the decision as it read u's tables before nodes with
+    # fewer than two children read their child's memo directly: tables[0]
+    # and _split, in every row u's cases read (no ancestor, each strict
+    # ancestor, u itself) and at every budget
+    feq, slv, levels = t.feq.tolist(), t.score_levels.tolist(), t.levels.tolist()
+    for k in sorted({0, 1, t.n}):
+        solver = OtsSolver(t, k)
+        for u in range(t.n):
+            if len(t.children[u]) > 1:
+                continue
+            tables = solver._tables(u)
+            head = tables[0].tolist()
+            row_u = levels[u] + 1
+            budgets = range(solver.cap[u] + 1)
+            splits = {}
+            for row in range(row_u + 1):
+                for b in budgets:
+                    assert repr(solver._tail(u, row, b)) == repr(head[row][b])
+                    splits[row, b] = solver._split(u, tables, b, row)
+                    assert solver._children_split(u, b, row) == splits[row, b]
+            for na in _ancestor_keys(t, u):
+                row_na = 0 if na is None else levels[na] + 1
+                base = 0.0 if na is None else feq[u] / (slv[u] - slv[na] + 1)
+                for b in budgets:
+                    key = DpKey(u, b, na)
+                    no_v = base + head[row_na][b]
+                    want = (no_v, "no", splits[row_na, b])
+                    assert repr(solver.no_case(key)) == repr(no_v)
+                    if b:
+                        yes_v = feq[u] + head[row_u][b - 1]
+                        assert repr(solver.yes_case(key)) == repr(yes_v)
+                        if no_v < yes_v:
+                            want = (yes_v, "yes", splits[row_u, b - 1])
+                    entry = solver.dp_eval(key)
+                    assert repr((entry.value, entry.choice, entry.split)) == repr(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(random_trees(max_n=24), deep_trees()), st.data())
+def test_tables_run_once_per_node_with_two_or_more_children(t, data):
+    calls = []
+    tables = OtsSolver._tables
+
+    def counted(solver, u):
+        calls.append(u)
+        return tables(solver, u)
+
+    k = data.draw(st.integers(0, t.n))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(OtsSolver, "_tables", counted)
+        solver = OtsSolver(t, k)
+        solver.solve()
+        for u in range(t.n):
+            na = t.parent[u] if t.parent[u] >= 0 else None
+            for b in range(solver.cap[u] + 1):
+                solver.dp_eval(DpKey(u, b, na))
+                solver.no_case(DpKey(u, b, na))
+                if b:
+                    solver.yes_case(DpKey(u, b, na))
+    assert sorted(calls) == [u for u in range(t.n) if len(t.children[u]) > 1]
 
 
 # -- the scalar DP as an oracle for the row kernel ----------------------------

@@ -160,10 +160,12 @@ def test_lca_matches_naive_walk(seed):
 
 
 @st.composite
-def random_trees(draw, max_n=40):
+def random_trees(draw, max_n=40, weights=(0.0, 0.0, 1.0, 2.5, 7.0, 40.0)):
+    """Random trees whose parents come before their children in index
+    order; each weight is drawn from ``weights``."""
     n = draw(st.integers(min_value=1, max_value=max_n))
     parent = [-1] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
-    weights = [draw(st.sampled_from([0.0, 0.0, 1.0, 2.5, 7.0, 40.0])) for _ in range(n)]
+    weights = [draw(st.sampled_from(weights)) for _ in range(n)]
     return WeightedTree([f"n{i}" for i in range(n)], parent, weights)
 
 
