@@ -7,18 +7,23 @@ the smallest preorder rank, which makes runs reproducible.
 
 Gains are kept in a heap and evaluated lazily, the exact-invalidation form
 of Minoux's accelerated greedy (1978) and of CELF (Leskovec et al., KDD
-2007).  The first round comes from one pass over the weighted nodes'
-ancestor paths.  Later gains read the cover, each node's nearest selected
-self-inclusive ancestor, kept in reverse postorder: x's subtree is one slice
-that starts at x, and x gains the nodes in it that share its cover.  A pick
-s changes only those gains and its ancestors' up to its cover.  They are
-marked stale; a stale entry that reaches the top of the heap is recomputed
-and pushed back, and the first fresh entry popped is the pick.  Every gain,
-the trace and the score are bit-for-bit those of a full rescan each round.
+2007).  Nodes are laid out in reverse postorder, where x's subtree is one
+slice that starts at x.  One float64 table holds, for every node x, the
+term w(y) / (ly - lx + 1) of each y in its slice, Σ(levels + 1) entries in
+all, as many as the exact solver's base rows.  The first round sums each
+node's block of the table.  Later gains read the cover, each node's nearest
+selected self-inclusive ancestor: x gains the nodes in its slice that share
+its cover z, each by its term against x less its term against z, both read
+from the table.  A pick s changes only those gains and its ancestors' up to
+its cover.  They are marked stale; a stale entry that reaches the top of the
+heap is recomputed and pushed back, and the first fresh entry popped is the
+pick.  Every gain, the trace and the score are bit-for-bit those of a full
+rescan each round.
 """
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
@@ -31,25 +36,24 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
     """Select k summary nodes greedily by largest marginal gain.
 
     ``stats`` holds ``gain_evals`` (gains recomputed after the first round)
-    and ``first_round_terms`` (the ancestor-path terms the first round adds).
+    and ``first_round_terms`` (the first round's terms of weighted nodes, one
+    per node on each weighted node's root path).
     """
     tree.check_k(k)
 
     parent = tree.parent.tolist()
-    lv = tree.score_levels.tolist()
-    feq = tree.feq.tolist()
     rpo = tree.post_order[::-1]
-    gains = _first_round(parent, lv, feq, tree.post_order.tolist())
-    heap = [(-g, r, x) for x, (g, r) in enumerate(zip(gains, tree.pre_rank.tolist()))]
-    heapq.heapify(heap)
     # By position in reverse postorder, where x's subtree is at[x] : at[x] +
-    # size[x]: each node's cover, gain freshness, weight and score level + 1.
+    # size[x]: each node's cover, gain freshness and uncovered second term.
     at = np.argsort(rpo).tolist()
     size = tree.subtree_size.tolist()
+    terms, col, gains = _term_table(tree, rpo)
+    heap = [(-g, r, x) for x, (g, r) in enumerate(zip(gains, tree.pre_rank.tolist()))]
+    heapq.heapify(heap)
     cover = np.full(tree.n, -1, dtype=np.int64)
     fresh = np.ones(tree.n, dtype=bool)
-    w = tree.feq[rpo]
-    ly1 = tree.score_levels[rpo] + 1.0
+    # an uncovered node's second term, w / (ly + 1 - -inf): a signed zero
+    uncovered = tree.feq[rpo] / math.inf
     # A stale gain is an upper bound on the true gain, in floating point
     # too, because rounding is monotone and the terms keep their order: below
     # a new pick every term w/(ly-lx+1) - w/(ly-lz+1) can only fall as the
@@ -67,7 +71,9 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
         if not fresh[a]:
             fresh[a] = True
             gain_evals += 1
-            gain = _cover_gain(cover[a:b], w[a:b], ly1[a:b], lv[x], lv)
+            terms_x = terms[col[x] + a : col[x] + b]
+            terms_z = terms[col[z] + a : col[z] + b] if z >= 0 else uncovered[a:b]
+            gain = _cover_gain(cover[a:b], terms_x, terms_z)
             heapq.heapreplace(heap, (-gain, rank, x))
             continue
         heapq.heappop(heap)
@@ -96,22 +102,28 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
     )
 
 
-def _first_round(parent, lv, feq, post_order) -> list:
-    """Marginal gain of every node against the empty set, in one pass, from
-    the tree's ``parent``, ``score_levels``, ``feq`` and ``post_order``.
+def _term_table(tree: WeightedTree, rpo: np.ndarray):
+    """(terms, col, gains): the term table of the nodes in reverse postorder
+    ``rpo``, each node's column offset into it and each node's gain against
+    the empty set.
 
-    Each weighted y adds its term to every ancestor.  Taking y in reverse
-    postorder adds each node's terms in the order of its subtree's slice,
-    the order ``_cover_gain`` sums them in later rounds, so the gains are
-    bit-identical to it.
+    Node x's block holds, for each position p of its slice, the term
+    w / (ly - lx + 1) of the node there, at ``terms[col[x] + p]``; blocks
+    follow each other in reverse postorder.  The gains add each block's
+    terms in slice order, the order ``_cover_gain`` sums them in later rounds.
+    A weightless node's term is a signed zero, which leaves a sum that starts
+    at 0.0 unchanged, so the gains are bit-identical to adding the weighted
+    nodes' terms alone.
     """
-    gain = [0.0] * len(parent)
-    for y in reversed(post_order):
-        w = feq[y]
-        if w:
-            ly = lv[y]
-            v = y
-            while v >= 0:
-                gain[v] += w / (ly - lv[v] + 1)
-                v = parent[v]
-    return gain
+    size = tree.subtree_size[rpo]
+    lv = tree.score_levels[rpo]
+    # block i starts at entry i + shift[i] and holds positions i : i + size[i]
+    shift = np.cumsum(size) - size - np.arange(tree.n)
+    pos = np.arange(int(size.sum())) - np.repeat(shift, size)
+    terms = tree.feq[rpo][pos] / ((lv + 1.0)[pos] - np.repeat(lv, size))
+    gains = np.zeros(tree.n)
+    # adds in array order, so each node's gain is one sequential sum
+    np.add.at(gains, np.repeat(rpo, size), terms)
+    col = np.empty(tree.n, dtype=np.int64)
+    col[rpo] = shift
+    return terms, col.tolist(), gains.tolist()

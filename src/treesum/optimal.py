@@ -232,6 +232,9 @@ class OtsSolver:
         # children, for _cases to read; None elsewhere, where the cases read
         # the child's memo or the empty suffix directly
         self._kept: List[Optional[List[np.ndarray]]] = [None] * tree.n
+        # preorder ranks and subtree sizes as lists, for the ancestor checks
+        # of the per-state queries; taken by the first one that needs them
+        self._intervals: Optional[Tuple[List[int], List[int]]] = None
         start = perf_counter()
         self._evaluate_all()
         self._evaluate_ms = (perf_counter() - start) * 1000.0
@@ -394,14 +397,16 @@ class OtsSolver:
 
     def _state(self, key: DpKey) -> Tuple[int, int, int]:
         """Checked (node, clamped budget, ancestor key) of a state."""
-        u = self.tree.check_node(key.node)
+        tree = self.tree
+        u = tree.check_node(key.node)
         na = _NO_ANCESTOR
         if key.ancestor is not None:
-            na = self.tree.check_node(key.ancestor)
-            if na == u or not self.tree.is_ancestor(na, u):
-                raise UnknownNode(
-                    f"{self.tree.ids[na]!r} is not a strict ancestor of {self.tree.ids[u]!r}"
-                )
+            na = tree.check_node(key.ancestor)
+            if self._intervals is None:
+                self._intervals = tree.pre_rank.tolist(), tree.subtree_size.tolist()
+            pre, size = self._intervals
+            if na == u or not pre[na] <= pre[u] < pre[na] + size[na]:
+                raise UnknownNode(f"{tree.ids[na]!r} is not a strict ancestor of {tree.ids[u]!r}")
         b = min(key.budget, self.cap[u])
         if b < 0:
             raise InvalidK(f"negative budget {key.budget}")

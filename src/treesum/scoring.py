@@ -106,19 +106,19 @@ def marginal_gain_fast(tree: WeightedTree, members: Iterable[int], x: int) -> fl
     nodes = tree.post_order[start : start + tree.subtree_size[x]][::-1]
     cover = tree._nearest_selected(selected, nodes)
     lv = tree.score_levels
-    return _cover_gain(cover, tree.feq[nodes], lv[nodes] + 1.0, lv[x], lv)
-
-
-def _cover_gain(cover, w, ly1, lx, lv) -> float:
-    """The gain of an unselected x from its subtree in reverse postorder, x
-    first: ``cover`` (each node's nearest selected self-inclusive ancestor,
-    -1 for none), ``w`` and ``ly1`` (score level + 1); x's level ``lx`` and
-    every node's, ``lv``.  x gains the nodes that share its cover, in the
-    order a stack walk of the subtree visits them.  A weightless one adds an
-    exact 0.0, and so does the second term when x has no cover (lz = -inf)."""
+    w = tree.feq[nodes]
+    ly1 = lv[nodes] + 1.0
     z = cover[0]
     lz = lv[z] if z >= 0 else -math.inf
-    mine = cover == z
-    w = w[mine]
-    ly1 = ly1[mine]
-    return float((w / (ly1 - lx) - w / (ly1 - lz)).cumsum()[-1])
+    return _cover_gain(cover, w / (ly1 - lv[x]), w / (ly1 - lz))
+
+
+def _cover_gain(cover, mine, theirs) -> float:
+    """The gain of an unselected x from its subtree in reverse postorder, x
+    first: ``cover`` (each node's nearest selected self-inclusive ancestor,
+    -1 for none) and each node's terms w / (ly - l + 1) against x's level l,
+    ``mine``, and against its cover's, ``theirs``.  x gains the nodes that
+    share its cover, in the order a stack walk of the subtree visits them.
+    A weightless one adds an exact 0.0, and so does the second term when x
+    has no cover (l = -inf: w / inf, a signed zero the subtraction must see)."""
+    return float((mine - theirs)[cover == cover[0]].cumsum()[-1])

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from treesum import GenSpec, brute_force, g_score, gen_random_tree, gts, vtree
 from treesum.errors import InvalidK
 from treesum import greedy
-from treesum.greedy import _first_round
+from treesum.greedy import _term_table
 from treesum.scoring import _cover_gain, _g_unchecked
 
-from test_tree import random_trees, shuffled_trees
+from test_tree import SIGNED_ZERO_WEIGHTS, random_trees, shuffled_trees
 
 ONE_MINUS_1_OVER_E = 1 - 1 / 2.718281828459045
 
@@ -50,6 +50,35 @@ def _walk_gain(selected, x, parent, children, lv, feq):
     return gain
 
 
+def _path_first_round(parent, lv, feq, post_order):
+    """Marginal gain of every node against the empty set, from one pass over
+    the weighted nodes' ancestor paths: each weighted y, taken in reverse
+    postorder, adds its term to every ancestor, so each node's terms come in
+    the order of its subtree's slice.  The oracle of the term table's first
+    round."""
+    gain = [0.0] * len(parent)
+    for y in reversed(post_order):
+        w = feq[y]
+        if w:
+            ly = lv[y]
+            v = y
+            while v >= 0:
+                gain[v] += w / (ly - lv[v] + 1)
+                v = parent[v]
+    return gain
+
+
+def _assert_first_round_matches_walks(tree):
+    """The term table's first-round gains equal the path pass's and the
+    subtree walks', compared by ``float.hex``, which tells -0.0 from 0.0."""
+    parent, children, lv, feq = _lists(tree)
+    walks = [_walk_gain(set(), x, parent, children, lv, feq) for x in range(tree.n)]
+    paths = _path_first_round(parent, lv, feq, tree.post_order.tolist())
+    table = _term_table(tree, tree.post_order[::-1])[2]
+    assert list(map(float.hex, table)) == list(map(float.hex, walks))
+    assert list(map(float.hex, paths)) == list(map(float.hex, walks))
+
+
 def _scan_gts(tree, k):
     """The greedy loop gts replaces: every round rescans every candidate in
     preorder and keeps the first strict maximum."""
@@ -77,7 +106,8 @@ def _assert_matches_scan(tree, k):
     res = gts(tree, k)
     order, trace, score = _scan_gts(tree, k)
     assert res.selected == order
-    assert res.trace == trace
+    # by repr, which tells -0.0 from 0.0
+    assert repr(res.trace) == repr(trace)
     assert repr(res.score) == repr(score)
 
 
@@ -161,7 +191,11 @@ def test_approximation_vs_brute_force_property(t, data):
 # -- lazy evaluation against the rescanning loop -------------------------------
 
 
-@pytest.mark.parametrize("weights", [TIE_WEIGHTS, ORDER_WEIGHTS], ids=["ties", "order"])
+@pytest.mark.parametrize(
+    "weights",
+    [TIE_WEIGHTS, ORDER_WEIGHTS, SIGNED_ZERO_WEIGHTS],
+    ids=["ties", "order", "signed-zero"],
+)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_gts_matches_scan(weights, data):
@@ -170,21 +204,20 @@ def test_gts_matches_scan(weights, data):
         _assert_matches_scan(t, k)
 
 
-@pytest.mark.parametrize("weights", [TIE_WEIGHTS, ORDER_WEIGHTS], ids=["ties", "order"])
+@pytest.mark.parametrize(
+    "weights",
+    [TIE_WEIGHTS, ORDER_WEIGHTS, SIGNED_ZERO_WEIGHTS],
+    ids=["ties", "order", "signed-zero"],
+)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_first_round_matches_subtree_walks(weights, data):
-    t = data.draw(shuffled_trees(max_n=40, weights=weights))
-    parent, children, lv, feq = _lists(t)
-    gains = [_walk_gain(set(), x, parent, children, lv, feq) for x in range(t.n)]
-    assert _first_round(parent, lv, feq, t.post_order.tolist()) == gains
+    _assert_first_round_matches_walks(data.draw(shuffled_trees(max_n=40, weights=weights)))
 
 
 def test_gts_matches_scan_on_reduced_tree():
     reduced = vtree(gen_random_tree(GenSpec(n=10**4, important_count=10**3, seed=70_707))).tree
-    parent, children, lv, feq = _lists(reduced)
-    gains = [_walk_gain(set(), x, parent, children, lv, feq) for x in range(reduced.n)]
-    assert _first_round(parent, lv, feq, reduced.post_order.tolist()) == gains
+    _assert_first_round_matches_walks(reduced)
     _assert_matches_scan(reduced, 100)
 
 

@@ -21,7 +21,7 @@ from treesum import optimal
 from treesum.errors import InconsistentMemo, InvalidK, UnknownNode
 from treesum.optimal import _BLOCK, DpKey, _base_rows, _max_plus
 
-from test_tree import random_trees, shuffled_trees
+from test_tree import SIGNED_ZERO_WEIGHTS, random_trees, shuffled_trees
 
 INF = float("inf")
 NAN = float("nan")
@@ -106,6 +106,28 @@ def test_invalid_ancestor_key(gap_tree, gap_solver):
         s.dp_eval(DpKey(t.index("v3"), 1, t.index("v4")))
     with pytest.raises(UnknownNode):
         s.dp_eval(DpKey(t.index("v3"), 1, t.index("v3")))
+    # every query checks its key the same way; the ancestor check reads
+    # Python lists, where index -1 would be valid
+    v2, v3, v4 = t.index("v2"), t.index("v3"), t.index("v4")
+    for query in ("dp_eval", "yes_case", "no_case"):
+        solver = OtsSolver(t, 2)
+        ask = getattr(solver, query)
+        for bad in (-1, t.n):
+            for key in (DpKey(bad, 1, None), DpKey(bad, 1, v2), DpKey(v3, 1, bad)):
+                with pytest.raises(UnknownNode, match=f"^node index {bad} out of range$"):
+                    ask(key)
+        for ancestor in (None, v2):
+            with pytest.raises(InvalidK, match="^negative budget -1$"):
+                ask(DpKey(v3, -1, ancestor))
+        with pytest.raises(UnknownNode, match="^'v4' is not a strict ancestor of 'v3'$"):
+            ask(DpKey(v3, 1, v4))
+        with pytest.raises(UnknownNode, match="^'v3' is not a strict ancestor of 'v3'$"):
+            ask(DpKey(v3, 1, v3))
+        assert ask(DpKey(v4, 1, v2)) == getattr(s, query)(DpKey(v4, 1, v2))
+    # solving takes no lists for the per-state checks
+    solver = OtsSolver(t, 2)
+    solver.solve()
+    assert solver._intervals is None
 
 
 def _node_combine(solver, u, budget, na):
@@ -407,10 +429,6 @@ def _path_base_rows(tree):
         path[d + 1] = slv[u]
         base[u] = feq[u] / (slv[u] + 1 - path[: d + 1])
     return base
-
-
-# -0.0 passes the weight check, and its memo bytes must survive the batch
-SIGNED_ZERO_WEIGHTS = (-0.0, 0.0, 1.0, 2.5, 7.0, 40.0)
 
 
 @st.composite

@@ -18,7 +18,13 @@ from treesum.errors import AlreadySelected, UnknownNode
 from treesum.scoring import _g_unchecked, cor
 
 from test_greedy import _lists, _walk_gain
-from test_tree import ORDER_WEIGHTS, _walk_nearest, random_trees, shuffled_trees
+from test_tree import (
+    ORDER_WEIGHTS,
+    SIGNED_ZERO_WEIGHTS,
+    _walk_nearest,
+    random_trees,
+    shuffled_trees,
+)
 
 
 def test_cor_values(ontology):
@@ -188,7 +194,13 @@ def test_score_matches_walk_bit_for_bit(t, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(shuffled_trees(max_n=40, weights=ORDER_WEIGHTS), st.data())
+@given(
+    st.one_of(
+        shuffled_trees(max_n=40, weights=ORDER_WEIGHTS),
+        shuffled_trees(max_n=40, weights=SIGNED_ZERO_WEIGHTS),
+    ),
+    st.data(),
+)
 def test_fast_gain_matches_walk_bit_for_bit(t, data):
     # the reduced tree scores with score_levels that differ from its levels
     for tree in (t, vtree(t).tree):

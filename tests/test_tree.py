@@ -271,6 +271,8 @@ def _assert_matches_reference(t):
 
 # 1e16 next to 0.1 and 1/3 makes a sum depend on the order of its terms
 ORDER_WEIGHTS = (0.0, 0.1, 1 / 3, 1e16, 7.0, 2.0)
+# -0.0 passes the weight check; a result built from it must keep its sign
+SIGNED_ZERO_WEIGHTS = (-0.0, 0.0, 1.0, 2.5, 7.0, 40.0)
 
 
 @st.composite
