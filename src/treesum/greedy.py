@@ -9,21 +9,21 @@ Gains are kept in a heap and evaluated lazily, the exact-invalidation form
 of Minoux's accelerated greedy (1978) and of CELF (Leskovec et al., KDD
 2007).  Nodes are laid out in reverse postorder, where x's subtree is one
 slice that starts at x.  One float64 table holds, for every node x, the
-term w(y) / (ly - lx + 1) of each y in its slice, Σ(levels + 1) entries in
-all, as many as the exact solver's base rows.  The first round sums each
+term w(y) / (ly - lx + 1) of each weighted y in its slice: one entry per
+weighted node and ancestor, Σ(levels + 1) over the weighted nodes, as many
+terms as a pass over their ancestor paths adds.  The first round sums each
 node's block of the table.  Later gains read the cover, each node's nearest
-selected self-inclusive ancestor: x gains the nodes in its slice that share
-its cover z, each by its term against x less its term against z, both read
-from the table.  A pick s changes only those gains and its ancestors' up to
-its cover.  They are marked stale; a stale entry that reaches the top of the
-heap is recomputed and pushed back, and the first fresh entry popped is the
-pick.  Every gain, the trace and the score are bit-for-bit those of a full
-rescan each round.
+selected self-inclusive ancestor: x gains the weighted nodes in its slice
+that share its cover z, each by its term against x less its term against z,
+both read from the table.  A pick s changes only those gains and its
+ancestors' up to its cover.  They are marked stale; a stale entry that
+reaches the top of the heap is recomputed and pushed back, and the first
+fresh entry popped is the pick.  Every gain, the trace and the score are
+bit-for-bit those of a full rescan each round.
 """
 from __future__ import annotations
 
 import heapq
-import math
 
 import numpy as np
 
@@ -36,24 +36,25 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
     """Select k summary nodes greedily by largest marginal gain.
 
     ``stats`` holds ``gain_evals`` (gains recomputed after the first round)
-    and ``first_round_terms`` (the first round's terms of weighted nodes, one
-    per node on each weighted node's root path).
+    and ``first_round_terms`` (the term table's entries, which the first
+    round adds: one per node on each weighted node's root path).
     """
     tree.check_k(k)
 
     parent = tree.parent.tolist()
     rpo = tree.post_order[::-1]
     # By position in reverse postorder, where x's subtree is at[x] : at[x] +
-    # size[x]: each node's cover, gain freshness and uncovered second term.
+    # size[x]: each node's cover and gain freshness.  wcover is the cover at
+    # the weighted positions alone, where the slice a : b is before[a] :
+    # before[b].
     at = np.argsort(rpo).tolist()
     size = tree.subtree_size.tolist()
-    terms, col, gains = _term_table(tree, rpo)
+    terms, before, col, gains = _term_table(tree, rpo)
     heap = [(-g, r, x) for x, (g, r) in enumerate(zip(gains, tree.pre_rank.tolist()))]
     heapq.heapify(heap)
     cover = np.full(tree.n, -1, dtype=np.int64)
+    wcover = np.full(len(tree.important), -1, dtype=np.int64)
     fresh = np.ones(tree.n, dtype=bool)
-    # an uncovered node's second term, w / (ly + 1 - -inf): a signed zero
-    uncovered = tree.feq[rpo] / math.inf
     # A stale gain is an upper bound on the true gain, in floating point
     # too, because rounding is monotone and the terms keep their order: below
     # a new pick every term w/(ly-lx+1) - w/(ly-lz+1) can only fall as the
@@ -68,12 +69,15 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
         a = at[x]
         b = a + size[x]
         z = int(cover[a])
+        i = before[a]
+        j = before[b]
         if not fresh[a]:
             fresh[a] = True
             gain_evals += 1
-            terms_x = terms[col[x] + a : col[x] + b]
-            terms_z = terms[col[z] + a : col[z] + b] if z >= 0 else uncovered[a:b]
-            gain = _cover_gain(cover[a:b], terms_x, terms_z)
+            mine = terms[col[a] + i : col[a] + j]
+            # with no cover, lz = -inf and each second term is w / inf = 0.0
+            theirs = terms[col[at[z]] + i : col[at[z]] + j] if z >= 0 else 0.0
+            gain = _cover_gain(wcover[i:j], z, mine, theirs)
             heapq.heapreplace(heap, (-gain, rank, x))
             continue
         heapq.heappop(heap)
@@ -82,9 +86,10 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
 
         # x now covers what shared its cover in its slice; those gains are
         # stale, and its ancestors' up to that cover (a walk, not a query)
-        mine = cover[a:b] == z
-        cover[a:b][mine] = x
-        fresh[a:b][mine] = False
+        shared = cover[a:b] == z
+        cover[a:b][shared] = x
+        fresh[a:b][shared] = False
+        wcover[i:j][wcover[i:j] == z] = x
         v = parent[x]
         while v != z:
             fresh[at[v]] = False
@@ -94,36 +99,46 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
         score=_g_unchecked(tree, order),
         algorithm="gts",
         trace=trace,
-        stats={
-            "gain_evals": gain_evals,
-            # each weighted node adds one term per node on its root path
-            "first_round_terms": int(tree.levels[tree.important].sum()) + len(tree.important),
-        },
+        stats={"gain_evals": gain_evals, "first_round_terms": len(terms)},
     )
 
 
 def _term_table(tree: WeightedTree, rpo: np.ndarray):
-    """(terms, col, gains): the term table of the nodes in reverse postorder
-    ``rpo``, each node's column offset into it and each node's gain against
-    the empty set.
+    """(terms, before, col, gains): the term table of the nodes in reverse
+    postorder ``rpo``; by position p in ``rpo``, the number of weighted
+    positions before p (and, at p = n, in all) and the column offset into
+    the table of the block at p; and by node, the gain against the empty
+    set.
 
-    Node x's block holds, for each position p of its slice, the term
-    w / (ly - lx + 1) of the node there, at ``terms[col[x] + p]``; blocks
-    follow each other in reverse postorder.  The gains add each block's
-    terms in slice order, the order ``_cover_gain`` sums them in later rounds.
-    A weightless node's term is a signed zero, which leaves a sum that starts
-    at 0.0 unchanged, so the gains are bit-identical to adding the weighted
-    nodes' terms alone.
+    Only weighted positions have entries: a weightless node's term is a
+    signed zero and its part of a later gain is +0.0, and leaving either out
+    of a sum that starts at 0.0, or of nonnegative terms, changes no bit.
+    The block at p, for the node x whose slice is p : q, holds for the j-th
+    weighted position of the layout, before[p] <= j < before[q], the term
+    w / (ly - lx + 1) of the node there, at ``terms[col[p] + j]``; blocks
+    follow each other in reverse postorder, Σ(levels + 1) entries over the
+    weighted nodes.  The gains add each block's terms in slice order, the
+    order ``_cover_gain`` sums them in later rounds.
     """
-    size = tree.subtree_size[rpo]
+    w = tree.feq[rpo]
     lv = tree.score_levels[rpo]
-    # block i starts at entry i + shift[i] and holds positions i : i + size[i]
-    shift = np.cumsum(size) - size - np.arange(tree.n)
-    pos = np.arange(int(size.sum())) - np.repeat(shift, size)
-    terms = tree.feq[rpo][pos] / ((lv + 1.0)[pos] - np.repeat(lv, size))
+    weighted = w > 0
+    before = np.concatenate(([0], np.cumsum(weighted)))
+    lo = before[:-1]
+    count = before[np.arange(tree.n) + tree.subtree_size[rpo]] - lo
+    # the block at p starts at entry lo[p] + col[p]
+    col = np.cumsum(count) - count - lo
+    # each entry's weighted position, then its term; in place, so the build
+    # holds at most three arrays the table's size
+    j = np.arange(int(count.sum()))
+    j -= np.repeat(col, count)
+    terms = w[weighted][j]
+    den = (lv[weighted] + 1.0)[j]
+    del j
+    den -= np.repeat(lv, count)
+    terms /= den
+    del den
     gains = np.zeros(tree.n)
     # adds in array order, so each node's gain is one sequential sum
-    np.add.at(gains, np.repeat(rpo, size), terms)
-    col = np.empty(tree.n, dtype=np.int64)
-    col[rpo] = shift
-    return terms, col.tolist(), gains.tolist()
+    np.add.at(gains, np.repeat(rpo, count), terms)
+    return terms, before.tolist(), col.tolist(), gains.tolist()

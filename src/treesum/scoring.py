@@ -110,15 +110,17 @@ def marginal_gain_fast(tree: WeightedTree, members: Iterable[int], x: int) -> fl
     ly1 = lv[nodes] + 1.0
     z = cover[0]
     lz = lv[z] if z >= 0 else -math.inf
-    return _cover_gain(cover, w / (ly1 - lv[x]), w / (ly1 - lz))
+    return _cover_gain(cover, z, w / (ly1 - lv[x]), w / (ly1 - lz))
 
 
-def _cover_gain(cover, mine, theirs) -> float:
-    """The gain of an unselected x from its subtree in reverse postorder, x
-    first: ``cover`` (each node's nearest selected self-inclusive ancestor,
-    -1 for none) and each node's terms w / (ly - l + 1) against x's level l,
-    ``mine``, and against its cover's, ``theirs``.  x gains the nodes that
-    share its cover, in the order a stack walk of the subtree visits them.
-    A weightless one adds an exact 0.0, and so does the second term when x
-    has no cover (l = -inf: w / inf, a signed zero the subtraction must see)."""
-    return float((mine - theirs)[cover == cover[0]].cumsum()[-1])
+def _cover_gain(cover, z, mine, theirs) -> float:
+    """The gain of an unselected x with cover ``z`` from nodes of its subtree
+    in reverse postorder: ``cover`` (each one's nearest selected
+    self-inclusive ancestor, -1 for none) and each one's terms
+    w / (ly - l + 1) against x's level l, ``mine``, and against z's,
+    ``theirs`` (l = -inf for no cover: w / inf, a signed zero).  x gains the
+    nodes that share its cover, in the order a stack walk of the subtree
+    visits them.  A weightless one adds an exact 0.0, the difference of two
+    equal zeros, so it may be left out, and with none left the gain is 0.0."""
+    kept = (mine - theirs)[cover == z]
+    return float(kept.cumsum()[-1]) if len(kept) else 0.0

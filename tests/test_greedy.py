@@ -74,7 +74,7 @@ def _assert_first_round_matches_walks(tree):
     parent, children, lv, feq = _lists(tree)
     walks = [_walk_gain(set(), x, parent, children, lv, feq) for x in range(tree.n)]
     paths = _path_first_round(parent, lv, feq, tree.post_order.tolist())
-    table = _term_table(tree, tree.post_order[::-1])[2]
+    table = _term_table(tree, tree.post_order[::-1])[-1]
     assert list(map(float.hex, table)) == list(map(float.hex, walks))
     assert list(map(float.hex, paths)) == list(map(float.hex, walks))
 
