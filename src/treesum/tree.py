@@ -5,20 +5,26 @@ integer indices in input-record order; the external string ids map to indices
 through ``tree.index()``.  Ids are resolved here only: the constructor, or
 ``from_parent_ids`` for parents given by id (the TSV parser, ``build_tree``),
 builds the one id -> index dict, which is the one duplicate check.
-Construction is a fixed number of numpy passes with no per-node Python loop:
+Construction runs numpy passes only, with no per-node Python loop:
 
-  * the children of every node come from a stable argsort of the parent
-    array (compressed rows, child order is input order);
-  * the depth-first tour is a successor list over 2n enter/exit events:
-    enter(v) goes to v's first child, or to exit(v) for a leaf; exit(v) goes
-    to v's next sibling, or to exit(parent) for a last child.  Pointer
-    jumping ranks it in ceil(log2 2n) rounds (the Euler-tour technique with
-    list ranking, Tarjan & Vishkin 1985);
-  * the tour positions give everything else: subtree sizes, levels (one
-    cumsum of +1 per enter and -1 per exit), preorder and postorder ranks.
+  * the children of every node come from a stable sort of the parent
+    array, two passes of a 16-bit radix sort (compressed rows, child order
+    is input order);
+  * subtree sizes come from doubling along the parent pointers, with a
+    sentinel above the root (pointer jumping, Wyllie 1979): in round j every
+    node adds the count it holds to its 2**j-th ancestor's and then points
+    at that ancestor's 2**j-th ancestor;
+  * one exclusive cumsum of the sizes over the compressed rows gives each
+    node the size of its earlier siblings' subtrees, and a second doubling
+    sums 1 + that offset, and 1, along every root path: the preorder ranks
+    and the levels.  Postorder ranks follow from those and the sizes.
 
-A node left off the root's tour sits on a parent cycle.  Subtree sizes make
-"y is a descendant of x" a single interval test:
+Each doubling takes ceil(log2(h + 1)) rounds over n + 1 entries for a tree of
+height h, so the build does O(n log h) work.  A node on a parent cycle, or
+below one, never reaches the sentinel; the first doubling stops after
+n.bit_length() + 1 rounds and names the nodes that did not.
+
+Subtree sizes make "y is a descendant of x" a single interval test:
 pre_rank[x] <= pre_rank[y] < pre_rank[x] + subtree_size[x].
 
 Child order is input order and defines every deterministic traversal and
@@ -50,6 +56,10 @@ from .errors import (
     OrphanParentReference,
     UnknownNode,
 )
+
+
+# one level in the tree build's packed (level, preorder rank) path sums
+_LEVEL = 1 << 32
 
 
 class WeightedTree:
@@ -160,8 +170,13 @@ class WeightedTree:
 
         # Children as compressed rows: the root sorts first (its parent is the
         # only negative one), every other node lands in its parent's run, and
-        # the stable sort keeps each run in input order.
-        child_order = np.argsort(par, kind="stable")[1:]
+        # the stable sort keeps each run in input order.  It sorts by the low
+        # and then the high 16 bits of parent + 1, for which numpy's stable
+        # sort is a linear-time radix sort; that needs n < 2**32.
+        key = par + 1
+        low = np.argsort(key.astype(np.uint16), kind="stable")
+        child_order = low[np.argsort((key[low] >> 16).astype(np.uint16), kind="stable")][1:]
+        del key, low
         child_parent = par[child_order]
         child_start = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(child_parent, minlength=n), out=child_start[1:])
@@ -170,40 +185,50 @@ class WeightedTree:
         self._children = None
         self._subtree_weight = None
 
-        # Successor of each tour event: enter(v) = v, exit(v) = n + v.  The
-        # root's exit points at itself and ends the tour.
+        # Doubling along the parent pointers, with a sentinel n above the
+        # root.  After round j, anc[v] is v's 2**j-th ancestor, or the
+        # sentinel, and size[v] counts v's descendants less than 2**j below
+        # it (the sentinel's own count is never read).  The root's count
+        # reaches n in the round in which every pointer reaches the sentinel.
+        # Counts are float64, the weight type of bincount.  Each work array
+        # is dropped once spent, so the peak stays near what the tree keeps.
+        up = np.empty(n + 1, dtype=np.int64)
+        up[:n] = par
+        up[root] = up[n] = n
+        size = np.ones(n + 1)
+        anc = up
+        rounds = 0
+        while size[root] != n:
+            if rounds > n.bit_length():
+                missing = np.flatnonzero(anc[:n] != n)
+                raise CycleDetected(
+                    f"nodes unreachable from the root: {[self.ids[i] for i in missing[:5]]}"
+                )
+            size += np.bincount(anc, size)
+            anc = anc[anc]
+            rounds += 1
+        del anc
+        size = size[:n].astype(np.int64)
+
+        # A child's preorder rank is its parent's plus one plus the sizes of
+        # its earlier siblings: one exclusive cumsum over the compressed rows.
+        # The same doubling sums those steps along each root path, with the
+        # level (one per step) packed above bit 32 of the same sum.  Ranks
+        # and levels stay below n, so the packing holds for n < 2**31.
+        before = np.zeros(n, dtype=np.int64)
+        np.cumsum(size[child_order], out=before[1:])
+        acc = np.zeros(n + 1, dtype=np.int64)
+        acc[child_order] = before[:-1] - before[child_start[child_parent]] + (_LEVEL + 1)
+        del before, child_parent
+        anc = up
+        for _ in range(rounds):
+            acc += acc[anc]
+            anc = anc[anc]
+        del anc, up
+        levels = acc[:n] >> 32
+        pre_rank = acc[:n] & (_LEVEL - 1)
+        del acc
         nodes = np.arange(n)
-        succ = np.empty(2 * n, dtype=np.int64)
-        succ[:n] = nodes + n
-        inner = np.flatnonzero(child_start[1:] > child_start[:-1])
-        succ[inner] = child_order[child_start[inner]]
-        succ[n + child_order] = n + child_parent
-        sibling = np.flatnonzero(child_parent[1:] == child_parent[:-1])
-        succ[n + child_order[sibling]] = child_order[sibling + 1]
-        succ[n + root] = n + root
-
-        # Pointer jumping: after round r, dist[e] counts the steps from e
-        # towards the end of its list, up to 2**r.
-        dist = np.ones(2 * n, dtype=np.int64)
-        dist[n + root] = 0
-        nxt = succ
-        for _ in range((2 * n).bit_length()):
-            dist += dist[nxt]
-            nxt = nxt[nxt]
-        if dist[root] != 2 * n - 1:
-            missing = np.flatnonzero(nxt[:n] != n + root)
-            raise CycleDetected(
-                f"nodes unreachable from the root: {[self.ids[i] for i in missing[:5]]}"
-            )
-
-        pos = dist[root] - dist
-        enter = pos[:n]
-        size = (pos[n:] - enter + 1) // 2
-        step = np.empty(2 * n, dtype=np.int64)
-        step[enter] = 1
-        step[pos[n:]] = -1
-        levels = np.cumsum(step)[enter] - 1
-        pre_rank = (enter + levels) // 2
         pre_order = np.empty(n, dtype=np.int64)
         pre_order[pre_rank] = nodes
         post_order = np.empty(n, dtype=np.int64)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -324,6 +326,111 @@ def test_cycle_message_names_unreachable_nodes():
         WeightedTree(ids, [-1, 2, 3, 1], [1.0] * 4)
     with pytest.raises(CycleDetected, match=r"\['a'\]"):
         WeightedTree(["r", "a"], [-1, 1], [1.0, 1.0])
+
+
+def _variants(parent, seed):
+    """The tree of ``parent`` in three input orders: as given, reversed (so
+    every child list is reversed and the root comes last), and a random
+    relabelling; weights are drawn from ORDER_WEIGHTS."""
+    n = len(parent)
+    rng = np.random.default_rng(seed)
+    reverse = list(range(n - 1, -1, -1))
+    for perm in (list(range(n)), reverse, rng.permutation(n).tolist()):
+        relabelled = [-1] * n
+        for i, p in enumerate(parent):
+            relabelled[perm[i]] = -1 if p < 0 else perm[p]
+        feq = rng.choice(ORDER_WEIGHTS, size=n).tolist()
+        yield WeightedTree([f"n{i}" for i in range(n)], relabelled, feq)
+
+
+@pytest.mark.parametrize("j", range(1, 13))
+def test_array_build_paths_around_powers_of_two(j):
+    # each doubling takes ceil(log2(height + 1)) rounds, so these heights
+    # sit on both sides of a change in the round count
+    for n in (2**j - 1, 2**j, 2**j + 1):
+        for t in _variants([-1] + list(range(n - 1)), seed=n):
+            _assert_matches_reference(t)
+            assert t.height == n - 1
+
+
+@pytest.mark.parametrize("handle, width", [(1, 1), (2, 7), (33, 1), (64, 100), (1000, 3000)])
+def test_array_build_brooms(handle, width):
+    # a path of ``handle`` nodes whose last node has ``width`` leaves
+    parent = [-1] + list(range(handle - 1)) + [handle - 1] * width
+    for t in _variants(parent, seed=handle + width):
+        _assert_matches_reference(t)
+        assert t.height == handle
+
+
+@pytest.mark.parametrize("spine, legs", [(2, 1), (17, 3), (600, 2), (129, 40)])
+def test_array_build_caterpillars(spine, legs):
+    # a path of ``spine`` nodes with ``legs`` leaves on each; the reversed
+    # input order makes each next spine node its parent's last child
+    parent = [-1] + list(range(spine - 1)) + [s for s in range(spine) for _ in range(legs)]
+    for t in _variants(parent, seed=spine * legs):
+        _assert_matches_reference(t)
+        assert t.height == spine
+
+
+def test_array_build_deep_random_tree():
+    # each parent 1 to 5 steps back in a random order: height near n / 3
+    n = 20_000
+    rng = np.random.default_rng(6517)
+    parent = [-1] + np.maximum(np.arange(1, n) - rng.integers(1, 6, size=n - 1), 0).tolist()
+    for t in _variants(parent, seed=1):
+        assert t.height > 6000
+        _assert_matches_reference(t)
+
+
+def test_array_build_past_16_bit_indices():
+    # the children's sort takes parent indices 16 bits at a time
+    n = 70_000
+    rng = np.random.default_rng(16)
+    parent = [-1] + (rng.random(n - 1) * np.arange(1, n)).astype(np.int64).tolist()
+    for t in _variants(parent, seed=3):
+        _assert_matches_reference(t)
+
+
+# (ids, parent indices, message); the messages are those that the
+# Euler-tour build gave, before the doubling build replaced it
+CYCLES = [
+    # a self-loop
+    (["r", "a", "b"], [-1, 1, 0], "['a']"),
+    # a 2-cycle with a tail of two hanging under it
+    (["r", "a", "b", "c", "d", "e"], [-1, 2, 1, 1, 3, 0], "['a', 'b', 'c', 'd']"),
+    # two disjoint cycles, of two and of three nodes, between reachable nodes
+    (["r", "a", "x", "b", "c", "y", "d", "e"], [-1, 3, 0, 1, 6, 2, 7, 4], "['a', 'b', 'c', 'd', 'e']"),
+    # six unreachable nodes among reachable ones: the first five by index
+    (
+        ["q", "r", "z", "p", "y", "o", "x", "n", "w", "m"],
+        [3, -1, 1, 5, 2, 0, 1, 5, 7, 8],
+        "['q', 'p', 'o', 'n', 'w']",
+    ),
+]
+
+
+@pytest.mark.parametrize("ids, parent, named", CYCLES)
+def test_cycle_messages_are_pinned(ids, parent, named):
+    with pytest.raises(CycleDetected) as err:
+        WeightedTree(ids, parent, [1.0] * len(ids))
+    assert str(err.value) == f"nodes unreachable from the root: {named}"
+
+
+def test_build_peak_memory_per_node_on_a_path():
+    # measured 159 bytes per node for the doubling build (Python 3.11,
+    # numpy 2.4), against 255 for the Euler-tour build it replaced; the
+    # bound leaves a 20% margin
+    n = 20_000
+    ids = [f"c{i}" for i in range(n)]
+    parent = [-1] + list(range(n - 1))
+    feq = [1.0] * n
+    tracemalloc.start()
+    try:
+        WeightedTree(ids, parent, feq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 190
 
 
 @settings(max_examples=80, deadline=None)
