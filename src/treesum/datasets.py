@@ -17,13 +17,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
+
+import numpy as np
 
 from .errors import InvalidSpec, MalformedLine, NoRoot
 from .tree import WeightedTree
 
 _MASK64 = (1 << 64) - 1
 _NO_PARENT = "-"  # the parent column of the root
+_TAB, _NEWLINE, _COMMENT, _DASH = b"\t\n#-"
+# _LOW_BYTES[j] keeps the low j bytes of a uint64, for j = 0..8
+_LOW_BYTES = np.array([(1 << 8 * j) - 1 for j in range(9)], dtype=np.uint64)
 
 
 class Splitmix64:
@@ -122,19 +127,163 @@ def gen_random_tree(spec: GenSpec) -> WeightedTree:
 
 
 def parse_tree_tsv(path) -> WeightedTree:
-    """Read a tree file in one pass over its text.
+    """Read a tree file.  Files take one of two routes, to the same tree:
 
-    All fields are split at once and handed to
-    ``WeightedTree.from_parent_ids`` as flat lists; only a file that fails
-    the bulk checks is scanned line by line, to name the first bad line in
-    its MalformedLine.  Raises MalformedLine, or any error of
+    * the bulk route: a file with no comment line, no blank line, no NUL
+      byte and no carriage return, whose lines all hold the same number of
+      tabs, 2 or 3.  Its tab and newline bytes give every field's extent,
+      its text is split once, and its parent ids resolve through integer
+      keys of their bytes (``_resolve_ids``); no id dict is built.
+    * the line route: every other file, and every file in which the bulk
+      route finds a bad field, a repeated id or a parent it cannot match.
+      Its fields go to ``WeightedTree.from_parent_ids``; a file that breaks
+      the schema is scanned line by line to name its first bad line.
+
+    So every MalformedLine, DuplicateId and OrphanParentReference comes from
+    the line route.  Raises MalformedLine, or any error of
     ``from_parent_ids``.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
+    tree = _parse_uniform(data, text)
+    if tree is None:
+        if "\r" in text:
+            # the universal newlines of a file opened as text
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        tree = _parse_lines(text)
+    return tree
+
+
+def _parse_uniform(data: bytes, text: str):
+    """The tree of a file that takes the bulk route, or None to hand it to
+    the line route; ``text`` is ``data`` decoded.  Raises only the errors
+    of the tree's build, which the line route would raise too."""
+    if b"\r" in data or b"\0" in data:
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(raw == _NEWLINE)
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, raw.size)
+    tabs = np.flatnonzero(raw == _TAB)
+    n = ends.size
+    width = tabs.size // n
+    if width not in (2, 3) or tabs.size != width * n:
+        return None
+    # the tabs, in order, fall width to a line exactly when each line's
+    # first and last tab lie inside it
+    tabs = tabs.reshape(n, width)
+    starts = np.empty(n, dtype=np.int64)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    if (tabs[:, 0] < starts).any() or (tabs[:, -1] > ends).any():
+        return None
+    first = raw[starts]
+    id_len = tabs[:, 0] - starts
+    if (first == _COMMENT).any() or not id_len.all() or ((id_len == 1) & (first == _DASH)).any():
+        return None
+    par_start = tabs[:, 0] + 1
+    par_len = tabs[:, 1] - par_start
+    linked = np.flatnonzero((par_len != 1) | (raw[par_start] != _DASH))
+    found = _resolve_ids(data, starts, id_len, par_start[linked], par_len[linked])
+    if found is None:
+        return None
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[linked] = found
+
+    cols = width + 1
+    fields = text.replace("\n", "\t").split("\t")
+    if len(fields) > cols * n:
+        fields.pop()  # after the final newline
+    try:
+        weights = np.fromiter(map(float, islice(fields, 2, None, cols)), np.float64, n)
+    except ValueError:
+        return None
+    ids = fields[0::cols]
+    labels = None
+    if cols == 4:
+        labels = [label or node_id for label, node_id in zip(fields[3::4], ids)]
+    del fields
+    return WeightedTree._from_distinct_ids(ids, parent, weights, labels)
+
+
+def _resolve_ids(data: bytes, id_start, id_len, ref_start, ref_len):
+    """The id that each reference names, as an index into the ids, from the
+    fields' extents in ``data``; or None when two ids share a key or a
+    reference names no id.
+
+    A field's key is its bytes, NUL-padded, as one little-endian uint64 when
+    every field fits in 8 bytes; ``data`` holds no NUL, so that key is
+    exact.  Otherwise it is ``_mix`` folded over the field's length and its
+    NUL-padded 8-byte words, and every match is then checked byte for byte.
+    One sort of all the keys resolves every reference.
+    """
+    n = id_len.size
+    # one 8-byte word at every byte offset, read past the end into padding
+    words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=data + bytes(8), strides=(1,))
+    exact = max(id_len.max(), ref_len.max(initial=0)) <= 8
+    key = _exact_keys if exact else _mixed_keys
+    keys, inverse = np.unique(
+        np.concatenate([key(words, id_start, id_len), key(words, ref_start, ref_len)]),
+        return_inverse=True,
+    )
+    owner = np.full(keys.size, -1, dtype=np.int64)
+    owner[inverse[:n]] = np.arange(n)
+    if np.count_nonzero(owner >= 0) != n:
+        return None
+    found = owner[inverse[n:]]
+    if (found < 0).any():
+        return None
+    if not exact:
+        # a match must hold the same bytes: the same length and words
+        if (id_len[found] != ref_len).any():
+            return None
+        id_words = _field_words(words, id_start[found], ref_len)
+        ref_words = _field_words(words, ref_start, ref_len)
+        if any((a != b).any() for (_, a), (_, b) in zip(id_words, ref_words)):
+            return None
+    return found
+
+
+def _exact_keys(words, start, length):
+    return words[start] & _LOW_BYTES[length]
+
+
+def _mixed_keys(words, start, length):
+    key = _mix(length.astype(np.uint64))
+    for live, word in _field_words(words, start, length):
+        key[live] = _mix(key[live] ^ word)
+    return key
+
+
+def _field_words(words, start, length):
+    """For each 8-byte step into the fields: the positions of the fields
+    that reach it and their NUL-padded words there."""
+    live = np.arange(length.size)
+    offset = 0
+    while live.size:
+        tail = np.minimum(length[live] - offset, 8)
+        yield live, words[start[live] + offset] & _LOW_BYTES[tail]
+        offset += 8
+        live = live[length[live] > offset]
+
+
+def _mix(h):
+    """A bijective 64-bit mix of a uint64 array (the murmur3 finalizer)."""
+    h ^= h >> 33
+    h *= np.uint64(0xFF51AFD7ED558CCD)
+    h ^= h >> 33
+    h *= np.uint64(0xC4CEB9FE1A85EC53)
+    h ^= h >> 33
+    return h
+
+
+def _parse_lines(text: str) -> WeightedTree:
+    """The line route of ``parse_tree_tsv`` over a file's text, with its
+    line ends already made ``\\n``."""
     lines = [line for line in text.split("\n") if line and line[0] != "#"]
     if not lines:
         raise NoRoot("empty node list")
@@ -203,12 +352,14 @@ def _format_weight(w: float) -> str:
 def _check_writable(tree: WeightedTree):
     """Raise MalformedLine for the first node whose line would not parse back."""
     ids, labels = tree.ids, tree.labels
-    # scans of joined text clear a good tree without a per-node loop
+    # scans of joined text clear a good tree without a per-node loop; while
+    # no id holds a line break, each id is one line of ``lines``
     text = "".join(ids) + "".join(labels)
+    lines = "\n" + "\n".join(ids) + "\n"
     if not (
-        "" in tree._id_to_index
-        or _NO_PARENT in tree._id_to_index
-        or "\n#" in "\n" + "\n".join(ids)
+        "\n\n" in lines
+        or f"\n{_NO_PARENT}\n" in lines
+        or "\n#" in lines
         or "\t" in text
         or "\n" in text
         or "\r" in text

@@ -2,9 +2,11 @@
 
 A WeightedTree is built once and never mutated.  Nodes are addressed by dense
 integer indices in input-record order; the external string ids map to indices
-through ``tree.index()``.  Ids are resolved here only: the constructor, or
-``from_parent_ids`` for parents given by id (the TSV parser, ``build_tree``),
-builds the one id -> index dict, which is the one duplicate check.
+through ``tree.index()``, whose dict is built on the first lookup.  The
+constructor checks the ids for repeats with a set.  ``from_parent_ids``, for
+parents given by id (``build_tree`` and the TSV parser's line route),
+resolves them through a dict that it keeps as the tree's index; the TSV
+parser's bulk route resolves them from the file's bytes and builds no dict.
 Construction runs numpy passes only, with no per-node Python loop:
 
   * the children of every node come from a stable sort of the parent
@@ -103,7 +105,9 @@ class WeightedTree:
         score_levels: Optional[Sequence[int]] = None,
     ):
         ids = list(ids)
-        self._build(ids, _index_ids(ids), parent, feq, labels, score_levels)
+        if len(set(ids)) != len(ids):
+            _raise_duplicate(ids)
+        self._build(ids, parent, feq, labels, score_levels)
 
     @classmethod
     def from_parent_ids(cls, ids, parent_ids, feq, labels=None, root_parent=None) -> "WeightedTree":
@@ -111,7 +115,8 @@ class WeightedTree:
 
         Raises DuplicateId for the first repeated id, OrphanParentReference
         for the first parent id, in input order, that names no node, or any
-        error of the constructor.  The id index built here is the tree's.
+        error of the constructor.  The dict that resolves the parent ids
+        becomes the tree's id index, so the tree builds no second one.
         """
         ids = list(ids)
         index = _index_ids(ids)
@@ -125,11 +130,18 @@ class WeightedTree:
             raise OrphanParentReference(
                 f"node {ids[i]!r} references unknown parent {parent_ids[i]!r}"
             )
-        tree = cls.__new__(cls)
-        tree._build(ids, index, parent, feq, labels, None)
+        tree = cls._from_distinct_ids(ids, parent, feq, labels)
+        tree._id_to_index = index
         return tree
 
-    def _build(self, ids: list, index: dict, parent, feq, labels, score_levels):
+    @classmethod
+    def _from_distinct_ids(cls, ids: list, parent, feq, labels=None) -> "WeightedTree":
+        """The constructor for ``ids`` the caller has already checked distinct."""
+        tree = cls.__new__(cls)
+        tree._build(ids, parent, feq, labels, None)
+        return tree
+
+    def _build(self, ids: list, parent, feq, labels, score_levels):
         n = len(ids)
         if n == 0:
             raise NoRoot("empty node list")
@@ -139,7 +151,7 @@ class WeightedTree:
         self.n = n
         self.ids = ids
         self.labels = ids if labels is None else list(labels)
-        self._id_to_index = index
+        self._id_to_index = None
         par = np.array(parent, dtype=np.int64)
         weights = np.array(feq, dtype=np.float64)
 
@@ -288,8 +300,13 @@ class WeightedTree:
     # -- lookups --------------------------------------------------------
 
     def index(self, node_id: str) -> int:
+        """The index of ``node_id``; the id -> index dict is built on the
+        first lookup."""
+        index = self._id_to_index
+        if index is None:
+            index = self._id_to_index = _index_ids(self.ids)
         try:
-            return self._id_to_index[node_id]
+            return index[node_id]
         except KeyError:
             raise UnknownNode(f"unknown node id {node_id!r}") from None
 
@@ -389,12 +406,17 @@ def _index_ids(ids: list) -> dict:
     """The id -> index dict of ``ids``; DuplicateId names the first repeat."""
     index = dict(zip(ids, range(len(ids))))
     if len(index) != len(ids):
-        seen = set()
-        for node_id in ids:
-            if node_id in seen:
-                raise DuplicateId(f"duplicate node id {node_id!r}")
-            seen.add(node_id)
+        _raise_duplicate(ids)
     return index
+
+
+def _raise_duplicate(ids: list):
+    """Raise DuplicateId for the first repeat in ``ids``."""
+    seen = set()
+    for node_id in ids:
+        if node_id in seen:
+            raise DuplicateId(f"duplicate node id {node_id!r}")
+        seen.add(node_id)
 
 
 def build_tree(records) -> WeightedTree:

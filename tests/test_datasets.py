@@ -345,6 +345,24 @@ PARSE_CASES = [
     # the id "-" names the root's parent: rejected on its line, not as an extra root
     "a\t-\t1\n-\ta\t2\nc\t-\t3\n",
     "a\t-\t1\nb\ta\t2\n-\tb\tbad\nb\ta\t1\n",
+    # ids past 8 bytes: keyed by a mix of their words, every match checked
+    "aaaaaaaaa\t-\t1\nbbbbbbbbbb\taaaaaaaaa\t2\nc\tbbbbbbbbbb\t0\n",
+    "abcdefgh\t-\t1\tr\nabcdefghi\tabcdefgh\t2\t\nabcdefghij\tabcdefghi\t3\tleaf\n",
+    "abcdefghijklmnop\t-\t1\nabcdefghijklmnopq\tabcdefghijklmnop\t2\nq\tabcdefghijklmnopq\t3",
+    "ééééé\t-\t1\n中文中文\tééééé\t2\n😀😀😀\t中文中文\t3\n",
+    "aaaaaaaaa\t-\t1\nbbbbbbbbb\taaaaaaaaa\t2\naaaaaaaaa\tbbbbbbbbb\t3\n",
+    "aaaaaaaaa\t-\t1\nbbbbbbbbb\taaaaaaaab\t2\n",
+    "aaaaaaaaa\t-\t1\nbbbbbbbbb\taaaaaaaa\t2\n",
+    "aaaaaaaaa\t-\t1\nbbbbbbbbb\taaaaaaaaa\t2\ncccccccccc\tbbbbbbbbb\tbad\n",
+    "aaaaaaaaa\t-\t1\nbbbbbbbbb\tcccccccccc\t2\ncccccccccc\tbbbbbbbbb\t3\n",
+    "aaaaaaaaa\t-\t1\nbbbbbbbbb\taaaaaaaaa\t2\nccccccccc\t-\t3\n",
+    "aaaaaaaaa\t-\t1\n-\taaaaaaaaa\t2\n",
+    "aaaaaaaaa\x00\t-\t1\nb\taaaaaaaaa\x00\t2\n",
+    "aaaaaaaaa\t-\t1\nb\t\t2\n",
+    # NUL is not padding: "a\0" is not "a"
+    "a\x00\t-\t1\nb\ta\t2\n",
+    # as many tabs as two 4-column lines, but 4 on one line and 2 on the other
+    "a\t-\t1\tx\ty\nb\ta\t2\n",
 ]
 
 
@@ -360,6 +378,152 @@ def test_parse_generated_tree_matches_reference(tmp_path):
     p = tmp_path / "gen.tsv"
     write_tree_tsv(t, p)
     assert _outcome(parse_tree_tsv, p) == _outcome(_reference_parse, p)
+    # 9-byte ids and labels: four columns on the hashed keys
+    long_ids = [f"w{i:08d}" for i in range(t.n)]
+    write_tree_tsv(WeightedTree(long_ids, t.parent, t.feq, t.ids), p)
+    assert _outcome(parse_tree_tsv, p) == _outcome(_reference_parse, p)
+
+
+# ids of 1 to 20 UTF-8 bytes, "-" and "#" among their characters
+_ID_CHARS = st.sampled_from("abyz09-#. é中😀")
+
+
+@st.composite
+def _tree_files(draw):
+    """A tree file's text: a random tree over random ids, in random line
+    order, with up to three faults the line route checks for."""
+    max_bytes = draw(st.sampled_from([2, 8, 9, 20]))
+    # an id that starts with "#" makes a comment line, as the inserted ones do
+    id_text = st.text(_ID_CHARS, min_size=1, max_size=max_bytes).filter(
+        lambda s: len(s.encode()) <= max_bytes and s[0] != "#"
+    )
+    ids = draw(st.lists(id_text, min_size=1, max_size=12, unique=True))
+    n = len(ids)
+    weights = st.sampled_from(["0", "1", "2.5", "1e3", " 7 ", "1_0"])
+    rows = [
+        [node_id, "-" if i == 0 else ids[draw(st.integers(0, i - 1))], draw(weights)]
+        for i, node_id in enumerate(ids)
+    ]
+    labels = draw(st.sampled_from(["none", "none", "all", "some"]))
+    for row in rows:
+        if labels == "all" or (labels == "some" and draw(st.booleans())):
+            row.append(draw(st.sampled_from(["", "lbl", "é x", "#"])))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        row = rows[draw(st.integers(0, n - 1))]
+        fault = draw(
+            st.sampled_from(
+                ["repeat", "orphan", "near", "dash", "weight", "nul", "root", "cycle", "width"]
+            )
+        )
+        if fault == "repeat":
+            row[0] = draw(st.sampled_from(ids))
+        elif fault == "orphan":
+            row[1] = draw(id_text)
+        elif fault == "near":
+            # an id with one character more or less
+            near = draw(st.sampled_from(ids))
+            row[1] = near[:-1] if draw(st.booleans()) else near + draw(_ID_CHARS)
+        elif fault == "dash":
+            row[0] = "-"
+        elif fault == "weight":
+            row[2:3] = [draw(st.sampled_from(["bad", "", "-1", "nan", "inf"]))]
+        elif fault == "nul":
+            at = draw(st.sampled_from([0, 1, len(row) - 1]))
+            row[at] += "\x00"
+        elif fault == "root":
+            row[1] = "-"
+        elif fault == "cycle":
+            row[1] = draw(st.sampled_from(ids))
+        elif draw(st.booleans()):
+            del row[2:]
+        else:
+            row.append("x\ty")
+    lines = ["\t".join(row) for row in draw(st.permutations(rows))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        extra = draw(st.sampled_from(["", "# note", "#\t-\t1"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tree_files())
+def test_parse_matches_reference_property(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("gen") / "t.tsv"
+    p.write_bytes(text.encode("utf-8"))
+    assert _outcome(parse_tree_tsv, p) == _outcome(_reference_parse, p)
+
+
+def test_parse_when_every_long_key_collides(tmp_path, monkeypatch):
+    import numpy as np
+
+    import treesum.datasets
+
+    # a constant mix gives every field past 8 bytes one key
+    monkeypatch.setattr(treesum.datasets, "_mix", lambda h: np.full_like(h, 7))
+    p = tmp_path / "case.tsv"
+    for text in PARSE_CASES:
+        p.write_bytes(text.encode("utf-8"))
+        assert _outcome(parse_tree_tsv, p) == _outcome(_reference_parse, p)
+    t = gen_random_tree(GenSpec(n=300, important_count=30, seed=21))
+    write_tree_tsv(WeightedTree([f"w{i:08d}" for i in range(t.n)], t.parent, t.feq), p)
+    assert _outcome(parse_tree_tsv, p) == _outcome(_reference_parse, p)
+
+
+def test_parse_checks_the_bytes_of_a_matched_key(tmp_path, monkeypatch):
+    import treesum.datasets
+
+    # with no mix a key is the xor of the length and the words, so swapped
+    # words collide: each parent below has the key of an id that differs,
+    # the last two by one trailing byte
+    monkeypatch.setattr(treesum.datasets, "_mix", lambda h: h)
+    p = tmp_path / "case.tsv"
+    for text in (
+        "r\t-\t1\naaaaaaaabbbbbbbb\tr\t2\nx\tbbbbbbbbaaaaaaaa\t3\n",
+        "aaaaaaaabbbbbbbbc\t-\t1\nx\tbbbbbbbbaaaaaaaac\t3\n",
+        "aaaaaaaaaaaaaaaa\t-\t1\nx\taaaaaaaaaaaaaaaa\x01\t3\n",
+        "aaaaaaaaaaaaaaaa\x01\t-\t1\nx\taaaaaaaaaaaaaaaa\t3\n",
+    ):
+        p.write_bytes(text.encode("utf-8"))
+        got = _outcome(parse_tree_tsv, p)
+        assert got == _outcome(_reference_parse, p)
+        assert got[0] is OrphanParentReference
+
+
+@pytest.mark.parametrize(
+    "text, route",
+    [
+        ("a\t-\t1\nb\ta\t2\nc\tb\t0", "bulk"),
+        ("aaaaaaaaa\t-\t1\tx\nbbbbbbbbb\taaaaaaaaa\t2\t\n", "bulk"),
+        ("# note\na\t-\t1\nb\ta\t2\n", "lines"),
+        ("a\t-\t1\nb\ta\t2\n\n", "lines"),
+        ("a\t-\t1\tx\nb\ta\t2\n", "lines"),
+        ("a\t-\t1\nb\x00\ta\t2\n", "lines"),
+        ("a\t-\t1\r\nb\ta\t2\r\n", "lines"),
+    ],
+)
+def test_parse_route(tmp_path, monkeypatch, text, route):
+    import treesum.tree
+
+    calls = []
+    index_ids = treesum.tree._index_ids
+    from_parent_ids = WeightedTree.from_parent_ids.__func__
+
+    def counting_index(ids):
+        calls.append("_index_ids")
+        return index_ids(ids)
+
+    def counting_from_parent_ids(cls, *args, **kwargs):
+        calls.append("from_parent_ids")
+        return from_parent_ids(cls, *args, **kwargs)
+
+    monkeypatch.setattr(treesum.tree, "_index_ids", counting_index)
+    monkeypatch.setattr(WeightedTree, "from_parent_ids", classmethod(counting_from_parent_ids))
+    p = tmp_path / "t.tsv"
+    p.write_bytes(text.encode("utf-8"))
+    tree = parse_tree_tsv(p)
+    assert calls == ([] if route == "bulk" else ["from_parent_ids", "_index_ids"])
+    assert _outcome(lambda _: tree, p) == _outcome(_reference_parse, p)
 
 
 def _records(rows):
@@ -409,12 +573,15 @@ def test_build_generated_tree_matches_reference():
 
 def test_root_marker_is_not_an_id(tmp_path):
     p = tmp_path / "t.tsv"
+    q = tmp_path / "t_lines.tsv"
     p.write_text("a\t-\t1\nb\ta\t2\n")
+    q.write_text("# the line route\na\t-\t1\nb\ta\t2\n")
     built = build_tree(_records([("a", None, 1), ("b", "a", 2)]))
-    for tree, marker in ((parse_tree_tsv(p), "-"), (built, None)):
+    for tree, marker in ((parse_tree_tsv(p), "-"), (parse_tree_tsv(q), "-"), (built, None)):
         with pytest.raises(UnknownNode):
             tree.index(marker)
         assert len(tree._id_to_index) == tree.n == 2
+        assert marker not in tree._id_to_index
     with pytest.raises(ValueError, match="root's parent marker"):
         build_tree(_records([("a", None, 1), (None, "a", 2)]))
 
@@ -430,11 +597,24 @@ def test_one_id_index_per_tree(tmp_path, monkeypatch):
 
     index_ids = treesum.tree._index_ids
     monkeypatch.setattr(treesum.tree, "_index_ids", counting)
-    p = tmp_path / "t.tsv"
-    p.write_text("a\t-\t1\nb\ta\t2\tlabel b\nc\tb\t3\n")
+    bulk = tmp_path / "bulk.tsv"
+    bulk.write_text("a\t-\t1\nb\ta\t2\nc\tb\t3\n")
+    mixed = tmp_path / "mixed.tsv"
+    mixed.write_text("a\t-\t1\nb\ta\t2\tlabel b\nc\tb\t3\n")
     records = _records([("a", None, 1), ("b", "a", 2), ("c", "b", 3)])
-    for build in (lambda: parse_tree_tsv(p), lambda: build_tree(records)):
+    # (build, dicts built with the tree): the routes that resolve parent ids
+    # keep the dict they resolve with; the others build it on the first lookup
+    for build, at_build in (
+        (lambda: parse_tree_tsv(bulk), 0),
+        (lambda: WeightedTree(["a", "b", "c"], [-1, 0, 1], [1, 2, 3]), 0),
+        (lambda: parse_tree_tsv(mixed), 1),
+        (lambda: build_tree(records), 1),
+    ):
         tree = build()
+        assert len(built) == at_build
+        assert tree._id_to_index is (built[0] if at_build else None)
+        assert tree.index("b") == 1
+        assert tree.indices(["c", "a"]) == [2, 0]
         assert len(built) == 1
         assert tree._id_to_index is built.pop()
         assert tree._id_to_index == {"a": 0, "b": 1, "c": 2}
