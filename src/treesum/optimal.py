@@ -59,12 +59,23 @@ by representing it, lies in one flat float64 array, ragged: Σ(levels + 1)
 floats, filled depth by depth (a node's ancestor path is its parent's plus
 the parent's score level) and then divided once (``_base_rows``).  A leaf's
 only suffix is the empty one, so its memo is written directly: column 0 is
-its base row and column 1 its weight.  Then the postorder walks the
-internal nodes bottom-up with no recursion.  A node with two or more children
-makes one kernel call: the children's levels[u] + 2 rows give every no-case
-of u and its yes-case together.  A node with one child x merges nothing: x's
-memo is already u's tables[0], short by at most the one plateau column that
-cap[x] = cap[u] - 1 leaves out, so u's memo is read straight from it.
+its base row and column 1 its weight.  A twig, a node whose children are
+all leaves, needs no per-node pass either (``_evaluate_twigs``).  Its
+children all have cap 1 and at most two columns, so the twigs with the same
+child count m are evaluated together, their children's rows stacked
+raggedly as the leaf block is: the rows of a merge are independent, so one
+``_max_plus`` per child position merges that position for every twig of the
+group, and the memo rows and the yes-case follow from the same float
+operations as in the per-node pass.  Each twig's memo and kept tables are
+views into its group's arrays, bit for bit what the per-node pass makes.
+Only twigs are batched: other nodes' rows would need padding to a common
+depth and child cap, which costs more than it saves.  Then the postorder
+walks the other internal nodes bottom-up with no recursion.  A node with two
+or more children makes one kernel call: the children's levels[u] + 2 rows
+give every no-case of u and its yes-case together.  A node with one child x
+merges nothing: x's memo is already u's tables[0], short by at most the one
+plateau column that cap[x] = cap[u] - 1 leaves out, so u's memo is read
+straight from it.
 Value–choice ties prefer the no-case; knapsack split ties prefer the
 lexicographically smallest budget vector.  The suffix tables of every node
 with two or more children are kept, so the per-state queries (``_cases``)
@@ -258,15 +269,25 @@ class OtsSolver:
         np.add(base[np.repeat(leaf, width)], 0.0, out=block[:, 0])
         if self.k:
             np.add(np.repeat(tree.feq[leaves], width[leaf]), 0.0, out=block[:, 1])
-        ends = np.cumsum(width[leaf]).tolist()
+        ends = np.cumsum(width[leaf])
+        starts = np.zeros(tree.n, dtype=np.int64)  # each leaf's first row in block
+        starts[leaves] = ends - width[leaf]
+        ends = ends.tolist()
         for u, lo, hi in zip(leaves.tolist(), [0] + ends, ends):
             memo[u] = block[lo:hi]
+        # a node is a leaf or a twig exactly when its subtree is itself and
+        # its children
+        fanout = tree._child_start[1:] - tree._child_start[:-1]
+        bulk = tree.subtree_size.view(np.ndarray) == fanout + 1
+        twigs = np.flatnonzero(bulk & (fanout > 0))
+        if twigs.size:
+            self._evaluate_twigs(twigs, fanout[twigs], base, offset, block, starts)
         feq = self._feq
         offset = offset.tolist()
         children = tree.children
         kept = self._kept
         post = tree.post_order
-        for u in post[tree.subtree_size[post] > 1].tolist():
+        for u in post[~bulk[post]].tolist():
             d = levels[u]
             kids = children[u]
             if len(kids) > 1:
@@ -290,6 +311,72 @@ class OtsSolver:
                 np.maximum(no, feq[u] + tails[d + 1, :cap_u], out=no)
             memo[u] = vals
 
+    def _evaluate_twigs(self, twigs, fanout, base, offset, block, starts):
+        """memo, and for two or more children the kept tables, of every twig,
+        a node whose ``fanout`` children are all leaves, in one pass per
+        child count m.
+
+        The twigs of one m share cap min(k, m + 1), so one ``_max_plus`` per
+        child position merges that position for all of them at once: the
+        rows of a merge are independent, and each twig's block of rows is
+        what ``_tables`` would merge for it alone.  The children's rows are
+        gathered straight from the leaf ``block`` (``starts``: each leaf's
+        first row there), and the rows, the yes-case and the maximum are
+        the per-node loop's float operations, so every memo and kept table
+        is bit for bit the per-node one."""
+        tree = self.tree
+        memo, kept, seed = self.memo, self._kept, self._seed
+        per = np.bincount(fanout).tolist()
+        by_m = fanout.argsort(kind="stable")
+        twigs, fanout = twigs[by_m], fanout[by_m]
+        depth = tree.levels.view(np.ndarray)[twigs]
+        # a twig's children have its rows 0..d and a last row for the twig
+        rows = depth + 2
+        row_end = rows.cumsum()
+        within = np.arange(row_end[-1]) - (row_end - rows).repeat(rows)
+        # each child's first row in the leaf block, twig by twig, in child order
+        kid_end = fanout.cumsum()
+        slot = (tree._child_start[twigs] - (kid_end - fanout)).repeat(fanout)
+        kid_row = starts[tree._child_order[slot + np.arange(kid_end[-1])]]
+        # every twig's base rows 0..d, lined up with its children's rows; the
+        # last row is spare: it reads the next node's entry (clipped at the
+        # end of base), and no memo reaches it
+        own = base.take(offset[twigs].repeat(rows) + within, mode="clip")
+        feq = tree.feq[twigs]
+        ends = row_end.tolist()
+        twigs, depth, kid_end = twigs.tolist(), depth.tolist(), kid_end.tolist()
+        lo = 0
+        for m, count in enumerate(per):
+            if not count:
+                continue
+            hi = lo + count
+            r_lo = ends[lo - 1] if lo else 0
+            r_hi = ends[hi - 1]
+            k_lo = kid_end[lo - 1] if lo else 0
+            width = min(self.k, m + 1) + 1
+            # kids[i]: the memo rows of every twig's child i
+            pos = kid_row[k_lo : kid_end[hi - 1]].reshape(count, m).T
+            kids = block[pos.repeat(rows[lo:hi], axis=1) + within[r_lo:r_hi]]
+            tables = [kids[m - 1]]
+            for i in range(m - 2, -1, -1):
+                tables.append(_max_plus(kids[i], tables[-1], width))
+            tables.reverse()
+            head = tables[0] = _plateau(tables[0], width)
+            self._merges += count * (m - 1)
+            vals = own[r_lo:r_hi, None] + head
+            cap_u = width - 1
+            if cap_u:
+                yes = feq[lo:hi, None] + head[row_end[lo:hi] - (r_lo + 1), :cap_u]
+                no = vals[:, 1:]
+                np.maximum(no, yes.repeat(rows[lo:hi], axis=0), out=no)
+            b = 0
+            for u, d in zip(twigs[lo:hi], depth[lo:hi]):
+                memo[u] = vals[b : b + d + 1]
+                if m > 1:
+                    kept[u] = [t[b : b + d + 2] for t in tables] + [seed[: d + 2, :width]]
+                b += d + 2
+            lo = hi
+
     # -- the knapsack kernel and the state decision -------------------------
 
     def _tables(self, u: int) -> List[np.ndarray]:
@@ -301,9 +388,11 @@ class OtsSolver:
         that column), except the last one, the empty suffix, which spans
         them all.
 
-        The solver calls it once per node with two or more children, in the
-        bulk pass; for any other node it merges nothing and stays callable
-        as the oracle of the direct reads."""
+        The solver calls it in the bulk pass, once per node with two or more
+        children that is not a twig; the twig pass merges the twigs'
+        children in bulk.  For a node with fewer than two children it merges
+        nothing, and it stays callable for any node as the oracle of the
+        twig pass and of the direct reads."""
         kids = self.tree.children[u]
         width = self.cap[u] + 1
         tables = [self._seed[: self._levels[u] + 2, :width]]
@@ -454,10 +543,12 @@ class OtsSolver:
         """The optimal summary, rescored and checked against the DP value.
 
         ``stats`` holds ``dp_cells`` (``state_count()``), ``merges`` (the
-        max-plus merges this solver has run, all in the bulk evaluation: one
-        fewer than the children of each node with two or more, as the
-        reconstruction reads their kept tables and, for any other node, the
-        child's memo) and the wall times of ``evaluate_ms``,
+        max-plus merges this solver has run, counted per node and all in the
+        bulk evaluation: one fewer than the children of each node with two or
+        more, as the reconstruction reads their kept tables and, for any
+        other node, the child's memo; one ``_max_plus`` call runs a merge of
+        every twig with the same child count) and the wall times of
+        ``evaluate_ms``,
         ``reconstruct_ms`` and ``rescore_ms``.
         """
         value = self.optimum()
@@ -494,7 +585,9 @@ class OtsSolver:
         )
 
     def state_count(self) -> int:
-        return sum(a.size for a in self.memo)
+        """Σ (levels + 1) * (cap + 1), the cells of every memo."""
+        tree = self.tree
+        return int(((tree.levels + 1) * (np.minimum(tree.subtree_size, self.k) + 1)).sum())
 
 
 def ots(tree: WeightedTree, k: int) -> SummaryResult:

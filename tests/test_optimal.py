@@ -353,23 +353,45 @@ def test_max_plus_scratch_is_blocked():
     assert peak <= 2 * rows * _BLOCK * (width + _BLOCK) * 8
 
 
-@settings(max_examples=40, deadline=None)
-@given(random_trees(max_n=24), st.data())
-def test_ots_stats_count_the_work(t, data):
-    calls = []
+def _twig_counts(t):
+    """{twig: child count} over the nodes whose children are all leaves."""
+    kids = t.children
+    return {u: len(c) for u, c in enumerate(kids) if c and not any(kids[x] for x in c)}
 
+
+def _construction_merges(t):
+    """The ``_max_plus`` calls that build a solver: one fewer than the
+    children of each node that is not a twig, and m - 1 for each child count
+    m that some twig has, as one call merges a child position for every
+    twig with m children."""
+    twigs = _twig_counts(t)
+    wide = sum(len(c) - 1 for u, c in enumerate(t.children) if len(c) > 1 and u not in twigs)
+    return wide + sum(m - 1 for m in set(twigs.values()))
+
+
+def _counting_max_plus(calls):
     def counted(a, g, width):
         calls.append(width)
         return _max_plus(a, g, width)
 
+    return counted
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_trees(max_n=24), st.data())
+def test_ots_stats_count_the_work(t, data):
+    calls = []
     k = data.draw(st.integers(1, t.n))
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(optimal, "_max_plus", counted)
+        m.setattr(optimal, "_max_plus", _counting_max_plus(calls))
         solver = OtsSolver(t, k)
+        built = len(calls)
         stats = solver.solve().stats
     assert set(stats) == {"dp_cells", "merges", "evaluate_ms", "reconstruct_ms", "rescore_ms"}
     assert stats["dp_cells"] == solver.state_count()
-    assert stats["merges"] == len(calls)
+    # merges counts each node's merges, however many calls ran them
+    assert stats["merges"] == sum(max(len(kids) - 1, 0) for kids in t.children)
+    assert len(calls) == built == _construction_merges(t)
     assert all(type(stats[key]) is int for key in ("dp_cells", "merges"))
     assert all(type(stats[key]) is float and stats[key] >= 0 for key in stats if key.endswith("_ms"))
     # stats never take part in result equality
@@ -380,23 +402,21 @@ def test_ots_stats_count_the_work(t, data):
 @given(random_trees(max_n=24), st.data())
 def test_merges_are_the_bulk_pass_merges(t, data):
     calls = []
-
-    def counted(a, g, width):
-        calls.append(width)
-        return _max_plus(a, g, width)
-
     k = data.draw(st.integers(0, t.n))
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(optimal, "_max_plus", counted)
+        m.setattr(optimal, "_max_plus", _counting_max_plus(calls))
         solver = OtsSolver(t, k)
         bulk = sum(max(len(kids) - 1, 0) for kids in t.children)
-        assert len(calls) == solver._merges == bulk
+        assert solver._merges == bulk
+        assert len(calls) == _construction_merges(t)
+        built = len(calls)
         # the reconstruction and the per-state queries merge nothing
         assert solver.solve().stats["merges"] == bulk
         for u in range(t.n):
             for b in range(solver.cap[u] + 1):
                 solver.dp_eval(DpKey(u, b, t.parent[u] if t.parent[u] >= 0 else None))
-    assert len(calls) == solver._merges == bulk
+    assert len(calls) == built
+    assert solver._merges == bulk
 
 
 @pytest.mark.parametrize(
@@ -431,6 +451,15 @@ def _path_base_rows(tree):
     return base
 
 
+def _relabelled(shape, perm, feq):
+    """The tree of parent array ``shape`` with node i renamed perm[i]; node
+    j weighs feq[j]."""
+    parent = [-1] * len(shape)
+    for i, p in enumerate(shape):
+        parent[perm[i]] = -1 if p < 0 else perm[p]
+    return WeightedTree([f"n{i}" for i in range(len(shape))], parent, feq)
+
+
 @st.composite
 def deep_trees(draw, min_height=50):
     """Path-like trees of height at least ``min_height``: a spine with leaves
@@ -440,13 +469,9 @@ def deep_trees(draw, min_height=50):
     shape = [-1] + list(range(spine - 1))
     for _ in range(draw(st.integers(8, 16))):
         shape.append(draw(st.integers(0, len(shape) - 1)))
-    n = len(shape)
-    perm = draw(st.permutations(range(n)))
-    parent = [-1] * n
-    for i, p in enumerate(shape):
-        parent[perm[i]] = -1 if p < 0 else perm[p]
-    feq = [draw(st.sampled_from(SIGNED_ZERO_WEIGHTS)) for _ in range(n)]
-    return WeightedTree([f"n{i}" for i in range(n)], parent, feq)
+    perm = draw(st.permutations(range(len(shape))))
+    feq = [draw(st.sampled_from(SIGNED_ZERO_WEIGHTS)) for _ in shape]
+    return _relabelled(shape, perm, feq)
 
 
 @settings(max_examples=80, deadline=None)
@@ -480,24 +505,110 @@ def _kernel_memo(solver, base, u):
     return vals
 
 
+def _assert_matches_per_node_pass(t, k, base):
+    """Every memo and kept table of OtsSolver(t, k), bytes and shapes, is the
+    one the per-node pass makes."""
+    solver = OtsSolver(t, k)
+    for u in range(t.n):
+        want = _kernel_memo(solver, base, u)
+        assert solver.memo[u].shape == want.shape
+        assert solver.memo[u].tobytes() == want.tobytes()
+        # the tables the cases read are the ones a fresh kernel call
+        # makes; nodes with fewer than two children keep none
+        kept = solver._kept[u]
+        assert (kept is not None) == (len(t.children[u]) > 1)
+        if kept is not None:
+            fresh = solver._tables(u)
+            assert [a.tobytes() for a in kept] == [a.tobytes() for a in fresh]
+            assert [a.shape for a in kept] == [a.shape for a in fresh]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(shuffled_trees(max_n=30, weights=SIGNED_ZERO_WEIGHTS), deep_trees()), st.data())
 def test_memo_and_kept_tables_match_the_per_node_pass(t, data):
     base = _path_base_rows(t)
     for k in _budgets(t.n, data):
+        _assert_matches_per_node_pass(t, k, base)
+
+
+# -- the twig pass against the per-node pass ----------------------------------
+
+
+def _twig_budgets(n, counts):
+    """k in {0, 1, m, m + 1, m + 2, n} for each twig child count m: k below,
+    at and above each twig's cap m + 1."""
+    ks = {0, 1, n}
+    for m in counts:
+        ks |= {m, m + 1, m + 2}
+    return sorted(ks & set(range(n + 1)))
+
+
+def test_brooms_match_the_per_node_pass():
+    # a handle of 0 or 3 nodes, then one twig of m leaves
+    rng = np.random.default_rng(18)
+    for m in range(1, 41):
+        for handle in (0, 3):
+            shape = [-1] + list(range(handle)) + [handle] * m
+            perm = rng.permutation(len(shape)).tolist()
+            feq = rng.choice(SIGNED_ZERO_WEIGHTS, len(shape)).tolist()
+            t = _relabelled(shape, perm, feq)
+            assert _twig_counts(t) == {perm[handle]: m}
+            base = _path_base_rows(t)
+            for k in _twig_budgets(t.n, [m]):
+                _assert_matches_per_node_pass(t, k, base)
+
+
+@st.composite
+def caterpillars(draw):
+    """A spine with twigs of 1..5 leaves, single leaves and twigs of twigs
+    hanging at many depths, so twigs sit beside siblings that are not twigs;
+    node indices relabelled at random, weights with -0.0."""
+    spine = draw(st.integers(1, 20))
+    shape = [-1] + list(range(spine - 1))
+    for _ in range(draw(st.integers(1, 12))):
+        at = draw(st.integers(0, len(shape) - 1))
+        shape.append(at)
+        twig = len(shape) - 1
+        shape.extend([twig] * draw(st.integers(0, 5)))
+    perm = draw(st.permutations(range(len(shape))))
+    feq = [draw(st.sampled_from(SIGNED_ZERO_WEIGHTS)) for _ in shape]
+    return _relabelled(shape, perm, feq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(caterpillars())
+def test_caterpillar_twigs_match_the_per_node_pass(t):
+    counts = set(_twig_counts(t).values())
+    base = _path_base_rows(t)
+    for k in _twig_budgets(t.n, counts):
+        _assert_matches_per_node_pass(t, k, base)
+
+
+# -- budgets and the state count ----------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(random_trees(max_n=24, weights=SIGNED_ZERO_WEIGHTS), deep_trees()), st.data())
+def test_memo_is_a_prefix_of_a_larger_budgets_memo(t, data):
+    # every k <= K is read off the first cap + 1 columns of the K solver's
+    # memo, bit for bit
+    big = OtsSolver(t, t.n)
+    for k in sorted({0, 1, 2, data.draw(st.integers(0, t.n)), t.n - 1} & set(range(t.n + 1))):
         solver = OtsSolver(t, k)
         for u in range(t.n):
-            want = _kernel_memo(solver, base, u)
+            want = big.memo[u][:, : solver.cap[u] + 1]
             assert solver.memo[u].shape == want.shape
             assert solver.memo[u].tobytes() == want.tobytes()
-            # the tables the cases read are the ones a fresh kernel call
-            # makes; nodes with fewer than two children keep none
-            kept = solver._kept[u]
-            assert (kept is not None) == (len(t.children[u]) > 1)
-            if kept is not None:
-                fresh = solver._tables(u)
-                assert [a.tobytes() for a in kept] == [a.tobytes() for a in fresh]
-                assert [a.shape for a in kept] == [a.shape for a in fresh]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(random_trees(max_n=24), deep_trees(), caterpillars()), st.data())
+def test_state_count_is_the_memo_size(t, data):
+    for k in _budgets(t.n, data):
+        solver = OtsSolver(t, k)
+        count = solver.state_count()
+        assert type(count) is int
+        assert count == sum(a.size for a in solver.memo)
 
 
 # -- the direct reads of nodes with fewer than two children -------------------
@@ -546,6 +657,8 @@ def test_direct_reads_match_the_tables(t):
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(random_trees(max_n=24), deep_trees()), st.data())
 def test_tables_run_once_per_node_with_two_or_more_children(t, data):
+    # _tables runs in the bulk pass only, once for each node with two or
+    # more children, at least one of which is not a leaf
     calls = []
     tables = OtsSolver._tables
 
@@ -565,7 +678,9 @@ def test_tables_run_once_per_node_with_two_or_more_children(t, data):
                 solver.no_case(DpKey(u, b, na))
                 if b:
                     solver.yes_case(DpKey(u, b, na))
-    assert sorted(calls) == [u for u in range(t.n) if len(t.children[u]) > 1]
+    # twigs get their tables from the twig pass
+    twigs = _twig_counts(t)
+    assert sorted(calls) == [u for u in range(t.n) if len(t.children[u]) > 1 and u not in twigs]
 
 
 # -- the scalar DP as an oracle for the row kernel ----------------------------
