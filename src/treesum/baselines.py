@@ -24,12 +24,21 @@ def _top_by(
 ) -> SummaryResult:
     """The k candidates of largest value, ties to preorder rank; short if too few.
 
-    Only candidates at or above the k-th largest value can place, so those
-    are sorted and the rest are not.
+    Values are never negative, and a value of 0 (or -0.0) ranks below any
+    positive one, so when at least k candidates are positive the others are
+    dropped.  Only candidates at or above the k-th largest value can place,
+    so those are sorted and the rest are not.  ``stats["ranked"]`` counts the
+    candidates left after the first cut.  The order of ``candidates`` does not
+    matter.
     """
     ranked = value[candidates]
     if len(ranked) > k:
-        cut = len(ranked) - k
+        positive = ranked > 0
+        if np.count_nonzero(positive) >= k:
+            candidates, ranked = candidates[positive], ranked[positive]
+    count = len(ranked)
+    if count > k:
+        cut = count - k
         keep = ranked >= np.partition(ranked, cut)[cut]
         candidates, ranked = candidates[keep], ranked[keep]
     order = np.lexsort((tree.pre_rank[candidates], -ranked))
@@ -39,13 +48,15 @@ def _top_by(
         score=_g_unchecked(tree, set(selected)),
         algorithm=algorithm,
         underfilled=len(selected) < k,
+        stats={"ranked": count},
     )
 
 
 def feq_topk(tree: WeightedTree, k: int) -> SummaryResult:
     """The k nodes with the largest weights; ties go to preorder rank."""
     tree.check_k(k)
-    return _top_by(tree, k, tree.feq, "feq", tree.pre_order)
+    weighted = tree.important_pre
+    return _top_by(tree, k, tree.feq, "feq", weighted if len(weighted) >= k else tree.pre_order)
 
 
 def agg_topk(tree: WeightedTree, k: int) -> SummaryResult:
@@ -60,18 +71,32 @@ def cagg_topk(tree: WeightedTree, k: int, theta: float = 0.4) -> SummaryResult:
 
     The root always qualifies (its ratio is taken as 1, as is a child of a
     weightless subtree).  The filter runs before the top-k cut; when fewer
-    than k nodes qualify the result is returned short and flagged.
+    than k nodes qualify the result is returned short and flagged.  The
+    ratios are computed for the nodes of positive aggregate first: a node of
+    aggregate 0 can qualify, but never places above k positive ones, so all
+    nodes are filtered only when fewer than k positive ones qualify.
     """
     tree.check_k(k)
     if not 0.0 <= theta <= 1.0:
         raise InvalidK(f"theta={theta} outside 0..1")
     af = tree.subtree_weight
-    parent = tree.parent
-    up = af[np.maximum(parent, 0)]
-    ratio = np.ones(tree.n)
-    np.divide(af, up, out=ratio, where=(parent >= 0) & (up != 0))
+    positive = np.flatnonzero(af > 0)
+    if len(positive) >= k:
+        qualifying = positive[_ratio(tree, af, positive) >= theta]
+        if len(qualifying) >= k:
+            return _top_by(tree, k, af, "cagg", qualifying)
     pre_order = tree.pre_order
-    return _top_by(tree, k, af, "cagg", pre_order[ratio[pre_order] >= theta])
+    return _top_by(tree, k, af, "cagg", pre_order[_ratio(tree, af, pre_order) >= theta])
+
+
+def _ratio(tree: WeightedTree, af: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Each node's share of its parent's aggregate; 1 for the root and under a
+    parent of aggregate 0."""
+    parent = tree.parent[nodes]
+    up = af[np.maximum(parent, 0)]
+    ratio = np.ones(len(nodes))
+    np.divide(af[nodes], up, out=ratio, where=(parent >= 0) & (up != 0))
+    return ratio
 
 
 def brute_force(

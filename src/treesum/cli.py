@@ -76,7 +76,14 @@ def _metrics_dict(report) -> dict:
     return {"cd": report.cd, "ald": report.ald, "wc": report.wc}
 
 
+def _check_theta(theta: float):
+    """A usage error unless ``--theta`` is in 0..1 (nan is not)."""
+    if not 0.0 <= theta <= 1.0:
+        raise _CliUsageError(f"--theta takes a number in 0..1, got {theta}")
+
+
 def _cmd_summarize(args) -> int:
+    _check_theta(args.theta)
     tree = parse_tree_tsv(args.input)
     reduced = args.reduce
     if reduced is None:
@@ -216,6 +223,7 @@ def _cmd_bench(args) -> int:
     ks = _positive_ints("--ks", args.ks)
     if args.repeat < 1:
         raise _CliUsageError(f"--repeat takes an integer >= 1, got {args.repeat}")
+    _check_theta(args.theta)
     paths = sorted(glob.glob(args.inputs))
     if not paths:
         raise FileNotFoundError(f"no inputs match {args.inputs!r}")

@@ -29,6 +29,10 @@ n.bit_length() + 1 rounds and names the nodes that did not.
 Subtree sizes make "y is a descendant of x" a single interval test:
 pre_rank[x] <= pre_rank[y] < pre_rank[x] + subtree_size[x].
 
+``subtree_weight`` orders the nodes by depth with the same two-pass radix
+sort, of the levels in preorder, so each level keeps its nodes in preorder;
+it then adds one level into its parents at a time, deepest first.
+
 Child order is input order and defines every deterministic traversal and
 tie-break downstream.  Each per-node number is stored once, as a read-only
 int64 or float64 numpy array, and one element of it reads as a Python int or
@@ -182,13 +186,8 @@ class WeightedTree:
 
         # Children as compressed rows: the root sorts first (its parent is the
         # only negative one), every other node lands in its parent's run, and
-        # the stable sort keeps each run in input order.  It sorts by the low
-        # and then the high 16 bits of parent + 1, for which numpy's stable
-        # sort is a linear-time radix sort; that needs n < 2**32.
-        key = par + 1
-        low = np.argsort(key.astype(np.uint16), kind="stable")
-        child_order = low[np.argsort((key[low] >> 16).astype(np.uint16), kind="stable")][1:]
-        del key, low
+        # the stable sort keeps each run in input order.
+        child_order = _stable_argsort32(par + 1)[1:]
         child_parent = par[child_order]
         child_start = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(child_parent, minlength=n), out=child_start[1:])
@@ -288,7 +287,7 @@ class WeightedTree:
         if af is None:
             af = np.array(self.feq)
             levels = self.levels
-            by_depth = self.pre_order[np.argsort(levels[self.pre_order], kind="stable")]
+            by_depth = self.pre_order[_stable_argsort32(levels[self.pre_order])]
             to_parent = self.parent[by_depth]
             bounds = np.cumsum(np.bincount(levels)).tolist()
             for d in range(len(bounds) - 1, 0, -1):
@@ -385,6 +384,19 @@ class _NodeArray(np.ndarray):
 
     def __array_wrap__(self, out, context=None, return_scalar=False):
         return out[()] if return_scalar else out
+
+
+def _stable_argsort32(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for int64 keys in [0, 2**32).
+
+    It sorts by the low and then, if any key needs them, the high 16 bits,
+    for which numpy's stable sort is a linear-time radix sort, where a sort
+    of the int64 keys themselves compares.
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    if keys.size and keys.max() >> 16:
+        order = order[np.argsort((keys[order] >> 16).astype(np.uint16), kind="stable")]
+    return order
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from treesum import (
 )
 from treesum.errors import EnumerationTooLarge, InvalidK
 
-from test_tree import random_trees
+from test_tree import _variants, random_trees
 
 
 def test_feq_topk(ontology):
@@ -59,13 +59,14 @@ def _post_order_aggregate(tree):
     return af
 
 
+ROUNDING_WEIGHTS = (0.0, 0.1, 0.7, 1 / 3, 2.5, 1e16)
+
+
 @st.composite
-def _rounding_trees(draw):
+def _rounding_trees(draw, weights=ROUNDING_WEIGHTS):
     """Random shapes with weights whose sums depend on the order of addition."""
     t = draw(random_trees())
-    weights = draw(
-        st.lists(st.sampled_from([0.0, 0.1, 0.7, 1 / 3, 2.5, 1e16]), min_size=t.n, max_size=t.n)
-    )
+    weights = draw(st.lists(st.sampled_from(weights), min_size=t.n, max_size=t.n))
     return WeightedTree(t.ids, t.parent, weights)
 
 
@@ -84,6 +85,18 @@ def test_aggregate_and_cagg_filter_match_post_order_loop(t, theta):
             qualifying.append(v)
     ranked = sorted(qualifying, key=lambda v: (-af[v], t.pre_rank[v]))
     assert cagg_topk(t, t.n, theta).selected == ranked
+
+
+def test_aggregate_past_16_bit_levels():
+    # a spine of 70,000 nodes with a leaf on each: the depth order needs both
+    # passes of the radix sort, and in each level the leaf and the next spine
+    # node add into the same parent in child order
+    spine = 70_000
+    parent = [-1] + list(range(spine - 1)) + list(range(spine))
+    for t in _variants(parent, seed=spine):
+        assert t.height == spine
+        af = _post_order_aggregate(t)
+        assert [x.hex() for x in t.subtree_weight.tolist()] == [x.hex() for x in af]
 
 
 def test_agg_topk(ontology):
@@ -115,8 +128,51 @@ def test_cagg_theta_one(ontology):
 
 
 def _sorted_ranking(tree, value, candidates, k):
-    """The full-sort top-k cut that the heap selection replaced."""
+    """The full-sort top-k cut that the partition cut replaced."""
     return sorted(candidates, key=lambda v: (-value[v], tree.pre_rank[v]))[:k]
+
+
+def _qualifying(tree, af, theta):
+    """cagg's candidates: every node whose share of its parent's aggregate
+    is at least ``theta``, in preorder."""
+    return [
+        v
+        for v in tree.pre_order
+        if tree.parent[v] < 0 or af[tree.parent[v]] == 0 or af[v] / af[tree.parent[v]] >= theta
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rounding_trees(weights=(-0.0, *ROUNDING_WEIGHTS)), st.sampled_from([0.0, 0.4, 1.0]))
+def test_positive_cut_matches_sorted_ranking(t, theta):
+    # around k = p, the number of positive candidates, the baselines switch
+    # between ranking the positive candidates and ranking them all
+    af = _post_order_aggregate(t)
+    for summarize, value, candidates in (
+        (feq_topk, t.feq.tolist(), t.pre_order.tolist()),
+        (agg_topk, af, t.pre_order.tolist()),
+        (lambda t, k: cagg_topk(t, k, theta), af, _qualifying(t, af, theta)),
+    ):
+        p = sum(value[v] > 0 for v in candidates)
+        for k in sorted({1, p - 1, p, p + 1, t.n} & set(range(1, t.n + 1))):
+            res = summarize(t, k)
+            expected = _sorted_ranking(t, value, candidates, k)
+            assert res.selected == expected
+            assert repr(res.score) == repr(g_score(t, expected))
+            assert res.underfilled == (len(candidates) < k)
+            ranked = res.stats["ranked"]
+            assert type(ranked) is int and ranked == (p if p >= k else len(candidates))
+
+
+def test_baselines_count_the_ranked_candidates():
+    # 1% of the nodes weighted, as in the paper's datasets
+    t = gen_random_tree(GenSpec(n=10**4, important_count=100, seed=19))
+    assert feq_topk(t, 10).stats == {"ranked": 100}
+    assert feq_topk(t, 101).stats == {"ranked": t.n}
+    positive = int((t.subtree_weight > 0).sum())
+    assert 100 < positive < t.n
+    assert agg_topk(t, 10).stats == {"ranked": positive}
+    assert cagg_topk(t, 10, theta=0.0).stats == {"ranked": positive}
 
 
 @pytest.mark.parametrize("seed", range(6))

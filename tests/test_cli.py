@@ -207,7 +207,7 @@ def test_reports_are_strict_json(tmp_path, capsys, algo):
     expected = {
         "ots": {"dp_cells", "merges", "evaluate_ms", "reconstruct_ms", "rescore_ms"},
         "gts": {"gain_evals", "first_round_terms"},
-        "feq": set(),
+        "feq": {"ranked"},
     }[algo]
     assert set(run["stats"]) == expected
     capsys.readouterr()
@@ -430,6 +430,29 @@ def test_bench_rejects_bad_arguments_before_writing(tmp_path, capsys, flags):
     assert main(["bench", "--inputs", GAP, *flags, "--out", str(out)]) == 2
     assert "error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("theta", ["2", "-0.1", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["summarize", "{input}", "--algo", "cagg", "--k", "2"],
+        ["summarize", "{input}", "--algo", "ots", "--k", "2"],
+        ["bench", "--inputs", "{input}", "--algos", "cagg", "--ks", "2"],
+        ["bench", "--inputs", "{input}", "--algos", "gts", "--ks", "2"],
+    ],
+    ids=["summarize-cagg", "summarize-ots", "bench-cagg", "bench-gts"],
+)
+def test_theta_is_checked_as_a_flag(tmp_path, capsys, argv, theta):
+    # checked before any input is read: the named input does not exist
+    missing = str(tmp_path / "missing.tsv")
+    out = tmp_path / "out"
+    argv = [part.format(input=missing) for part in argv]
+    assert main([*argv, "--theta", theta, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --theta takes a number in 0..1, got {float(theta)}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_bad_k_leaves_no_file(tmp_path, capsys):

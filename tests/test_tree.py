@@ -22,6 +22,7 @@ from treesum.errors import (
     OrphanParentReference,
     UnknownNode,
 )
+from treesum.tree import _stable_argsort32
 
 
 def test_build_running_example(ontology):
@@ -389,6 +390,22 @@ def test_array_build_past_16_bit_indices():
     parent = [-1] + (rng.random(n - 1) * np.arange(1, n)).astype(np.int64).tolist()
     for t in _variants(parent, seed=3):
         _assert_matches_reference(t)
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [(0, 4), (0, 1 << 16), ((1 << 16) - 3, (1 << 16) + 3), (0, 1 << 32), ((1 << 32) - 5, 1 << 32)],
+    ids=["ties", "16-bit", "around-2**16", "32-bit", "near-2**32"],
+)
+@pytest.mark.parametrize("size", [0, 1, 7, 5000])
+def test_stable_argsort32_matches_numpy_stable_sort(low, high, size):
+    rng = np.random.default_rng(size + low % 97)
+    # few distinct values, so most keys tie with many others
+    values = rng.integers(low, high, size=min(size, 30) or 1, dtype=np.int64)
+    keys = rng.choice(values, size=size)
+    order = _stable_argsort32(keys)
+    assert order.dtype == np.int64
+    assert order.tolist() == np.argsort(keys, kind="stable").tolist()
 
 
 # (ids, parent indices, message); the messages are those that the
