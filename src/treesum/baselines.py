@@ -60,9 +60,13 @@ def feq_topk(tree: WeightedTree, k: int) -> SummaryResult:
 
 
 def agg_topk(tree: WeightedTree, k: int) -> SummaryResult:
-    """The k nodes with the largest aggregate (subtree) weights."""
+    """The k nodes with the largest aggregate (subtree) weights; ties go to
+    preorder rank.  Only the nodes of positive aggregate are ranked when at
+    least k exist, as in ``cagg_topk``."""
     tree.check_k(k)
-    return _top_by(tree, k, tree.subtree_weight, "agg", tree.pre_order)
+    af = tree.subtree_weight
+    positive = np.flatnonzero(af > 0)
+    return _top_by(tree, k, af, "agg", positive if len(positive) >= k else tree.pre_order)
 
 
 def cagg_topk(tree: WeightedTree, k: int, theta: float = 0.4) -> SummaryResult:

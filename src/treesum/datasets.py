@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -29,6 +29,17 @@ _NO_PARENT = "-"  # the parent column of the root
 _TAB, _NEWLINE, _COMMENT, _DASH = b"\t\n#-"
 # _LOW_BYTES[j] keeps the low j bytes of a uint64, for j = 0..8
 _LOW_BYTES = np.array([(1 << 8 * j) - 1 for j in range(9)], dtype=np.uint64)
+# _ASCII_ZEROS[j] holds j ASCII "0" bytes in the low bytes of a uint64
+_ASCII_ZEROS = np.array([int.from_bytes(b"0" * j, "little") for j in range(9)], dtype=np.uint64)
+# (mask, multiplier, shift) of each step of the 8-digit SWAR parse
+_SWAR_STEPS = tuple(
+    tuple(map(np.uint64, step))
+    for step in (
+        (0x0F0F0F0F0F0F0F0F, 10 << 8 | 1, 8),
+        (0x00FF00FF00FF00FF, 100 << 16 | 1, 16),
+        (0x0000FFFF0000FFFF, 10000 << 32 | 1, 32),
+    )
+)
 
 
 class Splitmix64:
@@ -131,9 +142,12 @@ def parse_tree_tsv(path) -> WeightedTree:
 
     * the bulk route: a file with no comment line, no blank line, no NUL
       byte and no carriage return, whose lines all hold the same number of
-      tabs, 2 or 3.  Its tab and newline bytes give every field's extent,
-      its text is split once, and its parent ids resolve through integer
-      keys of their bytes (``_resolve_ids``); no id dict is built.
+      tabs, 2 or 3.  Its tab and newline bytes give every field's extent.
+      The id and label columns are gathered and split once each; its
+      parent ids resolve through integer keys of their bytes
+      (``_resolve_ids``), and no id dict is built.  Weights that are all
+      1 to 8 ASCII digits are read from the bytes, any others by
+      ``float`` (``_parse_uniform``).
     * the line route: every other file, and every file in which the bulk
       route finds a bad field, a repeated id or a parent it cannot match.
       Its fields go to ``WeightedTree.from_parent_ids``; a file that breaks
@@ -145,12 +159,15 @@ def parse_tree_tsv(path) -> WeightedTree:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
-    tree = _parse_uniform(data, text)
+    if not data.isascii():
+        # a file must be UTF-8 before either route reads it; ASCII is
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+    tree = _parse_uniform(data)
     if tree is None:
+        text = data.decode("utf-8")
         if "\r" in text:
             # the universal newlines of a file opened as text
             text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -158,85 +175,152 @@ def parse_tree_tsv(path) -> WeightedTree:
     return tree
 
 
-def _parse_uniform(data: bytes, text: str):
+def _parse_uniform(data: bytes):
     """The tree of a file that takes the bulk route, or None to hand it to
-    the line route; ``text`` is ``data`` decoded.  Raises only the errors
-    of the tree's build, which the line route would raise too."""
+    the line route.  Raises only the errors of the tree's build, which the
+    line route would raise too.
+
+    Only the ids and labels become strings.  The bytes of the id column, and
+    of the label column of a 4-column file, are gathered into one buffer
+    each, decoded and split once (``_column``).  Parent fields are resolved
+    from their bytes (``_resolve_ids``).  A weight column whose every field
+    is 1 to 8 ASCII digits is read from one 8-byte word per field
+    (``_digit_weights``); any other weight column is gathered like the ids
+    and read by ``float``.
+    """
     if b"\r" in data or b"\0" in data:
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(raw == _NEWLINE)
+    # every tab and line end, in order
+    seps = np.flatnonzero((raw == _TAB) | (raw == _NEWLINE))
+    kind = raw[seps]
     if not data.endswith(b"\n"):
-        ends = np.append(ends, raw.size)
-    tabs = np.flatnonzero(raw == _TAB)
-    n = ends.size
-    width = tabs.size // n
-    if width not in (2, 3) or tabs.size != width * n:
+        seps = np.append(seps, raw.size)
+        kind = np.append(kind, _NEWLINE)
+    n = np.count_nonzero(kind == _NEWLINE)
+    cols = seps.size // n
+    if cols not in (3, 4) or seps.size != cols * n:
         return None
-    # the tabs, in order, fall width to a line exactly when each line's
-    # first and last tab lie inside it
-    tabs = tabs.reshape(n, width)
+    # one row per line: it holds cols - 1 tabs exactly when each of the n
+    # line ends closes a row
+    seps = seps.reshape(n, cols)
+    if (kind.reshape(n, cols)[:, -1] != _NEWLINE).any():
+        return None
+    ends = seps[:, -1]
     starts = np.empty(n, dtype=np.int64)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    if (tabs[:, 0] < starts).any() or (tabs[:, -1] > ends).any():
-        return None
     first = raw[starts]
-    id_len = tabs[:, 0] - starts
+    id_len = seps[:, 0] - starts
     if (first == _COMMENT).any() or not id_len.all() or ((id_len == 1) & (first == _DASH)).any():
         return None
-    par_start = tabs[:, 0] + 1
-    par_len = tabs[:, 1] - par_start
+    # one 8-byte word at every byte offset, read past the end into padding
+    words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=data + bytes(8), strides=(1,))
+    par_start = seps[:, 0] + 1
+    par_len = seps[:, 1] - par_start
     linked = np.flatnonzero((par_len != 1) | (raw[par_start] != _DASH))
-    found = _resolve_ids(data, starts, id_len, par_start[linked], par_len[linked])
+    found = _resolve_ids(words, starts, id_len, par_start[linked], par_len[linked])
     if found is None:
         return None
     parent = np.full(n, -1, dtype=np.int64)
     parent[linked] = found
-
-    cols = width + 1
-    fields = text.replace("\n", "\t").split("\t")
-    if len(fields) > cols * n:
-        fields.pop()  # after the final newline
-    try:
-        weights = np.fromiter(map(float, islice(fields, 2, None, cols)), np.float64, n)
-    except ValueError:
-        return None
-    ids = fields[0::cols]
+    weight_start = seps[:, 1] + 1
+    weights = _digit_weights(words, weight_start, seps[:, 2] - weight_start)
+    # the arrays that found the numbers are freed before the strings are
+    # made, and the rest before the build: held, they would raise the
+    # parse's memory peak by a third
+    del words, kind, id_len, par_start, par_len, linked, found
+    if weights is None:
+        try:
+            weights = np.fromiter(map(float, _column(raw, weight_start, seps[:, 2])), np.float64, n)
+        except ValueError:
+            return None
+    del weight_start
+    ids = _column(raw, starts, seps[:, 0])
     labels = None
     if cols == 4:
-        labels = [label or node_id for label, node_id in zip(fields[3::4], ids)]
-    del fields
+        labels = [label or node_id for label, node_id in zip(_column(raw, seps[:, 2] + 1, ends), ids)]
+    del seps, ends, starts
     return WeightedTree._from_distinct_ids(ids, parent, weights, labels)
 
 
-def _resolve_ids(data: bytes, id_start, id_len, ref_start, ref_len):
+def _column(raw, start, stop) -> list:
+    """The fields ``raw[start[i]:stop[i]]``, in order, as a list of str.
+
+    Their bytes, and a tab after each field but the last, are gathered into
+    one buffer through an int32 index (int64 from 2 GiB), which is decoded
+    and split once.  No field holds a tab or a line break, so each one
+    decodes as it does within the file.
+    """
+    length = stop - start + 1  # the field and the byte after it
+    length[-1] -= 1
+    head = np.cumsum(length) - length  # where each field starts in the buffer
+    index_type = np.int32 if raw.size < 2**31 else np.int64
+    index = np.repeat((start - head).astype(index_type), length)
+    index += np.arange(index.size, dtype=index_type)
+    # indexing casts an int32 index in buffered chunks; take would copy it
+    # to int64 whole
+    buf = raw[index]
+    del index
+    buf[head[1:] - 1] = _TAB
+    # the slice drops the spare room of the split's list
+    return str(buf, "utf-8").split("\t")[:]
+
+
+def _digit_weights(words, start, length):
+    """The fields as float64 when each one is 1 to 8 ASCII digits, else None.
+
+    Each field's word is shifted so that its digits fill the word's high
+    bytes, after ASCII zeros, and then read as 8 digits with three
+    multiplies (the SWAR parse of simdjson, Langdale & Lemire 2019).  Every
+    value is below 10**8, so it is exactly the float that ``float`` gives
+    for the field's text.
+    """
+    if length.min() < 1 or length.max() > 8:
+        return None
+    pad = 8 - length
+    word = (words[start] << (pad * 8).astype(np.uint64)) | _ASCII_ZEROS[pad]
+    # every byte is 0x30..0x39: its high nibble is 3, and adding 6 keeps it 3
+    high, threes = np.uint64(0xF0F0F0F0F0F0F0F0), np.uint64(0x3030303030303030)
+    digits = ((word & high) == threes) & (((word + np.uint64(0x0606060606060606)) & high) == threes)
+    if not digits.all():
+        return None
+    # pairs of digits, then groups of 4, then all 8
+    for mask, scale, shift in _SWAR_STEPS:
+        word = ((word & mask) * scale) >> shift
+    return word.astype(np.float64)
+
+
+def _resolve_ids(words, id_start, id_len, ref_start, ref_len):
     """The id that each reference names, as an index into the ids, from the
-    fields' extents in ``data``; or None when two ids share a key or a
-    reference names no id.
+    fields' extents; ``words[i]`` is the 8-byte word at offset i of the
+    file.  None when two ids share a key or a reference names no id.
 
     A field's key is its bytes, NUL-padded, as one little-endian uint64 when
-    every field fits in 8 bytes; ``data`` holds no NUL, so that key is
+    every field fits in 8 bytes; the file holds no NUL, so that key is
     exact.  Otherwise it is ``_mix`` folded over the field's length and its
     NUL-padded 8-byte words, and every match is then checked byte for byte.
-    One sort of all the keys resolves every reference.
+    One unstable sort of all the keys puts equal keys in runs: every run
+    must hold exactly one id, which every reference in the run names.
     """
     n = id_len.size
-    # one 8-byte word at every byte offset, read past the end into padding
-    words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=data + bytes(8), strides=(1,))
     exact = max(id_len.max(), ref_len.max(initial=0)) <= 8
     key = _exact_keys if exact else _mixed_keys
-    keys, inverse = np.unique(
-        np.concatenate([key(words, id_start, id_len), key(words, ref_start, ref_len)]),
-        return_inverse=True,
-    )
-    owner = np.full(keys.size, -1, dtype=np.int64)
-    owner[inverse[:n]] = np.arange(n)
-    if np.count_nonzero(owner >= 0) != n:
+    keys = np.concatenate([key(words, id_start, id_len), key(words, ref_start, ref_len)])
+    order = np.argsort(keys)
+    keys = keys[order]
+    run_start = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    if run_start.size != n - 1:
         return None
-    found = owner[inverse[n:]]
-    if (found < 0).any():
+    # n runs and n ids: one id in each run exactly when the g-th id's
+    # sorted position lies in the g-th run
+    id_at = np.flatnonzero(order < n)
+    if (run_start > id_at[1:]).any() or (run_start <= id_at[:-1]).any():
         return None
+    run_len = np.diff(run_start, prepend=0, append=keys.size)
+    named = np.empty(keys.size, dtype=np.int64)
+    named[order] = np.repeat(order[id_at], run_len)
+    found = named[n:]
     if not exact:
         # a match must hold the same bytes: the same length and words
         if (id_len[found] != ref_len).any():

@@ -175,6 +175,26 @@ def test_baselines_count_the_ranked_candidates():
     assert cagg_topk(t, 10, theta=0.0).stats == {"ranked": positive}
 
 
+def test_agg_positive_route_matches_preorder_route():
+    # agg_topk ranks only the nodes of positive aggregate when at least k
+    # exist; ranking every node in preorder is the route it replaced
+    from treesum.baselines import _top_by
+
+    sparse = gen_random_tree(GenSpec(n=2000, important_count=8, seed=23))
+    assert 10 < int((sparse.subtree_weight > 0).sum()) < sparse.n // 10
+    signed_zero = WeightedTree(["r", "a", "b", "c"], [-1, 0, 0, 1], [0.0, -0.0, 2.0, 0.0])
+    for t in (sparse, signed_zero):
+        af = t.subtree_weight
+        p = int((af > 0).sum())
+        # k = 1 .. p with the positive nodes, p + 1 .. with fewer than k of them
+        for k in sorted({1, p - 1, p, p + 1, p + 10} & set(range(1, t.n + 1))):
+            got, want = agg_topk(t, k), _top_by(t, k, af, "agg", t.pre_order)
+            assert got.selected == want.selected
+            assert repr(got.score) == repr(want.score)
+            assert got.underfilled == want.underfilled
+            assert got.stats == want.stats
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_topk_matches_sorted_ranking_with_ties(seed):
     # weights drawn from {1, 2} and many weightless nodes: values tie often

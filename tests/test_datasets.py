@@ -315,7 +315,9 @@ def _outcome(parse, path):
         t = parse(path)
     except TreesumError as err:
         return type(err), str(err), getattr(err, "line_no", None)
-    return t.ids, t.parent.tolist(), t.feq.tolist(), t.labels, t.pre_order.tolist()
+    # weights bit for bit, so that -0.0 and 0.0 differ
+    weights = [w.hex() for w in t.feq.tolist()]
+    return t.ids, t.parent.tolist(), weights, t.labels, t.pre_order.tolist()
 
 
 PARSE_CASES = [
@@ -363,6 +365,27 @@ PARSE_CASES = [
     "a\x00\t-\t1\nb\ta\t2\n",
     # as many tabs as two 4-column lines, but 4 on one line and 2 on the other
     "a\t-\t1\tx\ty\nb\ta\t2\n",
+    # weights of 1 to 8 ASCII digits are read from the file's bytes
+    "a\t-\t7\nb\ta\t12345678\nc\ta\t0\n",
+    "a\t-\t007\nb\ta\t00000000\nc\tb\t99999999\n",
+    "a\t-\t1\nb\ta\t12345678",
+    "a\t-\t1\t12345678\nb\ta\t87654321\t\n",
+    # 4 columns, digits in every field
+    "1\t-\t5\t10\n2\t1\t6\t007\n3\t1\t7\t\n",
+    # longer integers and other forms that float accepts take float
+    "a\t-\t123456789\nb\ta\t1\n",
+    "a\t-\t123456789012345\nb\ta\t1234567890123456\nc\ta\t12345678901234567890\n",
+    "a\t-\t+5\nb\ta\t1\n",
+    "a\t-\t٣\nb\ta\t1\n",
+    "a\t-\t1_0\nb\ta\t2\n",
+    "a\t-\t 7 \nb\ta\t2\n",
+    "a\t-\t1e3\nb\ta\t2\n",
+    "a\t-\t5.\nb\ta\t2\n",
+    "a\t-\t-0\nb\ta\t0\n",
+    # the bytes around the digits: "/" and ":" are no digits
+    "a\t-\t1/\nb\ta\t2\n",
+    "a\t-\t1\nb\ta\t:2\n",
+    "a\t-\t1\nb\ta\t123456789x\n",
 ]
 
 
@@ -399,7 +422,13 @@ def _tree_files(draw):
     )
     ids = draw(st.lists(id_text, min_size=1, max_size=12, unique=True))
     n = len(ids)
-    weights = st.sampled_from(["0", "1", "2.5", "1e3", " 7 ", "1_0"])
+    # integers of 1 to 8 digits only, or any form that float accepts
+    digits = ["0", "1", "7", "007", "00000000", "12345678", "99999999"]
+    other = [
+        "2.5", "1e3", " 7 ", "1_0", "+5", "٣", "5.",
+        "123456789", "123456789012345", "1234567890123456", "12345678901234567890",
+    ]
+    weights = st.sampled_from(digits if draw(st.booleans()) else digits + other)
     rows = [
         [node_id, "-" if i == 0 else ids[draw(st.integers(0, i - 1))], draw(weights)]
         for i, node_id in enumerate(ids)
@@ -407,7 +436,7 @@ def _tree_files(draw):
     labels = draw(st.sampled_from(["none", "none", "all", "some"]))
     for row in rows:
         if labels == "all" or (labels == "some" and draw(st.booleans())):
-            row.append(draw(st.sampled_from(["", "lbl", "é x", "#"])))
+            row.append(draw(st.sampled_from(["", "lbl", "é x", "#", "12", "007"])))
     for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
         row = rows[draw(st.integers(0, n - 1))]
         fault = draw(
@@ -524,6 +553,31 @@ def test_parse_route(tmp_path, monkeypatch, text, route):
     tree = parse_tree_tsv(p)
     assert calls == ([] if route == "bulk" else ["from_parent_ids", "_index_ids"])
     assert _outcome(lambda _: tree, p) == _outcome(_reference_parse, p)
+
+
+def test_parse_reads_digit_weights_from_bytes(tmp_path, monkeypatch):
+    import treesum.datasets
+
+    read = []
+    digit_weights = treesum.datasets._digit_weights
+
+    def recording(*args):
+        read.append(digit_weights(*args))
+        return read[-1]
+
+    monkeypatch.setattr(treesum.datasets, "_digit_weights", recording)
+    p = tmp_path / "t.tsv"
+    t = gen_random_tree(GenSpec(n=500, important_count=100, seed=8))
+    write_tree_tsv(t, p)
+    assert _outcome(parse_tree_tsv, p) == _outcome(_reference_parse, p)
+    # every weight is a digit string: the bulk route reads them from the bytes
+    assert len(read) == 1 and read[0] is not None
+    write_tree_tsv(WeightedTree(t.ids, t.parent, [2.5] + t.feq.tolist()[1:]), p)
+    assert _outcome(parse_tree_tsv, p) == _outcome(_reference_parse, p)
+    # one "2.5": the whole column takes float, still on the bulk route,
+    # which builds no id index
+    assert len(read) == 2 and read[1] is None
+    assert parse_tree_tsv(p)._id_to_index is None
 
 
 def _records(rows):
