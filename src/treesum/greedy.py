@@ -18,17 +18,23 @@ that share its cover z, each by its term against x less its term against z,
 both read from the table.  A pick s changes only those gains and its
 ancestors' up to its cover.  They are marked stale; a stale entry that
 reaches the top of the heap is recomputed and pushed back, and the first
-fresh entry popped is the pick.  Every gain, the trace and the score are
-bit-for-bit those of a full rescan each round.
+fresh entry popped is the pick.  While no pick lies in x's slice, which a
+bisection of the picks' sorted positions tells, every node of the slice
+shares x's cover, so the recompute sums the whole slice with no mask, and
+the pick writes the whole slice.  After the last pick the cover gives each
+weighted node's nearest selected ancestor, and with it the score.  Every
+gain, the trace and the score are bit-for-bit those of a full rescan each
+round.
 """
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 
 import numpy as np
 
 from .result import SummaryResult
-from .scoring import _cover_gain, _g_unchecked
+from .scoring import _cover_gain, _cover_score
 from .tree import WeightedTree
 
 
@@ -44,17 +50,21 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
     parent = tree.parent.tolist()
     rpo = tree.post_order[::-1]
     # By position in reverse postorder, where x's subtree is at[x] : at[x] +
-    # size[x]: each node's cover and gain freshness.  wcover is the cover at
-    # the weighted positions alone, where the slice a : b is before[a] :
-    # before[b].
-    at = np.argsort(rpo).tolist()
+    # size[x]: each node's cover and gain freshness, and the picks' positions
+    # in order, after them a sentinel n.  wcover is the cover at the weighted
+    # positions alone, where the slice a : b is before[a] : before[b].
+    at_pos = np.argsort(rpo)
+    at = at_pos.tolist()
     size = tree.subtree_size.tolist()
     terms, before, col, gains = _term_table(tree, rpo)
-    heap = [(-g, r, x) for x, (g, r) in enumerate(zip(gains, tree.pre_rank.tolist()))]
+    heap = list(zip((-gains).tolist(), tree.pre_rank.tolist(), range(tree.n)))
     heapq.heapify(heap)
     cover = np.full(tree.n, -1, dtype=np.int64)
+    cover_at = memoryview(cover)
     wcover = np.full(len(tree.important), -1, dtype=np.int64)
-    fresh = np.ones(tree.n, dtype=bool)
+    fresh = bytearray(b"\x01") * tree.n
+    fresh_mask = np.frombuffer(fresh, dtype=bool)
+    picked = [tree.n]
     # A stale gain is an upper bound on the true gain, in floating point
     # too, because rounding is monotone and the terms keep their order: below
     # a new pick every term w/(ly-lx+1) - w/(ly-lz+1) can only fall as the
@@ -68,35 +78,46 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
         neg_gain, rank, x = heap[0]
         a = at[x]
         b = a + size[x]
-        z = int(cover[a])
+        z = cover_at[a]
         i = before[a]
         j = before[b]
+        # with no pick in x's slice, every position in it shares x's cover
+        p = bisect_left(picked, a)
+        below = picked[p] < b
         if not fresh[a]:
-            fresh[a] = True
+            fresh[a] = 1
             gain_evals += 1
             mine = terms[col[a] + i : col[a] + j]
             # with no cover, lz = -inf and each second term is w / inf = 0.0
             theirs = terms[col[at[z]] + i : col[at[z]] + j] if z >= 0 else 0.0
-            gain = _cover_gain(wcover[i:j], z, mine, theirs)
+            gain = _cover_gain(wcover[i:j] if below else None, z, mine, theirs)
             heapq.heapreplace(heap, (-gain, rank, x))
             continue
         heapq.heappop(heap)
         order.append(x)
         trace.append((x, -neg_gain))
+        picked.insert(p, a)
 
         # x now covers what shared its cover in its slice; those gains are
         # stale, and its ancestors' up to that cover (a walk, not a query)
-        shared = cover[a:b] == z
-        cover[a:b][shared] = x
-        fresh[a:b][shared] = False
-        wcover[i:j][wcover[i:j] == z] = x
+        if below:
+            shared = cover[a:b] == z
+            cover[a:b][shared] = x
+            fresh_mask[a:b][shared] = False
+            wcover[i:j][wcover[i:j] == z] = x
+        else:
+            cover[a:b] = x
+            fresh_mask[a:b] = False
+            wcover[i:j] = x
         v = parent[x]
         while v != z:
-            fresh[at[v]] = False
+            fresh[at[v]] = 0
             v = parent[v]
+    # each weighted node's nearest selected self-inclusive ancestor
+    imp = tree.important_pre
     return SummaryResult(
         selected=order,
-        score=_g_unchecked(tree, order),
+        score=_cover_score(tree, imp, cover[at_pos[imp]]),
         algorithm="gts",
         trace=trace,
         stats={"gain_evals": gain_evals, "first_round_terms": len(terms)},
@@ -141,4 +162,4 @@ def _term_table(tree: WeightedTree, rpo: np.ndarray):
     gains = np.zeros(tree.n)
     # adds in array order, so each node's gain is one sequential sum
     np.add.at(gains, np.repeat(rpo, count), terms)
-    return terms, before.tolist(), col.tolist(), gains.tolist()
+    return terms, before.tolist(), col.tolist(), gains

@@ -418,20 +418,20 @@ class OtsSolver:
             vals = memo[x][row].tolist()
             rest = tables[i + 1][row].tolist()
             top = len(vals) - 1
-            end = len(rest) - 1
-            tries = list(range(min(b, top) + 1))
-            if b > top:
-                # past its cap a child reads its plateau; only the last child,
-                # which takes the whole remainder, ever gets that far
-                tries.append(b)
-            for j in tries:
-                if vals[min(j, top)] + rest[min(b - j, end)] == target:
+            # budgets past the suffix's last column read that column
+            rest += rest[-1:] * (b + 1 - len(rest))
+            for j in range(min(b, top) + 1):
+                if vals[j] + rest[b - j] == target:
                     break
             else:
-                raise InconsistentMemo(f"no split reaches {target!r} at child {x}")
+                # past its cap a child reads its plateau; only the last child,
+                # which takes the whole remainder, ever gets that far
+                j = b
+                if j <= top or vals[top] + rest[0] != target:
+                    raise InconsistentMemo(f"no split reaches {target!r} at child {x}")
             split.append(j)
             b -= j
-            target = rest[min(b, end)]
+            target = rest[b]
         return tuple(split)
 
     def _row(self, na: int) -> int:

@@ -70,10 +70,15 @@ def g_score(tree: WeightedTree, members: Iterable[int]) -> float:
 
 def _g_unchecked(tree: WeightedTree, selected: Set[int]) -> float:
     imp = tree.important_pre
-    z = tree._nearest_selected(selected, imp)
+    return _cover_score(tree, imp, tree._nearest_selected(selected, imp))
+
+
+def _cover_score(tree: WeightedTree, y, z) -> float:
+    """g from the weighted nodes ``y`` in preorder and each one's nearest
+    selected self-inclusive ancestor ``z`` (-1 for none)."""
     lv = tree.score_levels
     hit = z >= 0
-    y = imp[hit]
+    y = y[hit]
     return sequential_sum(tree.feq[y] / (lv[y] - lv[z[hit]] + 1))
 
 
@@ -116,11 +121,14 @@ def marginal_gain_fast(tree: WeightedTree, members: Iterable[int], x: int) -> fl
 def _cover_gain(cover, z, mine, theirs) -> float:
     """The gain of an unselected x with cover ``z`` from nodes of its subtree
     in reverse postorder: ``cover`` (each one's nearest selected
-    self-inclusive ancestor, -1 for none) and each one's terms
+    self-inclusive ancestor, -1 for none; None when every one's is z, as
+    when no node of the subtree is selected) and each one's terms
     w / (ly - l + 1) against x's level l, ``mine``, and against z's,
     ``theirs`` (l = -inf for no cover: w / inf, a signed zero).  x gains the
     nodes that share its cover, in the order a stack walk of the subtree
     visits them.  A weightless one adds an exact 0.0, the difference of two
     equal zeros, so it may be left out, and with none left the gain is 0.0."""
-    kept = (mine - theirs)[cover == z]
+    kept = mine - theirs
+    if cover is not None:
+        kept = kept[cover == z]
     return float(kept.cumsum()[-1]) if len(kept) else 0.0

@@ -113,6 +113,23 @@ class WeightedTree:
             _raise_duplicate(ids)
         self._build(ids, parent, feq, labels, score_levels)
 
+    def __setstate__(self, state):
+        """Restore a pickled or deep-copied tree.  Both round trips rebuild
+        the per-node arrays writeable, and pickle gives each a dtype instance
+        of its own, on which ufuncs such as ``np.add.at`` miss their fast
+        paths; each array is frozen again, in the canonical dtype, and
+        arrays that were one object (``score_levels`` and ``levels``) stay
+        one."""
+        _, slots = state
+        restored = {}
+        for name, value in slots.items():
+            if isinstance(value, np.ndarray):
+                if id(value) not in restored:
+                    dtype = np.dtype(value.dtype.type)
+                    restored[id(value)] = _frozen(value.astype(dtype, copy=False)).view(dtype)
+                value = restored[id(value)]
+            setattr(self, name, value)
+
     @classmethod
     def from_parent_ids(cls, ids, parent_ids, feq, labels=None, root_parent=None) -> "WeightedTree":
         """A tree whose parents are given by id, ``root_parent`` for the root.

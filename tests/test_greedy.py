@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -219,6 +220,46 @@ def test_gts_matches_scan_on_reduced_tree():
     reduced = vtree(gen_random_tree(GenSpec(n=10**4, important_count=10**3, seed=70_707))).tree
     _assert_first_round_matches_walks(reduced)
     _assert_matches_scan(reduced, 100)
+
+
+def test_gts_recomputes_with_and_without_the_cover_mask():
+    # a slice with no pick in it is summed whole (cover None), one with a
+    # pick in it only where the cover is x's own
+    t = gen_random_tree(GenSpec(n=200, important_count=80, seed=31))
+    masked = []
+
+    def spy(cover, *args):
+        masked.append(cover is not None)
+        return _cover_gain(cover, *args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(greedy, "_cover_gain", spy)
+        _assert_matches_scan(t, 40)
+    assert True in masked and False in masked
+
+
+TERMS = st.sampled_from((-0.0, 0.0, 0.1, 1 / 3, 2.5, 1e16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(TERMS, TERMS), max_size=12), st.integers(-1, 5), st.booleans())
+def test_cover_gain_without_a_mask_is_the_all_z_mask(pairs, z, no_cover):
+    mine = np.array([a for a, _ in pairs])
+    theirs = 0.0 if no_cover else np.array([b for _, b in pairs])
+    whole = _cover_gain(None, z, mine, theirs)
+    assert float.hex(whole) == float.hex(_cover_gain(np.full(len(pairs), z), z, mine, theirs))
+
+
+@pytest.mark.parametrize(
+    "weights", [ORDER_WEIGHTS, SIGNED_ZERO_WEIGHTS], ids=["order", "signed-zero"]
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_gts_score_is_the_score_of_its_picks(weights, data):
+    t = data.draw(shuffled_trees(max_n=40, weights=weights))
+    for k in range(1, t.n + 1):
+        res = gts(t, k)
+        assert float.hex(res.score) == float.hex(_g_unchecked(t, set(res.selected)))
 
 
 @pytest.mark.parametrize("weights", [TIE_WEIGHTS, ORDER_WEIGHTS], ids=["ties", "order"])

@@ -843,3 +843,47 @@ def test_ots_through_vtree_keeps_the_optimum(t, data):
     lifted = lift_result(rt, ots(rt.tree, k))
     assert lifted.score == pytest.approx(ots(t, k).score, rel=1e-12, abs=1e-12)
     assert len(set(lifted.selected)) == k
+
+
+def _clamped_split(solver, u, tables, budget, row):
+    """The split search as it was before each suffix row was padded to the
+    budget: every candidate clamps its two reads with ``min``.  The oracle
+    of ``OtsSolver._split``."""
+    split = []
+    b = budget
+    target = float(tables[0][row, b])
+    for i, x in enumerate(solver.tree.children[u]):
+        vals = solver.memo[x][row].tolist()
+        rest = tables[i + 1][row].tolist()
+        top = len(vals) - 1
+        end = len(rest) - 1
+        tries = list(range(min(b, top) + 1))
+        if b > top:
+            tries.append(b)
+        for j in tries:
+            if vals[min(j, top)] + rest[min(b - j, end)] == target:
+                break
+        else:
+            raise InconsistentMemo(f"no split reaches {target!r} at child {x}")
+        split.append(j)
+        b -= j
+        target = rest[min(b, end)]
+    return tuple(split)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(random_trees(max_n=24, weights=SIGNED_ZERO_WEIGHTS), caterpillars()), st.data())
+def test_split_matches_clamped_search(t, data):
+    # every row a wide node's cases read and every budget up to its cap, at
+    # k below, at and above subtree sizes, where the last child's plateau
+    # decides the split
+    for k in _budgets(t.n, data):
+        solver = OtsSolver(t, k)
+        for u in range(t.n):
+            tables = solver._kept[u]
+            if tables is None:
+                continue
+            for row in range(t.levels[u] + 2):
+                for b in range(solver.cap[u] + 1):
+                    want = _clamped_split(solver, u, tables, b, row)
+                    assert solver._split(u, tables, b, row) == want

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,8 @@ from treesum import (
     WeightedTree,
     build_tree,
     gen_random_tree,
+    gts,
+    ots,
     vtree,
 )
 from treesum.errors import (
@@ -22,7 +26,7 @@ from treesum.errors import (
     OrphanParentReference,
     UnknownNode,
 )
-from treesum.tree import _stable_argsort32
+from treesum.tree import _NodeArray, _stable_argsort32
 
 
 def test_build_running_example(ontology):
@@ -585,3 +589,34 @@ def test_arrays_are_read_only(ontology):
             t.feq[0] = 1.0
         lists = {name for name in WeightedTree.__slots__ if isinstance(getattr(t, name), list)}
         assert lists <= {"ids", "labels", "_children"}
+
+
+def _solved(tree, k):
+    """gts's and ots's results at k, without ots's stage times."""
+    exact = ots(tree, k)
+    exact.stats = {name: v for name, v in exact.stats.items() if not name.endswith("_ms")}
+    return repr(gts(tree, k)), repr(exact)
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy],
+    ids=["pickle", "deepcopy"],
+)
+def test_round_trips_keep_arrays_frozen(round_trip):
+    raw = gen_random_tree(GenSpec(n=80, important_count=30, seed=21))
+    for t in (raw, vtree(raw).tree):
+        t.subtree_weight, t.children
+        u = round_trip(t)
+        arrays = [name for name in WeightedTree.__slots__ if isinstance(getattr(t, name), np.ndarray)]
+        assert ARRAYS.keys() - {"subtree_weight"} <= set(arrays)
+        for name in arrays:
+            a = getattr(u, name)
+            assert type(a) is _NodeArray, name
+            assert not a.flags.writeable, name
+            assert a.dtype is np.dtype(getattr(t, name).dtype.type), name
+            assert a.tobytes() == getattr(t, name).tobytes(), name
+        assert (u.score_levels is u.levels) == (t.score_levels is t.levels)
+        assert u.ids == t.ids and u.children == t.children
+        for k in (1, 7, t.n):
+            assert _solved(u, k) == _solved(t, k)
