@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from math import comb
 from itertools import combinations, islice
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,22 +21,29 @@ from .tree import WeightedTree
 
 
 def _top_by(
-    tree: WeightedTree, k: int, value: np.ndarray, algorithm: str, candidates: np.ndarray
+    tree: WeightedTree,
+    k: int,
+    value: np.ndarray,
+    algorithm: str,
+    positive: np.ndarray,
+    qualifies: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> SummaryResult:
-    """The k candidates of largest value, ties to preorder rank; short if too few.
+    """The k qualifying nodes of largest value, ties to preorder rank; short
+    if too few qualify.
 
-    Values are never negative, and a value of 0 (or -0.0) ranks below any
-    positive one, so when at least k candidates are positive the others are
-    dropped.  Only candidates at or above the k-th largest value can place,
-    so those are sorted and the rest are not.  ``stats["ranked"]`` counts the
-    candidates left after the first cut.  The order of ``candidates`` does not
-    matter.
+    ``positive`` holds the nodes of positive value, in any order.  Values are
+    never negative, and a value of 0 (or -0.0) ranks below any positive one,
+    so when at least k positive nodes pass ``qualifies`` (a mask over a node
+    array; every node passes when it is None) only those are ranked, and
+    otherwise every node of ``tree.pre_order`` that passes it.  Only nodes at
+    or above the k-th largest value can place, so those are sorted and the
+    rest are not.  ``stats["ranked"]`` counts the nodes ranked.
     """
+    candidates = positive if qualifies is None else positive[qualifies(positive)]
+    if len(candidates) < k:
+        every = tree.pre_order
+        candidates = every if qualifies is None else every[qualifies(every)]
     ranked = value[candidates]
-    if len(ranked) > k:
-        positive = ranked > 0
-        if np.count_nonzero(positive) >= k:
-            candidates, ranked = candidates[positive], ranked[positive]
     count = len(ranked)
     if count > k:
         cut = count - k
@@ -55,18 +63,16 @@ def _top_by(
 def feq_topk(tree: WeightedTree, k: int) -> SummaryResult:
     """The k nodes with the largest weights; ties go to preorder rank."""
     tree.check_k(k)
-    weighted = tree.important_pre
-    return _top_by(tree, k, tree.feq, "feq", weighted if len(weighted) >= k else tree.pre_order)
+    return _top_by(tree, k, tree.feq, "feq", tree.important)
 
 
 def agg_topk(tree: WeightedTree, k: int) -> SummaryResult:
     """The k nodes with the largest aggregate (subtree) weights; ties go to
     preorder rank.  Only the nodes of positive aggregate are ranked when at
-    least k exist, as in ``cagg_topk``."""
+    least k exist, and every node otherwise."""
     tree.check_k(k)
     af = tree.subtree_weight
-    positive = np.flatnonzero(af > 0)
-    return _top_by(tree, k, af, "agg", positive if len(positive) >= k else tree.pre_order)
+    return _top_by(tree, k, af, "agg", np.flatnonzero(af > 0))
 
 
 def cagg_topk(tree: WeightedTree, k: int, theta: float = 0.4) -> SummaryResult:
@@ -75,22 +81,17 @@ def cagg_topk(tree: WeightedTree, k: int, theta: float = 0.4) -> SummaryResult:
 
     The root always qualifies (its ratio is taken as 1, as is a child of a
     weightless subtree).  The filter runs before the top-k cut; when fewer
-    than k nodes qualify the result is returned short and flagged.  The
-    ratios are computed for the nodes of positive aggregate first: a node of
-    aggregate 0 can qualify, but never places above k positive ones, so all
-    nodes are filtered only when fewer than k positive ones qualify.
+    than k nodes qualify the result is returned short and flagged.  A node of
+    aggregate 0 can qualify but never places above k positive ones, so the
+    ratios of every node are taken only when fewer than k positive ones
+    qualify.
     """
     tree.check_k(k)
     if not 0.0 <= theta <= 1.0:
         raise InvalidK(f"theta={theta} outside 0..1")
     af = tree.subtree_weight
     positive = np.flatnonzero(af > 0)
-    if len(positive) >= k:
-        qualifying = positive[_ratio(tree, af, positive) >= theta]
-        if len(qualifying) >= k:
-            return _top_by(tree, k, af, "cagg", qualifying)
-    pre_order = tree.pre_order
-    return _top_by(tree, k, af, "cagg", pre_order[_ratio(tree, af, pre_order) >= theta])
+    return _top_by(tree, k, af, "cagg", positive, lambda nodes: _ratio(tree, af, nodes) >= theta)
 
 
 def _ratio(tree: WeightedTree, af: np.ndarray, nodes: np.ndarray) -> np.ndarray:

@@ -243,9 +243,6 @@ class OtsSolver:
         # children, for _cases to read; None elsewhere, where the cases read
         # the child's memo or the empty suffix directly
         self._kept: List[Optional[List[np.ndarray]]] = [None] * tree.n
-        # preorder ranks and subtree sizes as lists, for the ancestor checks
-        # of the per-state queries; taken by the first one that needs them
-        self._intervals: Optional[Tuple[List[int], List[int]]] = None
         start = perf_counter()
         self._evaluate_all()
         self._evaluate_ms = (perf_counter() - start) * 1000.0
@@ -491,10 +488,7 @@ class OtsSolver:
         na = _NO_ANCESTOR
         if key.ancestor is not None:
             na = tree.check_node(key.ancestor)
-            if self._intervals is None:
-                self._intervals = tree.pre_rank.tolist(), tree.subtree_size.tolist()
-            pre, size = self._intervals
-            if na == u or not pre[na] <= pre[u] < pre[na] + size[na]:
+            if na == u or not tree.is_ancestor(na, u):
                 raise UnknownNode(f"{tree.ids[na]!r} is not a strict ancestor of {tree.ids[u]!r}")
         b = min(key.budget, self.cap[u])
         if b < 0:

@@ -177,9 +177,7 @@ def test_baselines_count_the_ranked_candidates():
 
 def test_agg_positive_route_matches_preorder_route():
     # agg_topk ranks only the nodes of positive aggregate when at least k
-    # exist; ranking every node in preorder is the route it replaced
-    from treesum.baselines import _top_by
-
+    # exist; a full sort of every node in preorder is the route it replaced
     sparse = gen_random_tree(GenSpec(n=2000, important_count=8, seed=23))
     assert 10 < int((sparse.subtree_weight > 0).sum()) < sparse.n // 10
     signed_zero = WeightedTree(["r", "a", "b", "c"], [-1, 0, 0, 1], [0.0, -0.0, 2.0, 0.0])
@@ -188,11 +186,25 @@ def test_agg_positive_route_matches_preorder_route():
         p = int((af > 0).sum())
         # k = 1 .. p with the positive nodes, p + 1 .. with fewer than k of them
         for k in sorted({1, p - 1, p, p + 1, p + 10} & set(range(1, t.n + 1))):
-            got, want = agg_topk(t, k), _top_by(t, k, af, "agg", t.pre_order)
-            assert got.selected == want.selected
-            assert repr(got.score) == repr(want.score)
-            assert got.underfilled == want.underfilled
-            assert got.stats == want.stats
+            got, want = agg_topk(t, k), _sorted_ranking(t, af, t.pre_order, k)
+            assert got.selected == want
+            assert repr(got.score) == repr(g_score(t, want))
+            assert not got.underfilled
+            assert got.stats == {"ranked": p if p >= k else t.n}
+
+
+def test_cagg_fallback_ranks_zero_aggregate_nodes():
+    # four nodes have a positive aggregate, but only r and a qualify at
+    # theta = 0.9; every node is then filtered, and z1 (aggregate 0 under z,
+    # also 0) qualifies with ratio 1 and comes in third by preorder rank
+    t = WeightedTree(["r", "a", "z", "a1", "a2", "z1"], [-1, 0, 0, 1, 1, 2], [0, 5, 0, 2, 3, 0])
+    assert int((t.subtree_weight > 0).sum()) == 4
+    for k in (3, 4):
+        res = cagg_topk(t, k, theta=0.9)
+        assert res.selected_ids(t) == ["r", "a", "z1"]
+        assert repr(res.score) == repr(7.5)
+        assert res.underfilled == (k == 4)
+        assert res.stats == {"ranked": 3}
 
 
 @pytest.mark.parametrize("seed", range(6))
