@@ -224,6 +224,8 @@ def _cmd_bench(args) -> int:
     if args.repeat < 1:
         raise _CliUsageError(f"--repeat takes an integer >= 1, got {args.repeat}")
     _check_theta(args.theta)
+    if args.timeout is not None and not args.timeout >= 0.0:
+        raise _CliUsageError(f"--timeout takes a number of seconds >= 0, got {args.timeout}")
     paths = sorted(glob.glob(args.inputs))
     if not paths:
         raise FileNotFoundError(f"no inputs match {args.inputs!r}")

@@ -16,6 +16,7 @@ profile of real taxonomy datasets.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -433,15 +434,21 @@ def _format_weight(w: float) -> str:
     return str(int(w)) if w == int(w) else repr(w)
 
 
+# the only code points that UTF-8 cannot encode
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _check_writable(tree: WeightedTree):
-    """Raise MalformedLine for the first node whose line would not parse back."""
+    """Raise MalformedLine for the first node whose line would not parse back
+    or not encode as UTF-8."""
     ids, labels = tree.ids, tree.labels
     # scans of joined text clear a good tree without a per-node loop; while
     # no id holds a line break, each id is one line of ``lines``
     text = "".join(ids) + "".join(labels)
     lines = "\n" + "\n".join(ids) + "\n"
     if not (
-        "\n\n" in lines
+        (not text.isascii() and _SURROGATE.search(text))
+        or "\n\n" in lines
         or f"\n{_NO_PARENT}\n" in lines
         or "\n#" in lines
         or "\t" in text
@@ -455,6 +462,8 @@ def _check_writable(tree: WeightedTree):
         for name, value in (("id", node_id), ("label", label)):
             if "\t" in value or "\n" in value or "\r" in value:
                 raise MalformedLine(line_no, f"node {name} {value!r} holds a tab or line break")
+            if _SURROGATE.search(value):
+                raise MalformedLine(line_no, f"node {name} {value!r} does not encode as UTF-8")
 
 
 def write_tree_tsv(tree: WeightedTree, path) -> None:
@@ -462,16 +471,22 @@ def write_tree_tsv(tree: WeightedTree, path) -> None:
 
     Raises MalformedLine, naming the line it would have written, before
     creating any file if an id is empty, ``-`` or starts with ``#``, or an
-    id or label holds a tab or line break.
+    id or label holds a tab or line break or does not encode as UTF-8.  A
+    failed write leaves neither ``path`` nor a temporary file.
     """
     _check_writable(tree)
     ids, labels = tree.ids, tree.labels
     with_labels = labels != ids
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for i, (p, w) in enumerate(zip(tree.parent.tolist(), tree.feq.tolist())):
-            cols = [ids[i], _NO_PARENT if p < 0 else ids[p], _format_weight(w)]
-            if with_labels:
-                cols.append(labels[i])
-            fh.write("\t".join(cols) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for i, (p, w) in enumerate(zip(tree.parent.tolist(), tree.feq.tolist())):
+                cols = [ids[i], _NO_PARENT if p < 0 else ids[p], _format_weight(w)]
+                if with_labels:
+                    cols.append(labels[i])
+                fh.write("\t".join(cols) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

@@ -3,7 +3,9 @@
 The nodes worth keeping are the positively weighted ones and the root,
 closed under lowest common ancestors: ``EulerLcaIndex._closure`` adds the LCA
 of each pair consecutive in preorder, which is every LCA of every subset,
-and links each kept node to its nearest kept proper ancestor.  That
+and links each kept node to its nearest kept proper ancestor.  The pairs'
+preorder windows follow each other, so each of its two passes is a single
+``np.minimum.reduceat`` over the index's key row.  That
 compresses chains of useless nodes into single edges weighted by the
 original level difference.
 

@@ -40,10 +40,12 @@ float; pure-Python loops take ``.tolist()`` copies once per call.
 ``children`` and ``subtree_weight`` are filled the first time they are read,
 so callers on hot paths read them once into a local.
 
-EulerLcaIndex answers lowest-common-ancestor queries in O(1), one at a time
-or as a vectorized batch, after an O(n log n) build: a sparse table of range
-minima over the node levels in preorder (Bender & Farach-Colton 2000).  Its
-``_closure`` serves both the reduction and the closeness distance.
+EulerLcaIndex answers lowest-common-ancestor queries as minima over windows
+of one key row, the node levels in preorder (Bender & Farach-Colton 2000),
+built in O(n).  Its ``_closure``, which serves both the reduction and the
+closeness distance, asks only for windows that follow each other, so one
+``np.minimum.reduceat`` pass answers a whole closure.  ``lca`` and
+``lca_many`` take arbitrary pairs, at a cost linear in their window lengths.
 """
 from __future__ import annotations
 
@@ -467,51 +469,52 @@ def build_tree(records) -> WeightedTree:
 
 
 class EulerLcaIndex:
-    """O(1) LCA queries by range minima over levels in preorder.
+    """LCA queries by window minima over levels in preorder.
 
     For nodes u != v with pre(u) < pre(v), the lowest common ancestor is the
     parent of any minimum-level node among preorder positions
-    pre(u)+1 .. pre(v): that range holds v's ancestors below the LCA and
+    pre(u)+1 .. pre(v): that window holds v's ancestors below the LCA and
     their earlier siblings' subtrees, and its shallowest nodes are children
     of the LCA (Bender & Farach-Colton 2000).
 
-    ``table[j][i]`` covers the preorder window [i, i + 2**j) and holds
-    ``level * n + position`` of its minimum-level position, so a window
-    minimum is a plain ``min`` of two keys.  Row j has n - 2**j + 1 entries.
-    The rows are views into one buffer, so ``lca_many`` answers a whole
-    batch with a few gathers.
+    ``_keys[i]`` is ``level * n + i`` for preorder position i, so the least
+    key of a window names a minimum-level position, and one
+    ``np.minimum.reduceat`` answers a batch of windows.  The build is two
+    n-entry arrays.  A window costs its length: ``_closure`` asks only for
+    windows that follow each other, one pass over the keys, but ``lca_many``
+    on arbitrary pairs does work linear in their total window length.
     """
 
-    __slots__ = ("tree", "table", "_flat", "_parent_pre")
+    __slots__ = ("tree", "_keys", "_parent_pre")
 
     def __init__(self, tree: WeightedTree):
         self.tree = tree
         n = tree.n
-        pre_order = tree.pre_order
-        n_rows = n.bit_length()
-        # keys stay below (height + 1) * n; 32 bits halve the table when they fit
-        dtype = np.int32 if (tree.height + 1) * n < 2**31 else np.int64
-        flat = np.empty(n_rows * n, dtype=dtype)
-        row = flat[:n]
-        np.multiply(tree.levels[pre_order], n, out=row)
-        row += np.arange(n)
-        table = [row]
-        for j in range(1, n_rows):
-            half = 1 << (j - 1)
-            prev = table[-1]
-            row = flat[j * n : j * n + n - 2 * half + 1]
-            np.minimum(prev[: len(prev) - half], prev[half:], out=row)
-            table.append(row)
-        self.table = table
-        self._flat = flat
-        self._parent_pre = tree.parent[pre_order]
+        # the spare last key is ``lca_many``'s bound past a window that ends
+        # at position n - 1; the row of levels is then overwritten with each
+        # position's parent, so the build allocates only the arrays it keeps
+        keys = np.arange(n + 1, dtype=np.int64)
+        row = tree.levels[tree.pre_order]
+        row *= n
+        keys[:n] += row
+        row[tree.pre_rank] = tree.parent
+        self._keys = keys
+        self._parent_pre = row
 
     def lca(self, a: int, b: int) -> int:
         """Deepest common ancestor of a and b (self-inclusive)."""
         return int(self.lca_many(a, b))
 
     def lca_many(self, a, b) -> np.ndarray:
-        """Elementwise ``lca`` over two broadcastable arrays of node indices."""
+        """Elementwise ``lca`` over two broadcastable arrays of node indices.
+
+        One reduction answers the batch, but it reads every key of each
+        pair's window and of the gaps between windows, so a pair costs time
+        linear in n, not O(1) as in a sparse table: 2,000 random pairs take
+        about 8 ms at 10**5 nodes and 0.2 s at 10**6.  The package asks only
+        for consecutive windows, through ``_closure``; this serves callers
+        and tests with few pairs.
+        """
         tree = self.tree
         n = tree.n
         a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
@@ -526,23 +529,35 @@ class EulerLcaIndex:
         # equal nodes get the one-entry window at their own position; the
         # answer is replaced by the node itself below
         lo = np.minimum(np.minimum(ra, rb) + 1, hi)
-        j = np.frexp(hi - lo + 1)[1].astype(np.int64) - 1
-        base = j * n
-        flat = self._flat
-        key = np.minimum(flat[base + lo], flat[base + hi - (1 << j) + 1])
+        # every second reduction spans the gap to the next window
+        bounds = np.stack((lo, hi + 1), axis=-1).ravel()
+        key = np.minimum.reduceat(self._keys, bounds)[::2].reshape(a.shape)
         return np.where(a == b, a, self._parent_pre[key % n])
 
     def _closure(self, nodes):
-        """The LCA closure of ``nodes`` (valid indices, repeats allowed) in
-        preorder, and the position of each kept node's nearest kept proper
-        ancestor (-1 for the first, an ancestor of all).  Every subset's LCA
-        is the LCA of a pair consecutive in preorder, and in a closed set a
-        node's LCA with the kept node before it is its nearest kept ancestor."""
-        pre_rank, pre_order = self.tree.pre_rank, self.tree.pre_order
+        """The LCA closure of ``nodes`` (valid indices, at least one, repeats
+        allowed) in preorder, and the position of each kept node's nearest
+        kept proper ancestor (-1 for the first, an ancestor of all).  Every
+        subset's LCA is the LCA of a pair consecutive in preorder, and in a
+        closed set a node's LCA with the kept node before it is its nearest
+        kept ancestor."""
         # a repeat only adds LCA(v, v) = v, which the de-duplication drops
-        nodes = pre_order[np.sort(pre_rank[nodes])]
-        rank = np.sort(pre_rank[np.append(nodes, self.lca_many(nodes[:-1], nodes[1:]))])
-        rank = rank[np.diff(rank, prepend=-1) > 0]
-        kept = pre_order[rank]
-        up = np.searchsorted(rank, pre_rank[self.lca_many(kept[:-1], kept[1:])])
-        return kept, np.append(-1, up)
+        rank = _distinct(self.tree.pre_rank[nodes])
+        rank = _distinct(np.append(rank, self._consecutive_lca_ranks(rank)))
+        up = np.searchsorted(rank, self._consecutive_lca_ranks(rank))
+        return self.tree.pre_order[rank], np.append(-1, up)
+
+    def _consecutive_lca_ranks(self, rank):
+        """Preorder ranks of the LCAs of neighbours in ``rank``, distinct
+        ranks in ascending order.  Their windows rank[i] + 1 .. rank[i + 1]
+        follow each other, so one reduction over the keys up to the last
+        rank answers them all."""
+        key = np.minimum.reduceat(self._keys[: rank[-1] + 1], rank[:-1] + 1)
+        return self.tree.pre_rank[self._parent_pre[key % self.tree.n]]
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Non-negative ``values`` sorted, repeats dropped; a sort and a mask
+    cost less than ``np.unique``."""
+    values = np.sort(values)
+    return values[np.diff(values, prepend=-1) > 0]

@@ -455,6 +455,20 @@ def test_theta_is_checked_as_a_flag(tmp_path, capsys, argv, theta):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("timeout", ["nan", "-1", "-0.5", "-inf"])
+def test_bench_timeout_is_checked_as_a_flag(tmp_path, capsys, timeout):
+    # nan compares false with every time, so it would never time out
+    missing = str(tmp_path / "missing.tsv")
+    out = tmp_path / "out"
+    argv = ["bench", "--inputs", missing, "--algos", "gts", "--ks", "2"]
+    assert main([*argv, f"--timeout={timeout}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"--timeout takes a number of seconds >= 0, got {float(timeout)}"
+    assert captured.err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_bad_k_leaves_no_file(tmp_path, capsys):
     # k=9 passes the flag check but exceeds the 7-node tree after the feq,2 row
     out = tmp_path / "bench.csv"

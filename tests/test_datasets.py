@@ -98,6 +98,9 @@ def test_parse_names_a_file_that_is_not_utf8(tmp_path, data, line_no, message):
         (["a", "b", "c"], ["a", "b", "two\nlines"], 3),
         (["a", "b"], ["a\tb", "b"], 1),
         (["a", "b"], ["a", "b\r"], 2),
+        # lone surrogates do not encode as UTF-8, alone or among other text
+        (["r", "\ud800"], None, 2),
+        (["é", "b", "c"], ["é", "b", "c\udc80"], 3),
     ],
 )
 def test_write_rejects_unparseable_fields(tmp_path, ids, labels, line_no):
@@ -106,6 +109,27 @@ def test_write_rejects_unparseable_fields(tmp_path, ids, labels, line_no):
         write_tree_tsv(t, tmp_path / "out.tsv")
     assert err.value.line_no == line_no
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    import treesum.datasets
+
+    t = WeightedTree(["r", "a", "b"], [-1, 0, 0], [1.0, 2.0, 3.0])
+    out = tmp_path / "out.tsv"
+    out.write_text("earlier\n")
+    written = []
+
+    def fail_on_the_second(w):
+        written.append(w)
+        if len(written) == 2:
+            raise OSError("disk full")
+        return str(w)
+
+    monkeypatch.setattr(treesum.datasets, "_format_weight", fail_on_the_second)
+    with pytest.raises(OSError, match="disk full"):
+        write_tree_tsv(t, out)
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_text() == "earlier\n"
 
 
 def test_write_keeps_unusual_but_parseable_fields(tmp_path):

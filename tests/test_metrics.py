@@ -129,19 +129,36 @@ def test_closeness_lca_queries_do_not_grow_with_k(monkeypatch):
     t = gen_random_tree(GenSpec(n=2000, important_count=200, seed=11))
     index = EulerLcaIndex(t)
     calls = []
-    lca_many = EulerLcaIndex.lca_many
+    closure = EulerLcaIndex._closure
 
-    def counting(self, a, b):
+    def counting(self, nodes):
         calls.append(1)
-        return lca_many(self, a, b)
+        return closure(self, nodes)
 
-    monkeypatch.setattr(EulerLcaIndex, "lca_many", counting)
+    monkeypatch.setattr(EulerLcaIndex, "_closure", counting)
     counts = []
     for k in (1, 50):
         calls.clear()
         closeness_distance(t, t.pre_order[::37][:k].tolist(), index=index)
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 2
+    assert counts == [1, 1]
+
+
+def test_reduction_and_metrics_never_query_pairs(monkeypatch):
+    # the closure answers its consecutive windows in one pass; a pairwise
+    # query costs its window length, so the pipeline must not make any
+    t = gen_random_tree(GenSpec(n=2000, important_count=200, seed=11))
+    index = EulerLcaIndex(t)
+
+    def refuse(self, a, b):
+        raise AssertionError("lca_many called")
+
+    monkeypatch.setattr(EulerLcaIndex, "lca_many", refuse)
+    reduced = vtree(t, index)
+    assert reduced.tree.n > 1
+    compute_metrics(t, t.pre_order[::37][:10].tolist(), index=index)
+    compute_metrics(t, t.important[:5].tolist())
+    assert vtree(t).tree.n == reduced.tree.n
 
 
 def test_closeness_without_weighted_nodes_is_zero():

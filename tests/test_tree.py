@@ -130,15 +130,12 @@ def test_lca_golden(sparse_tree):
 def test_preorder_table_shape(ontology):
     t = ontology
     idx = EulerLcaIndex(t)
-    level_pre = [t.levels[v] for v in t.pre_order]
-    assert len(idx.table) == t.n.bit_length()
-    for j, row in enumerate(idx.table):
-        width = 1 << j
-        assert len(row) == t.n - width + 1
-        for i, key in enumerate(row.tolist()):
-            level, pos = divmod(key, t.n)
-            assert i <= pos < i + width
-            assert level == level_pre[pos] == min(level_pre[i : i + width])
+    n = t.n
+    # one key per preorder position and a spare one past the end
+    assert idx._keys.shape == (n + 1,) and idx._keys.dtype == np.int64
+    for i, v in enumerate(t.pre_order.tolist()):
+        assert idx._keys[i] == t.levels[v] * n + i
+        assert idx._parent_pre[i] == t.parent[v]
 
 
 def _ancestors(tree, v):
@@ -484,9 +481,12 @@ def test_closure_matches_naive(t, data):
     idx = EulerLcaIndex(t)
     drawn = data.draw(st.lists(st.integers(0, t.n - 1), min_size=1, max_size=2 * t.n))
     everything = list(range(t.n))
-    # one node, the root, every node in either order, and any drawn list
-    # with repeats in any order
-    for nodes in ([t.n - 1], [t.root], everything, everything[::-1], drawn):
+    # one node, the root, the last node in preorder (whose window ends the
+    # key row) alone and after the root, every node in either order, and any
+    # drawn list with repeats in any order
+    last = t.pre_order[-1]
+    inputs = ([t.n - 1], [t.root], [last], [t.root, last], everything, everything[::-1], drawn)
+    for nodes in inputs:
         kept, up = idx._closure(nodes)
         want = sorted(_naive_closure(t, nodes), key=t.pre_rank.__getitem__)
         assert kept.tolist() == want
@@ -510,6 +510,16 @@ def test_lca_many_broadcasts_and_checks_range(sparse_tree):
         idx.lca_many([0, 1], [1, t.n])
     with pytest.raises(UnknownNode):
         idx.lca_many(-1, [0])
+    # empty batches keep their shape, and two scalars give a 0-d answer
+    for a, b in (([], []), (imp[0], []), (np.empty((0, 3), dtype=np.int64), imp[:3])):
+        got = idx.lca_many(a, b)
+        assert got.shape == np.broadcast_shapes(np.shape(a), np.shape(b))
+        assert got.dtype == np.int64
+    last = t.pre_order[-1]
+    got = idx.lca_many(imp[0], last)
+    assert got.shape == () and int(got) == _naive_lca(t, imp[0], last)
+    assert idx.lca_many(last, last).shape == ()
+    assert int(idx.lca_many(last, last)) == last
 
 
 def test_non_finite_weights_rejected():
@@ -523,11 +533,10 @@ def test_non_finite_weights_rejected():
 
 
 def test_lca_on_chain_with_64_bit_keys():
-    # (height + 1) * n passes 2**31, so the table falls back to 64-bit keys
+    # the largest key, height * n + n - 1, passes 2**31
     n = 50_000
     t = WeightedTree([f"c{i}" for i in range(n)], [-1] + list(range(n - 1)), [1.0] * n)
     idx = EulerLcaIndex(t)
-    assert idx.table[0].dtype.itemsize == 8
     a = [0, 1, n - 1, 777, n - 2, 31_000]
     b = [n - 1, n - 1, 0, 40_000, n - 1, 31_000]
     assert idx.lca_many(a, b).tolist() == [min(x, y) for x, y in zip(a, b)]
