@@ -18,12 +18,11 @@ import csv
 import glob
 import itertools
 import json
-import os
 import sys
 import time
 
 from .baselines import agg_topk, brute_force, cagg_topk, feq_topk
-from .datasets import GenSpec, gen_random_tree, parse_tree_tsv, write_tree_tsv
+from .datasets import GenSpec, gen_random_tree, parse_tree_tsv, replacing_file, write_tree_tsv
 from .errors import (
     AlreadySelected,
     EnumerationTooLarge,
@@ -113,7 +112,7 @@ def _cmd_summarize(args) -> int:
         )
     if args.out:
         text = _strict_json(report, indent=2)
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with replacing_file(args.out) as fh:
             fh.write(text + "\n")
     print(f"score: {score:.10g}")
     print("selected: " + " ".join(ids))
@@ -157,7 +156,7 @@ def _cmd_metrics(args) -> int:
     text = _strict_json(payload)
     print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with replacing_file(args.out) as fh:
             fh.write(text + "\n")
     return 0
 
@@ -167,7 +166,7 @@ def _cmd_viz(args) -> int:
     members = _parse_summary(tree, args.summary)
     dot = summary_dot(tree, members)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with replacing_file(args.out) as fh:
             fh.write(dot)
     else:
         sys.stdout.write(dot)
@@ -178,7 +177,7 @@ def _cmd_reduce(args) -> int:
     tree = parse_tree_tsv(args.input)
     rt = vtree(tree)
     write_tree_tsv(rt.tree, args.out)
-    with open(f"{args.out}.levels", "w", encoding="utf-8") as fh:
+    with replacing_file(f"{args.out}.levels") as fh:
         for node_id, level in zip(rt.tree.ids, rt.tree.score_levels.tolist()):
             fh.write(f"{node_id}\t{level}\n")
     print(f"original={tree.n} important={len(tree.important)} reduced={rt.tree.n}")
@@ -230,35 +229,28 @@ def _cmd_bench(args) -> int:
     if not paths:
         raise FileNotFoundError(f"no inputs match {args.inputs!r}")
     # a failed sweep leaves neither --out nor a partial temporary file
-    tmp = f"{args.out}.tmp{os.getpid()}"
-    try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["dataset", "algo", "k", "reduced", "score", "time_ms", "repeat"])
-            for path in paths:
-                try:
-                    tree = parse_tree_tsv(path)
-                    for algo, k, rep in itertools.product(algos, ks, range(args.repeat)):
-                        reduced = algo in REDUCIBLE
-                        start = time.perf_counter()
-                        try:
-                            result = _run_algorithm(tree, algo, k, args.theta, reduced)
-                        except EnumerationTooLarge:
-                            writer.writerow([path, algo, k, reduced, "", "inf", rep])
-                            continue
-                        elapsed = time.perf_counter() - start
-                        timed_out = args.timeout is not None and elapsed > args.timeout
-                        time_ms = "inf" if timed_out else f"{elapsed * 1000.0:.3f}"
-                        writer.writerow([path, algo, k, reduced, repr(result.score), time_ms, rep])
-                except TreesumError as exc:
-                    # the same exception, so the same exit code, naming the input
-                    exc.args = (f"{path}: {exc}",)
-                    raise
-        os.replace(tmp, args.out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with replacing_file(args.out, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["dataset", "algo", "k", "reduced", "score", "time_ms", "repeat"])
+        for path in paths:
+            try:
+                tree = parse_tree_tsv(path)
+                for algo, k, rep in itertools.product(algos, ks, range(args.repeat)):
+                    reduced = algo in REDUCIBLE
+                    start = time.perf_counter()
+                    try:
+                        result = _run_algorithm(tree, algo, k, args.theta, reduced)
+                    except EnumerationTooLarge:
+                        writer.writerow([path, algo, k, reduced, "", "inf", rep])
+                        continue
+                    elapsed = time.perf_counter() - start
+                    timed_out = args.timeout is not None and elapsed > args.timeout
+                    time_ms = "inf" if timed_out else f"{elapsed * 1000.0:.3f}"
+                    writer.writerow([path, algo, k, reduced, repr(result.score), time_ms, rep])
+            except TreesumError as exc:
+                # the same exception, so the same exit code, naming the input
+                exc.args = (f"{path}: {exc}",)
+                raise
     return 0
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -477,14 +478,24 @@ def write_tree_tsv(tree: WeightedTree, path) -> None:
     _check_writable(tree)
     ids, labels = tree.ids, tree.labels
     with_labels = labels != ids
+    with replacing_file(path) as fh:
+        for i, (p, w) in enumerate(zip(tree.parent.tolist(), tree.feq.tolist())):
+            cols = [ids[i], _NO_PARENT if p < 0 else ids[p], _format_weight(w)]
+            if with_labels:
+                cols.append(labels[i])
+            fh.write("\t".join(cols) + "\n")
+
+
+@contextmanager
+def replacing_file(path, newline=None):
+    """A UTF-8 text file open for writing that replaces ``path`` when the
+    block ends.  It is written under a temporary name beside ``path`` and
+    renamed over it with ``os.replace``, so a block that fails or is
+    interrupted leaves ``path`` as it was and removes the temporary file."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for i, (p, w) in enumerate(zip(tree.parent.tolist(), tree.feq.tolist())):
-                cols = [ids[i], _NO_PARENT if p < 0 else ids[p], _format_weight(w)]
-                if with_labels:
-                    cols.append(labels[i])
-                fh.write("\t".join(cols) + "\n")
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

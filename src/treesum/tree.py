@@ -29,9 +29,13 @@ n.bit_length() + 1 rounds and names the nodes that did not.
 Subtree sizes make "y is a descendant of x" a single interval test:
 pre_rank[x] <= pre_rank[y] < pre_rank[x] + subtree_size[x].
 
-``subtree_weight`` orders the nodes by depth with the same two-pass radix
-sort, of the levels in preorder, so each level keeps its nodes in preorder;
-it then adds one level into its parents at a time, deepest first.
+``subtree_weight`` folds only the support, the weighted nodes and their
+ancestors, which a climb from those nodes marks; every other node's sum is
+its own weight, +0.0.  It orders the support by depth with the same two-pass
+radix sort, of the levels in preorder, so each level keeps its nodes in
+preorder; it then adds one level into its parents at a time, deepest first.
+A -0.0 weight makes it fold every node, as the sign of a zero sum then
+depends on the whole subtree.
 
 Child order is input order and defines every deterministic traversal and
 tie-break downstream.  Each per-node number is stored once, as a read-only
@@ -301,12 +305,39 @@ class WeightedTree:
         complete before it is added to its parent; within a level the nodes
         stay in preorder, so each parent adds its children in child order,
         exactly as a post-order pass would.
+
+        Only the support is folded: the weighted nodes and their ancestors.
+        A node outside it has no weight below it, so its sum is its own
+        +0.0, and a support node skips exactly those children.  That changes
+        no bit: each running sum starts at a weight >= +0.0, is never -0.0,
+        and ``x + 0.0 == x`` for every such ``x``.  When a weight is -0.0,
+        whether a zero sum is +0.0 or -0.0 depends on the whole subtree, so
+        every node is folded.
+
+        The climb that finds the support takes one numpy step per level and
+        stops where it meets a node already reached, so a deep tree with few
+        weighted nodes pays for it: on a 70,000-level spine with one weighted
+        leaf the build takes about 1.5 times the fold of every node.
         """
         af = self._subtree_weight
         if af is None:
             af = np.array(self.feq)
-            levels = self.levels
-            by_depth = self.pre_order[_stable_argsort32(levels[self.pre_order])]
+            nodes = np.asarray(self.pre_order)
+            if not np.signbit(af).any():
+                # climb from the weighted nodes until every path meets a node
+                # already reached, clearing ``fresh`` for each; the root's
+                # parent, -1, reads the sentinel slot n, cleared from the start
+                fresh = np.ones(self.n + 1, dtype=bool)
+                fresh[-1] = False
+                parent = np.asarray(self.parent)
+                step = np.asarray(self.important)
+                while step.size:
+                    fresh[step] = False
+                    step = parent[step]
+                    step = step[fresh[step]]
+                nodes = nodes[~fresh[nodes]]
+            levels = self.levels[nodes]
+            by_depth = nodes[_stable_argsort32(levels)]
             to_parent = self.parent[by_depth]
             bounds = np.cumsum(np.bincount(levels)).tolist()
             for d in range(len(bounds) - 1, 0, -1):

@@ -15,7 +15,7 @@ from treesum import (
 )
 from treesum.errors import EnumerationTooLarge, InvalidK
 
-from test_tree import _variants, random_trees
+from test_tree import SIGNED_ZERO_WEIGHTS, _variants, random_trees
 
 
 def test_feq_topk(ontology):
@@ -59,7 +59,15 @@ def _post_order_aggregate(tree):
     return af
 
 
+def _hexes(values):
+    """``values`` as ``float.hex`` strings, which tell -0.0 from 0.0."""
+    return [x.hex() for x in values]
+
+
 ROUNDING_WEIGHTS = (0.0, 0.1, 0.7, 1 / 3, 2.5, 1e16)
+# mostly weightless nodes, as in the paper's datasets: the aggregate then
+# folds only the weighted nodes' ancestors
+SPARSE_WEIGHTS = (0.0,) * 10 + (0.1, 2.5)
 
 
 @st.composite
@@ -70,11 +78,18 @@ def _rounding_trees(draw, weights=ROUNDING_WEIGHTS):
     return WeightedTree(t.ids, t.parent, weights)
 
 
-@settings(max_examples=80, deadline=None)
-@given(_rounding_trees(), st.sampled_from([0.0, 0.1, 0.4, 0.5, 1.0]))
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(
+        _rounding_trees(),
+        _rounding_trees(weights=SPARSE_WEIGHTS),
+        _rounding_trees(weights=SIGNED_ZERO_WEIGHTS),
+    ),
+    st.sampled_from([0.0, 0.1, 0.4, 0.5, 1.0]),
+)
 def test_aggregate_and_cagg_filter_match_post_order_loop(t, theta):
     af = _post_order_aggregate(t)
-    assert t.subtree_weight.tolist() == af
+    assert _hexes(t.subtree_weight.tolist()) == _hexes(af)
     # built once per tree and shared, so no caller may write into it
     assert t.subtree_weight is t.subtree_weight
     assert not t.subtree_weight.flags.writeable
@@ -87,16 +102,37 @@ def test_aggregate_and_cagg_filter_match_post_order_loop(t, theta):
     assert cagg_topk(t, t.n, theta).selected == ranked
 
 
+# r(a(a1, a2), b(b1(b2)), c)
+FIXED_SHAPE = [-1, 0, 0, 0, 1, 1, 2, 6]
+FIXED_WEIGHTS = {
+    "all-positive-zero": [0.0] * 8,
+    "all-negative-zero": [-0.0] * 8,
+    "only-the-root": [3.0] + [0.0] * 7,
+    # b is -0.0 over b1 (+0.0) over b2 (-0.0): b's sum is +0.0
+    "negative-over-positive-zero": [0.0, 1.5, -0.0, 0.0, 2.0, 0.0, 0.0, -0.0],
+}
+
+
+@pytest.mark.parametrize("weights", FIXED_WEIGHTS.values(), ids=FIXED_WEIGHTS.keys())
+def test_aggregate_of_fixed_trees(weights):
+    t = WeightedTree([f"n{i}" for i in range(len(weights))], FIXED_SHAPE, weights)
+    assert _hexes(t.subtree_weight.tolist()) == _hexes(_post_order_aggregate(t))
+
+
 def test_aggregate_past_16_bit_levels():
     # a spine of 70,000 nodes with a leaf on each: the depth order needs both
     # passes of the radix sort, and in each level the leaf and the next spine
-    # node add into the same parent in child order
+    # node add into the same parent in child order; with only the bottom
+    # leaf weighted, the climb to the support takes one step per level
     spine = 70_000
     parent = [-1] + list(range(spine - 1)) + list(range(spine))
-    for t in _variants(parent, seed=spine):
+    one_leaf = [0.0] * len(parent)
+    one_leaf[-1] = 0.7
+    deep_sparse = WeightedTree([f"n{i}" for i in range(len(parent))], parent, one_leaf)
+    for t in (*_variants(parent, seed=spine), deep_sparse):
         assert t.height == spine
         af = _post_order_aggregate(t)
-        assert [x.hex() for x in t.subtree_weight.tolist()] == [x.hex() for x in af]
+        assert _hexes(t.subtree_weight.tolist()) == _hexes(af)
 
 
 def test_agg_topk(ontology):

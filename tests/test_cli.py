@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import pathlib
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesum import cli, summary_dot
+from treesum import cli, datasets, summary_dot
 from treesum.cli import main
 from treesum.errors import InconsistentMemo, ScoreMismatch
 from treesum.viz import VIRTUAL_ROOT, _quote
@@ -482,6 +483,61 @@ def test_bench_bad_k_leaves_no_file(tmp_path, capsys):
     assert main(argv) == 2
     assert list(tmp_path.iterdir()) == [out]
     assert out.read_text() == "earlier\n"
+
+
+class _FullDiskFile:
+    """A file whose first write stores half its text and then fails, as on
+    a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["summarize", ONTOLOGY, "--algo", "ots", "--k", "3", "--out", "{out}"], "{out}"),
+        (["metrics", ONTOLOGY, "--summary", "r,A", "--out", "{out}"], "{out}"),
+        (["viz", ONTOLOGY, "--summary", "r,A", "--out", "{out}"], "{out}"),
+        (["reduce", SPARSE, "--out", "{out}"], "{out}"),
+        (["reduce", SPARSE, "--out", "{out}"], "{out}.levels"),
+        (["gen", "--n", "20", "--important", "5", "--seed", "1", "--out", "{out}"], "{out}"),
+        (["bench", "--inputs", GAP, "--algos", "feq", "--ks", "1", "--out", "{out}"], "{out}"),
+    ],
+    ids=["summarize", "metrics", "viz", "reduce", "reduce-levels", "gen", "bench"],
+)
+def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch, argv, target):
+    out = tmp_path / "out"
+    target = pathlib.Path(target.format(out=out))
+    real_open = open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        # the temporary file beside the target is named after it
+        return _FullDiskFile(fh) if str(file).startswith(str(target)) else fh
+
+    monkeypatch.setattr(datasets, "open", failing_open, raising=False)
+    argv = [part.format(out=out) for part in argv]
+    assert main(argv) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    # the reduced tree is complete before its sidecar is written
+    kept = [out] if target != out else []
+    assert sorted(tmp_path.iterdir()) == kept
+    # an earlier target survives the failed write unchanged
+    target.write_text("earlier\n")
+    assert main(argv) == 3
+    assert sorted(tmp_path.iterdir()) == sorted({*kept, target})
+    assert target.read_text() == "earlier\n"
 
 
 def test_bench_names_an_input_that_fails_to_parse(tmp_path, capsys):
