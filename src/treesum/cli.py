@@ -176,10 +176,13 @@ def _cmd_viz(args) -> int:
 def _cmd_reduce(args) -> int:
     tree = parse_tree_tsv(args.input)
     rt = vtree(tree)
-    write_tree_tsv(rt.tree, args.out)
+    # the tree and its sidecar are read as a pair, so both temporary files
+    # are written in full before either replaces its target
     with replacing_file(f"{args.out}.levels") as fh:
         for node_id, level in zip(rt.tree.ids, rt.tree.score_levels.tolist()):
             fh.write(f"{node_id}\t{level}\n")
+        fh.flush()
+        write_tree_tsv(rt.tree, args.out)
     print(f"original={tree.n} important={len(tree.important)} reduced={rt.tree.n}")
     return 0
 

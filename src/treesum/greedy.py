@@ -52,8 +52,10 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
     # By position in reverse postorder, where x's subtree is at[x] : at[x] +
     # size[x]: each node's cover and gain freshness, and the picks' positions
     # in order, after them a sentinel n.  wcover is the cover at the weighted
-    # positions alone, where the slice a : b is before[a] : before[b].
-    at_pos = np.argsort(rpo)
+    # positions alone, where the slice a : b is before[a] : before[b].  A
+    # node's position is n - 1 less its postorder rank, pre_rank - levels +
+    # size - 1.
+    at_pos = tree.n - tree.pre_rank + tree.levels - tree.subtree_size
     at = at_pos.tolist()
     size = tree.subtree_size.tolist()
     terms, before, col, gains = _term_table(tree, rpo)

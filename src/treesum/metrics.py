@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import EmptySummary, NoImportantNodes
-from .tree import EulerLcaIndex, WeightedTree, sequential_sum
+from .tree import EulerLcaIndex, WeightedTree, _lca_index, sequential_sum
 
 
 @dataclass
@@ -41,12 +41,8 @@ def closeness_distance(
     selected = [tree.check_node(v) for v in set(members)]
     if not selected:
         raise EmptySummary("closeness distance needs a nonempty summary")
-    if index is None:
-        index = EulerLcaIndex(tree)
-    elif index.tree is not tree:
-        raise ValueError("the LCA index was built for another tree")
     ys = tree.important_pre
-    kept, up = index._closure(np.append(selected, ys))
+    kept, up = _lca_index(tree, index)._closure(np.append(selected, ys))
     c = len(kept)
     rank = tree.pre_rank[kept]
     levels = tree.levels[kept]

@@ -98,7 +98,7 @@ import numpy as np
 from .errors import InconsistentMemo, InvalidK, UnknownNode
 from .result import SummaryResult
 from .scoring import _g_unchecked
-from .tree import WeightedTree
+from .tree import WeightedTree, _stable_argsort32
 
 _NEG = float("-inf")
 _NO_ANCESTOR = -1
@@ -178,7 +178,7 @@ def _base_rows(tree: WeightedTree) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     the ancestor na at depth r - 1, and 0.0 for r = 0.
     """
     levels = tree.levels.view(np.ndarray)
-    order = np.argsort(levels, kind="stable")
+    order = _stable_argsort32(levels)
     width = levels[order] + 1
     offset = np.empty(tree.n, dtype=np.int64)
     offset[order] = np.cumsum(width) - width

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ScoreMismatch
 from .result import SummaryResult
 from .scoring import g_score
-from .tree import EulerLcaIndex, WeightedTree
+from .tree import EulerLcaIndex, WeightedTree, _lca_index
 
 
 @dataclass
@@ -47,11 +47,7 @@ class ReducedTree:
 def vtree(tree: WeightedTree, index: Optional[EulerLcaIndex] = None) -> ReducedTree:
     """Reduce a tree to its important nodes, their pairwise-consecutive LCAs
     and the root."""
-    if index is None:
-        index = EulerLcaIndex(tree)
-    elif index.tree is not tree:
-        raise ValueError("the LCA index was built for another tree")
-    kept, parent = index._closure(np.append(tree.root, tree.important_pre))
+    kept, parent = _lca_index(tree, index)._closure(np.append(tree.root, tree.important_pre))
     levels = tree.levels[kept]
     edge_weights = (levels - levels[parent]).tolist()
     edge_weights[0] = 0

@@ -45,11 +45,12 @@ float; pure-Python loops take ``.tolist()`` copies once per call.
 so callers on hot paths read them once into a local.
 
 EulerLcaIndex answers lowest-common-ancestor queries as minima over windows
-of one key row, the node levels in preorder (Bender & Farach-Colton 2000),
-built in O(n).  Its ``_closure``, which serves both the reduction and the
-closeness distance, asks only for windows that follow each other, so one
-``np.minimum.reduceat`` pass answers a whole closure.  ``lca`` and
-``lca_many`` take arbitrary pairs, at a cost linear in their window lengths.
+of one key row of n entries, the node levels in preorder (Bender &
+Farach-Colton 2000), built in O(n).  One routine answers them all: windows
+that follow each other, reduced by one ``np.minimum.reduceat`` pass.
+``_closure``, which serves both the reduction and the closeness distance,
+asks for a whole closure's windows at once; ``lca`` asks for the one window
+between two nodes, at a cost linear in its length.
 """
 from __future__ import annotations
 
@@ -509,11 +510,11 @@ class EulerLcaIndex:
     of the LCA (Bender & Farach-Colton 2000).
 
     ``_keys[i]`` is ``level * n + i`` for preorder position i, so the least
-    key of a window names a minimum-level position, and one
-    ``np.minimum.reduceat`` answers a batch of windows.  The build is two
-    n-entry arrays.  A window costs its length: ``_closure`` asks only for
-    windows that follow each other, one pass over the keys, but ``lca_many``
-    on arbitrary pairs does work linear in their total window length.
+    key of a window names a minimum-level position.  The build is two
+    n-entry arrays.  Every query goes through ``_consecutive_lca_ranks``,
+    one ``np.minimum.reduceat`` over windows that follow each other, which
+    reads each key up to the last window's end once: ``_closure`` asks for a
+    whole closure's windows, ``lca`` for the one window between two nodes.
     """
 
     __slots__ = ("tree", "_keys", "_parent_pre")
@@ -521,49 +522,26 @@ class EulerLcaIndex:
     def __init__(self, tree: WeightedTree):
         self.tree = tree
         n = tree.n
-        # the spare last key is ``lca_many``'s bound past a window that ends
-        # at position n - 1; the row of levels is then overwritten with each
-        # position's parent, so the build allocates only the arrays it keeps
-        keys = np.arange(n + 1, dtype=np.int64)
+        # the row of levels is overwritten with each position's parent once
+        # it has made the keys, so the build allocates only what it keeps
+        keys = np.arange(n, dtype=np.int64)
         row = tree.levels[tree.pre_order]
         row *= n
-        keys[:n] += row
+        keys += row
         row[tree.pre_rank] = tree.parent
         self._keys = keys
         self._parent_pre = row
 
     def lca(self, a: int, b: int) -> int:
-        """Deepest common ancestor of a and b (self-inclusive)."""
-        return int(self.lca_many(a, b))
-
-    def lca_many(self, a, b) -> np.ndarray:
-        """Elementwise ``lca`` over two broadcastable arrays of node indices.
-
-        One reduction answers the batch, but it reads every key of each
-        pair's window and of the gaps between windows, so a pair costs time
-        linear in n, not O(1) as in a sparse table: 2,000 random pairs take
-        about 8 ms at 10**5 nodes and 0.2 s at 10**6.  The package asks only
-        for consecutive windows, through ``_closure``; this serves callers
-        and tests with few pairs.
-        """
+        """Deepest common ancestor of a and b (self-inclusive).  It costs the
+        length of the window between their preorder positions."""
         tree = self.tree
-        n = tree.n
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        for side in (a, b):
-            bad = np.flatnonzero((side < 0) | (side >= n))
-            if bad.size:
-                tree.check_node(int(side.flat[bad[0]]))
-        pre_rank = tree.pre_rank
-        ra = pre_rank[a]
-        rb = pre_rank[b]
-        hi = np.maximum(ra, rb)
-        # equal nodes get the one-entry window at their own position; the
-        # answer is replaced by the node itself below
-        lo = np.minimum(np.minimum(ra, rb) + 1, hi)
-        # every second reduction spans the gap to the next window
-        bounds = np.stack((lo, hi + 1), axis=-1).ravel()
-        key = np.minimum.reduceat(self._keys, bounds)[::2].reshape(a.shape)
-        return np.where(a == b, a, self._parent_pre[key % n])
+        tree.check_node(a)
+        tree.check_node(b)
+        if a == b:
+            return int(a)
+        rank = np.sort(tree.pre_rank[[a, b]])
+        return tree.pre_order[self._consecutive_lca_ranks(rank)[0]]
 
     def _closure(self, nodes):
         """The LCA closure of ``nodes`` (valid indices, at least one, repeats
@@ -585,6 +563,16 @@ class EulerLcaIndex:
         rank answers them all."""
         key = np.minimum.reduceat(self._keys[: rank[-1] + 1], rank[:-1] + 1)
         return self.tree.pre_rank[self._parent_pre[key % self.tree.n]]
+
+
+def _lca_index(tree: WeightedTree, index: Optional[EulerLcaIndex]) -> EulerLcaIndex:
+    """``index``, or a new LCA index of ``tree`` when it is None.  Raises
+    ValueError when ``index`` was built for another tree."""
+    if index is None:
+        return EulerLcaIndex(tree)
+    if index.tree is not tree:
+        raise ValueError("the LCA index was built for another tree")
+    return index
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

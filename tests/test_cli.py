@@ -367,6 +367,47 @@ def test_reduce_command(tmp_path, capsys):
     assert again.n == 5
 
 
+def test_reduce_keeps_both_targets_when_the_tree_write_fails(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "reduced.tsv"
+    sidecar = tmp_path / "reduced.tsv.levels"
+    out.write_text("earlier tree\n")
+    sidecar.write_text("earlier levels\n")
+    real_open = open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        # only the tree's temporary file fails, after the sidecar's is written
+        return _FullDiskFile(fh) if str(file).startswith(f"{out}.tmp") else fh
+
+    monkeypatch.setattr(datasets, "open", failing_open, raising=False)
+    assert main(["reduce", SPARSE, "--out", str(out)]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [out, sidecar]
+    assert out.read_text() == "earlier tree\n"
+    assert sidecar.read_text() == "earlier levels\n"
+
+
+def test_readme_examples(tmp_path, capsys, monkeypatch):
+    # each "$ treesum ..." line of the README's Examples block, with the lines
+    # under it as its stdout; reduce's --out goes to tmp_path
+    root = pathlib.Path(__file__).parent.parent
+    text = (root / "README.md").read_text(encoding="utf-8")
+    block = text.split("### Examples\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    examples = block.strip().split("\n\n")
+    assert len(examples) == 4
+    for example in examples:
+        command, *expected = example.splitlines()
+        prefix, *argv = command.split()
+        assert prefix == "$" and argv[0] == "treesum"
+        argv = argv[1:]
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / pathlib.Path(argv[at]).name)
+        assert main(argv) == 0, command
+        assert capsys.readouterr().out.splitlines() == expected, command
+
+
 def test_gen_command(tmp_path, capsys):
     out = tmp_path / "g1.tsv"
     code = main(["gen", "--n", "20", "--important", "10", "--seed", "1", "--out", str(out)])
@@ -530,13 +571,12 @@ def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch, argv
     argv = [part.format(out=out) for part in argv]
     assert main(argv) == 3
     assert "No space left on device" in capsys.readouterr().err
-    # the reduced tree is complete before its sidecar is written
-    kept = [out] if target != out else []
-    assert sorted(tmp_path.iterdir()) == kept
+    # reduce writes neither its tree nor its sidecar when either write fails
+    assert list(tmp_path.iterdir()) == []
     # an earlier target survives the failed write unchanged
     target.write_text("earlier\n")
     assert main(argv) == 3
-    assert sorted(tmp_path.iterdir()) == sorted({*kept, target})
+    assert list(tmp_path.iterdir()) == [target]
     assert target.read_text() == "earlier\n"
 
 

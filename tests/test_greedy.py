@@ -104,6 +104,9 @@ def _scan_gts(tree, k):
 
 
 def _assert_matches_scan(tree, k):
+    # gts reads each node's position in reverse postorder off its ranks
+    at = tree.n - tree.pre_rank + tree.levels - tree.subtree_size
+    assert at.tolist() == np.argsort(tree.post_order[::-1]).tolist()
     res = gts(tree, k)
     order, trace, score = _scan_gts(tree, k)
     assert res.selected == order

@@ -151,9 +151,9 @@ def test_reduction_and_metrics_never_query_pairs(monkeypatch):
     index = EulerLcaIndex(t)
 
     def refuse(self, a, b):
-        raise AssertionError("lca_many called")
+        raise AssertionError("lca called")
 
-    monkeypatch.setattr(EulerLcaIndex, "lca_many", refuse)
+    monkeypatch.setattr(EulerLcaIndex, "lca", refuse)
     reduced = vtree(t, index)
     assert reduced.tree.n > 1
     compute_metrics(t, t.pre_order[::37][:10].tolist(), index=index)

@@ -481,7 +481,8 @@ def test_base_rows_match_path_loop(t, reduced):
     # ragged: exactly sum(levels + 1) floats, each node's segment in place
     assert base.dtype == np.float64
     assert base.shape == (int(widths.sum()),)
-    assert sorted(order.tolist()) == list(range(t.n))
+    # by depth and then by index, as numpy's stable argsort orders them
+    assert order.tolist() == np.argsort(t.levels, kind="stable").tolist()
     assert offset[order].tolist() == (np.cumsum(widths[order]) - widths[order]).tolist()
     for u, want in enumerate(_path_base_rows(t)):
         got = base[offset[u] : offset[u] + widths[u]]

@@ -20,7 +20,7 @@ from treesum import reduction
 from treesum.errors import InvalidK, ScoreMismatch
 from treesum.reduction import ReducedTree
 
-from test_tree import shuffled_trees
+from test_tree import _naive_lca, shuffled_trees
 
 INF = float("inf")
 
@@ -148,14 +148,14 @@ def test_consecutive_pair_lcas_cover_all_subset_lcas(seed):
 
 
 def _stack_vtree_links(tree):
-    """The kept set and the nearest-kept-ancestor stack loop that vtree's one
-    batched LCA query replaced, as an oracle: (kept nodes in preorder,
-    reduced parents, edge weights)."""
+    """The kept set, with pairwise LCAs from a parent walk, and the
+    nearest-kept-ancestor stack loop that vtree's closure replaced, as an
+    oracle: (kept nodes in preorder, reduced parents, edge weights)."""
     imp = tree.important_pre
     keep = set(imp)
     keep.add(tree.root)
     if len(imp) > 1:
-        keep.update(EulerLcaIndex(tree).lca_many(imp[:-1], imp[1:]).tolist())
+        keep.update(_naive_lca(tree, a, b) for a, b in zip(imp[:-1], imp[1:]))
     ordered = sorted(keep, key=tree.pre_rank.__getitem__)
     new_index = {v: i for i, v in enumerate(ordered)}
     parent = [-1] * len(ordered)

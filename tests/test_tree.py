@@ -131,8 +131,8 @@ def test_preorder_table_shape(ontology):
     t = ontology
     idx = EulerLcaIndex(t)
     n = t.n
-    # one key per preorder position and a spare one past the end
-    assert idx._keys.shape == (n + 1,) and idx._keys.dtype == np.int64
+    # one key per preorder position
+    assert idx._keys.shape == (n,) and idx._keys.dtype == np.int64
     for i, v in enumerate(t.pre_order.tolist()):
         assert idx._keys[i] == t.levels[v] * n + i
         assert idx._parent_pre[i] == t.parent[v]
@@ -453,16 +453,14 @@ def test_build_peak_memory_per_node_on_a_path():
 
 @settings(max_examples=80, deadline=None)
 @given(shuffled_trees(max_n=40), st.data())
-def test_lca_many_matches_scalar_and_naive(t, data):
+def test_lca_matches_naive_on_shuffled_trees(t, data):
     idx = EulerLcaIndex(t)
     pairs = data.draw(
         st.lists(st.tuples(st.integers(0, t.n - 1), st.integers(0, t.n - 1)), max_size=30)
     )
-    a = [x for x, _ in pairs]
-    b = [y for _, y in pairs]
-    naive = [_naive_lca(t, x, y) for x, y in pairs]
-    assert idx.lca_many(a, b).tolist() == naive
-    assert [idx.lca(x, y) for x, y in pairs] == naive
+    got = [idx.lca(x, y) for x, y in pairs]
+    assert got == [_naive_lca(t, x, y) for x, y in pairs]
+    assert all(type(v) is int for v in got)
 
 
 def _naive_closure(tree, nodes):
@@ -501,25 +499,17 @@ def test_closure_matches_naive(t, data):
         assert kept.dtype == up.dtype == np.int64
 
 
-def test_lca_many_broadcasts_and_checks_range(sparse_tree):
+def test_lca_checks_range_and_ends_the_key_row(sparse_tree):
     t = sparse_tree
     idx = EulerLcaIndex(t)
-    imp = t.important_pre
-    assert idx.lca_many(imp[0], imp).tolist() == [_naive_lca(t, imp[0], y) for y in imp]
-    with pytest.raises(UnknownNode):
-        idx.lca_many([0, 1], [1, t.n])
-    with pytest.raises(UnknownNode):
-        idx.lca_many(-1, [0])
-    # empty batches keep their shape, and two scalars give a 0-d answer
-    for a, b in (([], []), (imp[0], []), (np.empty((0, 3), dtype=np.int64), imp[:3])):
-        got = idx.lca_many(a, b)
-        assert got.shape == np.broadcast_shapes(np.shape(a), np.shape(b))
-        assert got.dtype == np.int64
+    for a, b in ((1, t.n), (t.n, 1), (-1, 0), (0, -1)):
+        with pytest.raises(UnknownNode):
+            idx.lca(a, b)
+    # the window to the last preorder position ends the key row
     last = t.pre_order[-1]
-    got = idx.lca_many(imp[0], last)
-    assert got.shape == () and int(got) == _naive_lca(t, imp[0], last)
-    assert idx.lca_many(last, last).shape == ()
-    assert int(idx.lca_many(last, last)) == last
+    for v in range(t.n):
+        assert idx.lca(v, last) == idx.lca(last, v) == _naive_lca(t, v, last)
+    assert idx.lca(last, last) == last
 
 
 def test_non_finite_weights_rejected():
@@ -539,7 +529,6 @@ def test_lca_on_chain_with_64_bit_keys():
     idx = EulerLcaIndex(t)
     a = [0, 1, n - 1, 777, n - 2, 31_000]
     b = [n - 1, n - 1, 0, 40_000, n - 1, 31_000]
-    assert idx.lca_many(a, b).tolist() == [min(x, y) for x, y in zip(a, b)]
     assert [idx.lca(x, y) for x, y in zip(a, b)] == [min(x, y) for x, y in zip(a, b)]
     lv = t.levels
     assert lv[0] + lv[n - 1] - 2 * lv[idx.lca(0, n - 1)] == n - 1
