@@ -35,6 +35,7 @@ from .metrics import compute_metrics
 from .optimal import ots
 from .reduction import lift_result, vtree
 from .result import SummaryResult
+from .tree import EulerLcaIndex
 from .viz import summary_dot
 
 REDUCIBLE = ("gts", "ots")
@@ -58,11 +59,13 @@ class _CliUsageError(Exception):
 _USAGE_ERRORS = (_CliUsageError, InvalidK, InvalidSpec, AlreadySelected)
 
 
-def _run_algorithm(tree, algo: str, k: int, theta: float, reduced: bool) -> SummaryResult:
+def _run_algorithm(tree, algo: str, k: int, theta: float, reduced: bool, index=None) -> SummaryResult:
+    """Run ``algo``, on the reduced tree when ``reduced``; ``vtree`` uses
+    ``index``, the tree's LCA index, or builds one when it is None."""
     summarize = _SUMMARIZERS[algo]
     if not reduced:
         return summarize(tree, k, theta)
-    rt = vtree(tree)
+    rt = vtree(tree, index)
     if k > rt.tree.n:
         raise InvalidK(
             f"k={k} exceeds the reduced tree size {rt.tree.n}; "
@@ -91,7 +94,11 @@ def _cmd_summarize(args) -> int:
         raise _CliUsageError(f"--reduce applies to {' and '.join(REDUCIBLE)} only")
 
     start = time.perf_counter()
-    result = _run_algorithm(tree, args.algo, args.k, args.theta, reduced)
+    # one LCA index, and its closure of the weighted nodes, serves both the
+    # reduction and the closeness distance; an unreduced run's summary is
+    # closed by compute_metrics alone
+    index = EulerLcaIndex(tree) if reduced else None
+    result = _run_algorithm(tree, args.algo, args.k, args.theta, reduced, index)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     ids = result.selected_ids(tree)
@@ -108,7 +115,7 @@ def _cmd_summarize(args) -> int:
     }
     if args.with_metrics:
         report["metrics"] = _metrics_dict(
-            compute_metrics(tree, result.selected, algorithm=args.algo)
+            compute_metrics(tree, result.selected, algorithm=args.algo, index=index)
         )
     if args.out:
         text = _strict_json(report, indent=2)

@@ -29,6 +29,7 @@ from .tree import WeightedTree
 _MASK64 = (1 << 64) - 1
 _NO_PARENT = "-"  # the parent column of the root
 _TAB, _NEWLINE, _COMMENT, _DASH = b"\t\n#-"
+_PAD = 8  # NUL bytes read after a file, one 8-byte word's worth
 # _LOW_BYTES[j] keeps the low j bytes of a uint64, for j = 0..8
 _LOW_BYTES = np.array([(1 << 8 * j) - 1 for j in range(9)], dtype=np.uint64)
 # _ASCII_ZEROS[j] holds j ASCII "0" bytes in the low bytes of a uint64
@@ -159,17 +160,17 @@ def parse_tree_tsv(path) -> WeightedTree:
     the line route.  Raises MalformedLine, or any error of
     ``from_parent_ids``.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = _read_padded(path)
     if not data.isascii():
-        # a file must be UTF-8 before either route reads it; ASCII is
+        # a file must be UTF-8 before either route reads it; ASCII is, and
+        # so is the padding
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
     tree = _parse_uniform(data)
     if tree is None:
-        text = data.decode("utf-8")
+        text = data[:-_PAD].decode("utf-8")
         if "\r" in text:
             # the universal newlines of a file opened as text
             text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -177,10 +178,26 @@ def parse_tree_tsv(path) -> WeightedTree:
     return tree
 
 
-def _parse_uniform(data: bytes):
+def _read_padded(path) -> bytearray:
+    """The bytes of the file at ``path`` followed by ``_PAD`` NUL bytes, read
+    into one buffer, so that an 8-byte word can be read at every offset of
+    the file without copying it."""
+    with open(path, "rb") as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size + _PAD)
+        size = fh.readinto(memoryview(data)[:-_PAD])
+        # the rest of a file that grew after its size was read
+        rest = fh.read()
+    if rest or size < len(data) - _PAD:
+        # a file whose size changed: its bytes, then the padding
+        data[size:] = rest + bytes(_PAD)
+    return data
+
+
+def _parse_uniform(data: bytearray):
     """The tree of a file that takes the bulk route, or None to hand it to
-    the line route.  Raises only the errors of the tree's build, which the
-    line route would raise too.
+    the line route.  ``data`` holds the file's bytes followed by ``_PAD``
+    NUL bytes.  Raises only the errors of the tree's build, which the line
+    route would raise too.
 
     Only the ids and labels become strings.  The bytes of the id column, and
     of the label column of a 4-column file, are gathered into one buffer
@@ -190,13 +207,14 @@ def _parse_uniform(data: bytes):
     (``_digit_weights``); any other weight column is gathered like the ids
     and read by ``float``.
     """
-    if b"\r" in data or b"\0" in data:
+    size = len(data) - _PAD
+    if b"\r" in data or data.find(b"\0", 0, size) >= 0:
         return None
-    raw = np.frombuffer(data, dtype=np.uint8)
+    raw = np.frombuffer(data, dtype=np.uint8, count=size)
     # every tab and line end, in order
     seps = np.flatnonzero((raw == _TAB) | (raw == _NEWLINE))
     kind = raw[seps]
-    if not data.endswith(b"\n"):
+    if not data.endswith(b"\n", 0, size):
         seps = np.append(seps, raw.size)
         kind = np.append(kind, _NEWLINE)
     n = np.count_nonzero(kind == _NEWLINE)
@@ -216,8 +234,8 @@ def _parse_uniform(data: bytes):
     id_len = seps[:, 0] - starts
     if (first == _COMMENT).any() or not id_len.all() or ((id_len == 1) & (first == _DASH)).any():
         return None
-    # one 8-byte word at every byte offset, read past the end into padding
-    words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=data + bytes(8), strides=(1,))
+    # one 8-byte word at every byte offset, read past the end into the padding
+    words = np.ndarray((size + 1,), dtype="<u8", buffer=data, strides=(1,))
     par_start = seps[:, 0] + 1
     par_len = seps[:, 1] - par_start
     linked = np.flatnonzero((par_len != 1) | (raw[par_start] != _DASH))

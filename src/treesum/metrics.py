@@ -6,6 +6,14 @@ weighted nodes: total weighted hop distance to the nearest member
 nearest member on the root path (average level difference, smaller is
 better), and the total weight captured by members and their direct children
 (weighted coverage, larger is better).
+
+The closeness distance runs on an LCA closure that holds the members and
+the weighted nodes.  Given the tree's LCA index, it reads the closure that
+the index keeps of the root and the weighted nodes (``vtree`` builds it)
+whenever every member is on it, as the lifted ``ots`` and ``gts`` summaries
+are; then only the members' part is computed: their levels, one
+``np.minimum.reduceat``, the pointer jumps and the sum.  Other members, or
+no index, close the members and the weighted nodes afresh.
 """
 from __future__ import annotations
 
@@ -16,6 +24,10 @@ import numpy as np
 
 from .errors import EmptySummary, NoImportantNodes
 from .tree import EulerLcaIndex, WeightedTree, _lca_index, sequential_sum
+
+
+# the member level of a closure position with no member
+_NO_MEMBER = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -33,32 +45,44 @@ def closeness_distance(
     """Sum over weighted nodes of (hop distance to the nearest member) * weight.
 
     For a common ancestor a of x and y, level(x) + level(y) - 2 level(a) is
-    least, and is their distance, at a = LCA(x, y).  The LCA closure of the
-    members and weighted nodes holds each such LCA, so y's distance is
-    level(y) plus the least low(a) - 2 level(a) over y's closure ancestors a,
-    low(a) being the least member level under a.  The sum adds in preorder.
+    least, and is their distance, at a = LCA(x, y).  An LCA closure that
+    holds the members and the weighted nodes holds each such LCA, so y's
+    distance is level(y) plus the least low(a) - 2 level(a) over y's closure
+    ancestors a, low(a) being the least member level under a; an ancestor
+    that is not such an LCA only adds a term no smaller.  The sum adds in
+    preorder.
+
+    With an ``index`` given, the closure is the one it keeps of the root and
+    the weighted nodes, when every member is one of its nodes (as every
+    member of a summary lifted from ``vtree``'s tree is); the first call
+    builds it.  Otherwise the members and the weighted nodes are closed
+    afresh.  Either way all the arithmetic is integer but the last product,
+    so the result is the same float.
     """
     selected = [tree.check_node(v) for v in set(members)]
     if not selected:
         raise EmptySummary("closeness distance needs a nonempty summary")
-    ys = tree.important_pre
-    kept, up = _lca_index(tree, index)._closure(np.append(selected, ys))
-    c = len(kept)
-    rank = tree.pre_rank[kept]
-    levels = tree.levels[kept]
+    lca = _lca_index(tree, index)
+    rank = tree.pre_rank[selected]
+    at = None
+    if index is not None:
+        # only a caller's index outlives the call; on an index made here the
+        # kept closure would be one more closure, not one fewer
+        closure = lca.weighted_closure
+        at = closure.find(rank)
+    if at is None:
+        closure = lca.closure_with(selected)
+        at = closure.find(rank)
+    levels = closure.levels
     # low(a) reduces a's run of positions, which ends at the first one past
     # its preorder interval; the extra slot only pads the last bound
-    member_level = np.full(c + 1, np.iinfo(np.int64).max)
-    member_level[np.searchsorted(rank, tree.pre_rank[selected])] = tree.levels[selected]
-    bounds = np.stack((np.arange(c), np.searchsorted(rank, rank + tree.subtree_size[kept])), 1)
-    best = np.minimum.reduceat(member_level, bounds.ravel())[::2] - 2 * levels
-    # pointer jumping: round r takes in the next 2**r closure ancestors
-    up[0] = 0
-    for _ in range((c - 1).bit_length()):
+    member_level = np.full(len(levels) + 1, _NO_MEMBER)
+    member_level[at] = tree.levels[selected]
+    best = np.minimum.reduceat(member_level, closure.bounds)[::2] - 2 * levels
+    for up in closure.jumps:
         best = np.minimum(best, best[up])
-        up = up[up]
-    at = np.searchsorted(rank, tree.pre_rank[ys])
-    return sequential_sum((levels[at] + best[at]) * tree.feq[ys])
+    at = closure.weighted_at
+    return sequential_sum((levels[at] + best[at]) * tree.feq[tree.important_pre])
 
 
 def avg_level_difference(tree: WeightedTree, members: Iterable[int]) -> float:

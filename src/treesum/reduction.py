@@ -5,9 +5,10 @@ closed under lowest common ancestors: ``EulerLcaIndex._closure`` adds the LCA
 of each pair consecutive in preorder, which is every LCA of every subset,
 and links each kept node to its nearest kept proper ancestor.  The pairs'
 preorder windows follow each other, so each of its two passes is a single
-``np.minimum.reduceat`` over the index's key row.  That
-compresses chains of useless nodes into single edges weighted by the
-original level difference.
+``np.minimum.reduceat`` over the index's key row.  That compresses chains
+of useless nodes into single edges weighted by the original level
+difference.  The index keeps the closure (``EulerLcaIndex.weighted_closure``),
+so the closeness distance of a lifted summary reuses it.
 
 The reduced tree carries the nodes' original levels as its ``score_levels``,
 so the objective evaluated on it agrees exactly with the original tree, and
@@ -19,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional
-
-import numpy as np
 
 from .errors import ScoreMismatch
 from .result import SummaryResult
@@ -47,8 +46,8 @@ class ReducedTree:
 def vtree(tree: WeightedTree, index: Optional[EulerLcaIndex] = None) -> ReducedTree:
     """Reduce a tree to its important nodes, their pairwise-consecutive LCAs
     and the root."""
-    kept, parent = _lca_index(tree, index)._closure(np.append(tree.root, tree.important_pre))
-    levels = tree.levels[kept]
+    closure = _lca_index(tree, index).weighted_closure
+    kept, parent, levels = closure.nodes, closure.up, closure.levels
     edge_weights = (levels - levels[parent]).tolist()
     edge_weights[0] = 0
     ordered = kept.tolist()

@@ -48,12 +48,16 @@ EulerLcaIndex answers lowest-common-ancestor queries as minima over windows
 of one key row of n entries, the node levels in preorder (Bender &
 Farach-Colton 2000), built in O(n).  One routine answers them all: windows
 that follow each other, reduced by one ``np.minimum.reduceat`` pass.
-``_closure``, which serves both the reduction and the closeness distance,
-asks for a whole closure's windows at once; ``lca`` asks for the one window
-between two nodes, at a cost linear in its length.
+``_closure`` asks for a whole closure's windows at once; ``lca`` asks for
+the one window between two nodes, at a cost linear in its length.  The
+index keeps one closure, of the root and the weighted nodes, built on first
+use as an ``LcaClosure``: ``vtree`` takes its nodes and links, and the
+closeness distance of members inside it reads it with no closure of its
+own.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -118,7 +122,7 @@ class WeightedTree:
         ids = list(ids)
         if len(set(ids)) != len(ids):
             _raise_duplicate(ids)
-        self._build(ids, parent, feq, labels, score_levels)
+        self._build(ids, *_copies(parent, feq, labels), score_levels)
 
     def __setstate__(self, state):
         """Restore a pickled or deep-copied tree.  Both round trips rebuild
@@ -158,30 +162,33 @@ class WeightedTree:
             raise OrphanParentReference(
                 f"node {ids[i]!r} references unknown parent {parent_ids[i]!r}"
             )
-        tree = cls._from_distinct_ids(ids, parent, feq, labels)
+        tree = cls._from_distinct_ids(ids, *_copies(parent, feq, labels))
         tree._id_to_index = index
         return tree
 
     @classmethod
-    def _from_distinct_ids(cls, ids: list, parent, feq, labels=None) -> "WeightedTree":
-        """The constructor for ``ids`` the caller has already checked distinct."""
+    def _from_distinct_ids(cls, ids: list, par, weights, labels=None) -> "WeightedTree":
+        """The constructor for ``ids`` the caller has already checked
+        distinct; the tree takes over all its arguments, as ``_build``
+        does."""
         tree = cls.__new__(cls)
-        tree._build(ids, parent, feq, labels, None)
+        tree._build(ids, par, weights, labels, None)
         return tree
 
-    def _build(self, ids: list, parent, feq, labels, score_levels):
+    def _build(self, ids: list, par: np.ndarray, weights: np.ndarray, labels, score_levels):
+        """Build from arrays and lists the tree takes over: ``par`` (int64)
+        and ``weights`` (float64) become its read-only ``parent`` and
+        ``feq``, and ``labels`` its label list."""
         n = len(ids)
         if n == 0:
             raise NoRoot("empty node list")
-        if len(parent) != n or len(feq) != n:
+        if len(par) != n or len(weights) != n:
             raise ValueError("ids, parent and feq must have equal length")
 
         self.n = n
         self.ids = ids
-        self.labels = ids if labels is None else list(labels)
+        self.labels = ids if labels is None else labels
         self._id_to_index = None
-        par = np.array(parent, dtype=np.int64)
-        weights = np.array(feq, dtype=np.float64)
 
         roots = np.flatnonzero(par < 0)
         if roots.size == 0:
@@ -437,6 +444,13 @@ class _NodeArray(np.ndarray):
         return out[()] if return_scalar else out
 
 
+def _copies(parent, feq, labels):
+    """Copies of a caller's parents, weights and labels, in the forms that
+    ``_build`` takes over, so the caller's own stay as they were."""
+    labels = None if labels is None else list(labels)
+    return np.array(parent, dtype=np.int64), np.array(feq, dtype=np.float64), labels
+
+
 def _stable_argsort32(keys: np.ndarray) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` for int64 keys in [0, 2**32).
 
@@ -515,12 +529,20 @@ class EulerLcaIndex:
     one ``np.minimum.reduceat`` over windows that follow each other, which
     reads each key up to the last window's end once: ``_closure`` asks for a
     whole closure's windows, ``lca`` for the one window between two nodes.
+
+    ``weighted_closure``, the ``LcaClosure`` of the root and the weighted
+    nodes, is built on first use and kept, read-only, and so are the arrays
+    the closeness distance derives from it: ``vtree`` reads its nodes and
+    links, and ``closeness_distance`` the rest.  ``closure_with`` builds an
+    ``LcaClosure`` of any nodes and the weighted nodes, and the index keeps
+    nothing of it.
     """
 
-    __slots__ = ("tree", "_keys", "_parent_pre")
+    __slots__ = ("tree", "_keys", "_parent_pre", "_weighted")
 
     def __init__(self, tree: WeightedTree):
         self.tree = tree
+        self._weighted = None
         n = tree.n
         # the row of levels is overwritten with each position's parent once
         # it has made the keys, so the build allocates only what it keeps
@@ -543,6 +565,21 @@ class EulerLcaIndex:
         rank = np.sort(tree.pre_rank[[a, b]])
         return tree.pre_order[self._consecutive_lca_ranks(rank)[0]]
 
+    @property
+    def weighted_closure(self) -> "LcaClosure":
+        """The LCA closure of the root and the weighted nodes, the node set of
+        ``vtree``, built on first use and kept."""
+        closure = self._weighted
+        if closure is None:
+            closure = self._weighted = self.closure_with([self.tree.root])
+        return closure
+
+    def closure_with(self, nodes) -> "LcaClosure":
+        """A new LCA closure of ``nodes`` (valid indices, repeats allowed) and
+        the weighted nodes."""
+        tree = self.tree
+        return LcaClosure(tree, *self._closure(np.append(nodes, tree.important_pre)))
+
     def _closure(self, nodes):
         """The LCA closure of ``nodes`` (valid indices, at least one, repeats
         allowed) in preorder, and the position of each kept node's nearest
@@ -563,6 +600,68 @@ class EulerLcaIndex:
         rank answers them all."""
         key = np.minimum.reduceat(self._keys[: rank[-1] + 1], rank[:-1] + 1)
         return self.tree.pre_rank[self._parent_pre[key % self.tree.n]]
+
+
+class LcaClosure:
+    """An LCA-closed node set that holds every weighted node, with what the
+    closeness distance derives from it.  Every array is read-only.
+
+    ``nodes`` holds the kept nodes in preorder, ``up[i]`` the position of
+    node i's nearest kept proper ancestor (-1 for the first, an ancestor of
+    all) and ``levels`` their levels; ``vtree`` reads these three.  The
+    closeness distance also reads the rest, each built on first use:
+    ``rank``, the nodes' preorder ranks; ``weighted_at``, the position of
+    each of ``tree.important_pre``; ``bounds``, each position interleaved
+    with the first position past its subtree, the windows of one
+    ``np.minimum.reduceat``; and ``jumps``, where ``jumps[r]`` maps each
+    position to its 2**r-th kept ancestor, or to position 0 when it has
+    fewer.  The last jump maps every position to 0, so taking the minimum
+    across each jump in turn reaches every kept ancestor of every node
+    (pointer jumping).
+    """
+
+    def __init__(self, tree: WeightedTree, nodes: np.ndarray, up: np.ndarray):
+        self._tree = tree
+        self.nodes = _read_only(nodes)
+        self.up = _read_only(up)
+        self.levels = _read_only(tree.levels[nodes])
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        return _read_only(self._tree.pre_rank[self.nodes])
+
+    @cached_property
+    def weighted_at(self) -> np.ndarray:
+        # the kept nodes are in preorder, so their weighted ones are
+        # important_pre in order
+        return _read_only(np.flatnonzero(self._tree.feq[self.nodes] > 0))
+
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        rank = self.rank
+        ends = np.searchsorted(rank, rank + self._tree.subtree_size[self.nodes])
+        return _read_only(np.stack((np.arange(len(rank)), ends), 1).ravel())
+
+    @cached_property
+    def jumps(self) -> tuple:
+        jump = self.up.copy()
+        jump[0] = 0
+        jumps = [_read_only(jump)]
+        while jump.any():
+            jump = _read_only(jump[jump])
+            jumps.append(jump)
+        return tuple(jumps)
+
+    def find(self, rank: np.ndarray) -> Optional[np.ndarray]:
+        """The positions of the nodes of preorder ranks ``rank``, or None when
+        one of them is not kept."""
+        at = np.searchsorted(self.rank, rank)
+        return at if (self.rank.take(at, mode="clip") == rank).all() else None
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 def _lca_index(tree: WeightedTree, index: Optional[EulerLcaIndex]) -> EulerLcaIndex:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesum import cli, datasets, summary_dot
+from treesum import EulerLcaIndex, cli, datasets, summary_dot
 from treesum.cli import main
 from treesum.errors import InconsistentMemo, ScoreMismatch
 from treesum.viz import VIRTUAL_ROOT, _quote
@@ -71,6 +71,33 @@ def test_summarize_with_metrics(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert set(report["metrics"]) == {"cd", "ald", "wc"}
+
+
+@pytest.mark.parametrize(
+    "algo, flags",
+    [("ots", []), ("gts", []), ("gts", ["--no-reduce"]), ("feq", [])],
+)
+def test_summarize_with_metrics_builds_one_index(tmp_path, monkeypatch, algo, flags):
+    # the reduction and the closeness distance share one LCA index, and one
+    # closure of it; an unreduced summary is closed once, by the metrics
+    calls = []
+    init, closure = EulerLcaIndex.__init__, EulerLcaIndex._closure
+
+    def counting_init(self, tree):
+        calls.append("index")
+        init(self, tree)
+
+    def counting_closure(self, nodes):
+        calls.append("closure")
+        return closure(self, nodes)
+
+    monkeypatch.setattr(EulerLcaIndex, "__init__", counting_init)
+    monkeypatch.setattr(EulerLcaIndex, "_closure", counting_closure)
+    out = tmp_path / "report.json"
+    argv = ["summarize", ONTOLOGY, "--algo", algo, "--k", "3", "--with-metrics", "--out", str(out)]
+    assert main(argv + flags) == 0
+    assert calls == ["index", "closure"]
+    assert json.loads(out.read_text())["metrics"]["cd"] is not None
 
 
 def test_summarize_invalid_k_exit_code(capsys):

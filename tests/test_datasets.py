@@ -1,5 +1,7 @@
+import os
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -696,3 +698,45 @@ def test_one_id_index_per_tree(tmp_path, monkeypatch):
         assert len(built) == 1
         assert tree._id_to_index is built.pop()
         assert tree._id_to_index == {"a": 0, "b": 1, "c": 2}
+
+
+def test_bulk_parse_hands_its_arrays_to_the_tree(tmp_path, monkeypatch):
+    # the parse's parent and weight arrays and its label list become the
+    # tree's own, with no copy
+    import treesum.tree
+
+    handed = {}
+    build = WeightedTree._build
+
+    def recording(self, ids, par, weights, labels, score_levels):
+        handed.update(par=par, weights=weights, labels=labels)
+        build(self, ids, par, weights, labels, score_levels)
+
+    monkeypatch.setattr(treesum.tree.WeightedTree, "_build", recording)
+    p = tmp_path / "t.tsv"
+    p.write_bytes(b"r\t-\t1\troot\na\tr\t2\tA\nb\ta\t0.5\t\n")
+    t = parse_tree_tsv(p)
+    assert np.shares_memory(t.parent, handed["par"])
+    assert np.shares_memory(t.feq, handed["weights"])
+    assert t.labels is handed["labels"] == ["root", "A", "b"]
+
+
+@pytest.mark.parametrize("drift", [-9, -3, 0, 4])
+def test_read_padded_holds_every_byte_read(tmp_path, monkeypatch, drift):
+    # a size that no longer matches the file, as when it changes while it is
+    # read, still gives every byte and then the NUL padding
+    import treesum.datasets
+
+    text = b"r\t-\t1\na\tr\t22\nbb\ta\t333"
+    p = tmp_path / "t.tsv"
+    p.write_bytes(text)
+    fstat = os.fstat
+
+    class Stat:
+        def __init__(self, fd):
+            self.st_size = fstat(fd).st_size + drift
+
+    monkeypatch.setattr(treesum.datasets.os, "fstat", Stat)
+    assert bytes(treesum.datasets._read_padded(p)) == text + bytes(8)
+    t = parse_tree_tsv(p)
+    assert t.ids == ["r", "a", "bb"] and t.feq.tolist() == [1.0, 22.0, 333.0]

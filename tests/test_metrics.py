@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +12,15 @@ from treesum import (
     closeness_distance,
     compute_metrics,
     gen_random_tree,
+    gts,
+    lift_result,
+    ots,
     vtree,
     weighted_coverage,
 )
 from treesum.errors import EmptySummary, NoImportantNodes
 
-from test_tree import ORDER_WEIGHTS, _walk_nearest, shuffled_trees
+from test_tree import ORDER_WEIGHTS, SIGNED_ZERO_WEIGHTS, _walk_nearest, shuffled_trees
 
 
 @pytest.fixture(scope="module")
@@ -125,9 +129,8 @@ def _closeness_per_pair(tree, members, index):
     return total
 
 
-def test_closeness_lca_queries_do_not_grow_with_k(monkeypatch):
-    t = gen_random_tree(GenSpec(n=2000, important_count=200, seed=11))
-    index = EulerLcaIndex(t)
+def _count_closures(monkeypatch) -> list:
+    """A list that gains an entry at every ``EulerLcaIndex._closure`` call."""
     calls = []
     closure = EulerLcaIndex._closure
 
@@ -136,12 +139,94 @@ def test_closeness_lca_queries_do_not_grow_with_k(monkeypatch):
         return closure(self, nodes)
 
     monkeypatch.setattr(EulerLcaIndex, "_closure", counting)
+    return calls
+
+
+def test_closeness_lca_queries_do_not_grow_with_k(monkeypatch):
+    t = gen_random_tree(GenSpec(n=2000, important_count=200, seed=11))
+    index = EulerLcaIndex(t)
+    kept = set(index.weighted_closure.nodes.tolist())
+    calls = _count_closures(monkeypatch)
+    # members off the kept closure are closed afresh, once per call; members
+    # on it are not closed at all
+    outside = [v for v in t.pre_order[::37].tolist() if v not in kept]
+    inside = sorted(kept)[::3]
     counts = []
-    for k in (1, 50):
-        calls.clear()
-        closeness_distance(t, t.pre_order[::37][:k].tolist(), index=index)
-        counts.append(len(calls))
-    assert counts == [1, 1]
+    for members in (outside, inside):
+        for k in (1, 50):
+            calls.clear()
+            closeness_distance(t, members[:k], index=index)
+            counts.append(len(calls))
+    assert counts == [1, 1, 0, 0]
+
+
+def _closeness_agrees(t, members) -> bool:
+    """Check closeness on a warmed index against the per-pair loop and the
+    general closure (no index), by repr; True when every member is on the
+    index's kept closure, so the kept closure answered."""
+    index = EulerLcaIndex(t)
+    vtree(t, index)
+    want = repr(_closeness_per_pair(t, members, index))
+    assert repr(closeness_distance(t, members, index=index)) == want
+    assert repr(closeness_distance(t, members)) == want
+    return index.weighted_closure.find(t.pre_rank[sorted(set(members))]) is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(shuffled_trees(weights=ORDER_WEIGHTS), shuffled_trees(weights=SIGNED_ZERO_WEIGHTS)),
+    st.data(),
+)
+def test_closeness_on_the_kept_closure_matches_oracles(t, data):
+    reduced = vtree(t)
+    k = data.draw(st.integers(1, reduced.tree.n))
+    for solve in (ots, gts):
+        lifted = lift_result(reduced, solve(reduced.tree, k)).selected
+        assert _closeness_agrees(t, lifted)
+    assert _closeness_agrees(t, [t.root])
+    drawn = data.draw(st.sets(st.integers(0, t.n - 1), min_size=1))
+    _closeness_agrees(t, drawn)
+
+
+def test_kept_closure_is_read_only_and_shared_with_no_reduced_tree():
+    t = gen_random_tree(GenSpec(n=2000, important_count=200, seed=11))
+    index = EulerLcaIndex(t)
+    reduced = vtree(t, index)
+    closure = index.weighted_closure
+    assert index.weighted_closure is closure
+    compute_metrics(t, [t.root], index=index)
+    names = ("nodes", "up", "levels", "rank", "weighted_at", "bounds")
+    cached = [getattr(closure, name) for name in names] + list(closure.jumps)
+    assert len(closure.jumps) > 1
+    for values in cached:
+        assert isinstance(values, np.ndarray) and not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = values[0]
+    rt = reduced.tree
+    for name in WeightedTree.__slots__:
+        values = getattr(rt, name)
+        if isinstance(values, np.ndarray):
+            assert not any(np.shares_memory(values, c) for c in cached), name
+    # the cached nodes and links are vtree's tree
+    assert reduced.orig_index == closure.nodes.tolist()
+    assert rt.parent.tolist() == closure.up.tolist()
+
+
+def test_vtree_and_metrics_close_once_per_index(monkeypatch):
+    t = gen_random_tree(GenSpec(n=2000, important_count=200, seed=11))
+    calls = _count_closures(monkeypatch)
+    index = EulerLcaIndex(t)
+    reduced = vtree(t, index)
+    for k in (1, 10, 50):
+        for solve in (ots, gts):
+            lifted = lift_result(reduced, solve(reduced.tree, k)).selected
+            compute_metrics(t, lifted, index=index)
+            compute_metrics(t, lifted, index=index)
+    assert len(calls) == 1
+    # with no index, one closure per call, as before the index kept one
+    calls.clear()
+    compute_metrics(t, lifted)
+    assert len(calls) == 1
 
 
 def test_reduction_and_metrics_never_query_pairs(monkeypatch):
@@ -163,9 +248,12 @@ def test_reduction_and_metrics_never_query_pairs(monkeypatch):
 
 def test_closeness_without_weighted_nodes_is_zero():
     t = WeightedTree(["r", "a", "b"], [-1, 0, 0], [0.0, 0.0, 0.0])
+    index = EulerLcaIndex(t)
     for members in ([0], [2], [0, 1, 2]):
-        got = closeness_distance(t, members)
-        assert got == 0.0 and type(got) is float
+        for got in (closeness_distance(t, members), closeness_distance(t, members, index=index)):
+            assert got == 0.0 and type(got) is float
+    # the root alone is the kept closure, so [2] is closed afresh
+    assert _closeness_agrees(t, [0]) and not _closeness_agrees(t, [2])
 
 
 def test_closeness_of_one_member_off_the_weighted_set():

@@ -589,6 +589,26 @@ def test_arrays_are_read_only(ontology):
         assert lists <= {"ids", "labels", "_children"}
 
 
+def test_constructors_copy_what_the_caller_passes():
+    ids = ["r", "a", "b"]
+    parent = np.array([-1, 0, 0])
+    feq = np.array([0.0, 2.0, 3.0])
+    labels = ["root", "A", "B"]
+    for t in (
+        WeightedTree(ids, parent, feq, labels),
+        WeightedTree.from_parent_ids(ids, ["-", "r", "r"], feq, labels, root_parent="-"),
+    ):
+        assert parent.flags.writeable and feq.flags.writeable
+        assert not np.shares_memory(t.parent, parent) and not np.shares_memory(t.feq, feq)
+        assert t.labels is not labels
+    parent[2] = 1
+    feq[1] = 9.0
+    labels[0] = "x"
+    assert t.parent.tolist() == [-1, 0, 0]
+    assert t.feq.tolist() == [0.0, 2.0, 3.0]
+    assert t.labels == ["root", "A", "B"]
+
+
 def _solved(tree, k):
     """gts's and ots's results at k, without ots's stage times."""
     exact = ots(tree, k)
