@@ -146,8 +146,9 @@ def parse_tree_tsv(path) -> WeightedTree:
     * the bulk route: a file with no comment line, no blank line, no NUL
       byte and no carriage return, whose lines all hold the same number of
       tabs, 2 or 3.  Its tab and newline bytes give every field's extent.
-      The id and label columns are gathered and split once each; its
-      parent ids resolve through integer keys of their bytes
+      The tree takes the id and label columns undecoded, the file's bytes
+      and each row's extent, and decodes a column the first time it is
+      read; its parent ids resolve through integer keys of their bytes
       (``_resolve_ids``), and no id dict is built.  Weights that are all
       1 to 8 ASCII digits are read from the bytes, any others by
       ``float`` (``_parse_uniform``).
@@ -199,13 +200,15 @@ def _parse_uniform(data: bytearray):
     NUL bytes.  Raises only the errors of the tree's build, which the line
     route would raise too.
 
-    Only the ids and labels become strings.  The bytes of the id column, and
-    of the label column of a 4-column file, are gathered into one buffer
-    each, decoded and split once (``_column``).  Parent fields are resolved
-    from their bytes (``_resolve_ids``).  A weight column whose every field
-    is 1 to 8 ASCII digits is read from one 8-byte word per field
-    (``_digit_weights``); any other weight column is gathered like the ids
-    and read by ``float``.
+    No field becomes a string here.  The tree takes the id column, and the
+    label column of a 4-column file, as ``_FileColumn``s: ``raw`` and each
+    row's extent, in int32 below 2 GiB.  A row whose label is empty takes
+    its id's extent, as ``label or node_id`` would.  The tree decodes a
+    column with ``_column`` when it is first read, and only some rows of it
+    when asked for those.  Parent fields are resolved from their bytes
+    (``_resolve_ids``).  A weight column whose every field is 1 to 8 ASCII
+    digits is read from one 8-byte word per field (``_digit_weights``); any
+    other weight column is gathered by ``_column`` and read by ``float``.
     """
     size = len(data) - _PAD
     if b"\r" in data or data.find(b"\0", 0, size) >= 0:
@@ -246,9 +249,9 @@ def _parse_uniform(data: bytearray):
     parent[linked] = found
     weight_start = seps[:, 1] + 1
     weights = _digit_weights(words, weight_start, seps[:, 2] - weight_start)
-    # the arrays that found the numbers are freed before the strings are
-    # made, and the rest before the build: held, they would raise the
-    # parse's memory peak by a third
+    # the arrays that found the parents and the digit weights are freed
+    # before any other weight column is read, and the rest before the
+    # build: held, they would raise the parse's memory peak
     del words, kind, id_len, par_start, par_len, linked, found
     if weights is None:
         try:
@@ -256,12 +259,45 @@ def _parse_uniform(data: bytearray):
         except ValueError:
             return None
     del weight_start
-    ids = _column(raw, starts, seps[:, 0])
+    # compact copies of the extents, so that no view keeps ``seps`` alive
+    index_type = np.int32 if raw.size < 2**31 else np.int64
+    id_stop = seps[:, 0]
+    ids = _FileColumn(raw, starts.astype(index_type), id_stop.astype(index_type))
     labels = None
     if cols == 4:
-        labels = [label or node_id for label, node_id in zip(_column(raw, seps[:, 2] + 1, ends), ids)]
-    del seps, ends, starts
+        # an empty label reads as the id: ``label or node_id``
+        label_start = seps[:, 2] + 1
+        empty = label_start == ends
+        label_start[empty] = starts[empty]
+        label_stop = np.where(empty, id_stop, ends)
+        labels = _FileColumn(raw, label_start.astype(index_type), label_stop.astype(index_type))
+    del seps, ends, starts, id_stop
     return WeightedTree._from_distinct_ids(ids, parent, weights, labels)
+
+
+class _FileColumn:
+    """A column of a tree file, not yet decoded: its i-th field is
+    ``raw[start[i]:stop[i]]``.  A tree holds one in place of its id or label
+    list until that list is first read (``WeightedTree.ids``)."""
+
+    __slots__ = ("raw", "start", "stop")
+
+    def __init__(self, raw, start, stop):
+        self.raw = raw
+        self.start = start
+        self.stop = stop
+
+    def __len__(self):
+        return self.start.size
+
+    def decode(self) -> list:
+        """Every field, as a list of str."""
+        return _column(self.raw, self.start, self.stop)
+
+    def at(self, rows) -> list:
+        """The fields of ``rows``, in their order, as a list of str."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return _column(self.raw, self.start[rows], self.stop[rows]) if rows.size else []
 
 
 def _column(raw, start, stop) -> list:

@@ -489,7 +489,8 @@ class OtsSolver:
         if key.ancestor is not None:
             na = tree.check_node(key.ancestor)
             if na == u or not tree.is_ancestor(na, u):
-                raise UnknownNode(f"{tree.ids[na]!r} is not a strict ancestor of {tree.ids[u]!r}")
+                na_id, u_id = tree._ids_at([na, u])
+                raise UnknownNode(f"{na_id!r} is not a strict ancestor of {u_id!r}")
         b = min(key.budget, self.cap[u])
         if b < 0:
             raise InvalidK(f"negative budget {key.budget}")

@@ -51,11 +51,13 @@ def vtree(tree: WeightedTree, index: Optional[EulerLcaIndex] = None) -> ReducedT
     edge_weights = (levels - levels[parent]).tolist()
     edge_weights[0] = 0
     ordered = kept.tolist()
+    # only the kept rows of a column not yet decoded become strings; when the
+    # labels are the ids, the reduced tree's labels are its ids too
     reduced = WeightedTree(
-        ids=[tree.ids[v] for v in ordered],
+        ids=tree._ids_at(ordered),
         parent=parent,
         feq=tree.feq[kept],
-        labels=[tree.labels[v] for v in ordered],
+        labels=tree._labels_at(ordered),
         score_levels=tree.score_levels[kept],
     )
     return ReducedTree(tree=reduced, original=tree, orig_index=ordered, edge_weights=edge_weights)

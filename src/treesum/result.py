@@ -28,4 +28,4 @@ class SummaryResult:
     stats: dict = field(default_factory=dict, compare=False)
 
     def selected_ids(self, tree: WeightedTree) -> List[str]:
-        return [tree.ids[v] for v in self.selected]
+        return tree._ids_at(self.selected)

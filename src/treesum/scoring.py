@@ -87,7 +87,7 @@ def marginal_gain_naive(tree: WeightedTree, members: Iterable[int], x: int) -> f
     tree.check_node(x)
     selected = {tree.check_node(v) for v in members}
     if x in selected:
-        raise AlreadySelected(f"node {tree.ids[x]!r} is already selected")
+        raise AlreadySelected(f"node {tree._ids_at([x])[0]!r} is already selected")
     base = _g_unchecked(tree, selected)
     selected.add(x)
     return _g_unchecked(tree, selected) - base
@@ -105,7 +105,7 @@ def marginal_gain_fast(tree: WeightedTree, members: Iterable[int], x: int) -> fl
     tree.check_node(x)
     selected = {tree.check_node(v) for v in members}
     if x in selected:
-        raise AlreadySelected(f"node {tree.ids[x]!r} is already selected")
+        raise AlreadySelected(f"node {tree._ids_at([x])[0]!r} is already selected")
     # x's subtree is a postorder slice ending at x; reversed, it starts at x
     start = tree.pre_rank[x] - tree.levels[x]
     nodes = tree.post_order[start : start + tree.subtree_size[x]][::-1]

@@ -7,6 +7,11 @@ constructor checks the ids for repeats with a set.  ``from_parent_ids``, for
 parents given by id (``build_tree`` and the TSV parser's line route),
 resolves them through a dict that it keeps as the tree's index; the TSV
 parser's bulk route resolves them from the file's bytes and builds no dict.
+A tree from the bulk route holds its id and label columns undecoded, the
+file's bytes and each row's extent, and ``ids`` and ``labels`` are decoded
+on first read; until then ``_ids_at`` and ``_labels_at`` decode only the
+rows asked for, so ``vtree`` makes strings of the kept nodes alone.  The
+tree drops the file's bytes once no column is left undecoded.
 Construction runs numpy passes only, with no per-node Python loop:
 
   * the children of every node come from a stable sort of the parent
@@ -89,8 +94,10 @@ class WeightedTree:
 
     __slots__ = (
         "n",
-        "ids",
-        "labels",
+        # the id and label lists, or a file's columns not yet decoded; a
+        # None ``_labels`` means the labels are the ids
+        "_ids",
+        "_labels",
         "parent",
         "feq",
         "levels",
@@ -130,8 +137,13 @@ class WeightedTree:
         of its own, on which ufuncs such as ``np.add.at`` miss their fast
         paths; each array is frozen again, in the canonical dtype, and
         arrays that were one object (``score_levels`` and ``levels``) stay
-        one."""
+        one.  A tree pickled while its ids and labels were the ``ids`` and
+        ``labels`` slots gets them back in ``_ids`` and ``_labels``."""
         _, slots = state
+        if "ids" in slots:
+            slots["_ids"] = slots.pop("ids")
+            labels = slots.pop("labels")
+            slots["_labels"] = None if labels is slots["_ids"] else labels
         restored = {}
         for name, value in slots.items():
             if isinstance(value, np.ndarray):
@@ -167,18 +179,22 @@ class WeightedTree:
         return tree
 
     @classmethod
-    def _from_distinct_ids(cls, ids: list, par, weights, labels=None) -> "WeightedTree":
+    def _from_distinct_ids(cls, ids, par, weights, labels=None) -> "WeightedTree":
         """The constructor for ``ids`` the caller has already checked
         distinct; the tree takes over all its arguments, as ``_build``
-        does."""
+        does.  ``ids`` and ``labels`` may also be columns of a file that the
+        tree decodes when they are first read: objects with ``len``, a
+        ``decode()`` that gives the whole list and an ``at(rows)`` that
+        gives the fields of some rows."""
         tree = cls.__new__(cls)
         tree._build(ids, par, weights, labels, None)
         return tree
 
-    def _build(self, ids: list, par: np.ndarray, weights: np.ndarray, labels, score_levels):
+    def _build(self, ids, par: np.ndarray, weights: np.ndarray, labels, score_levels):
         """Build from arrays and lists the tree takes over: ``par`` (int64)
         and ``weights`` (float64) become its read-only ``parent`` and
-        ``feq``, and ``labels`` its label list."""
+        ``feq``, and ``ids`` and ``labels`` its id and label lists, or the
+        columns it decodes into them."""
         n = len(ids)
         if n == 0:
             raise NoRoot("empty node list")
@@ -186,25 +202,25 @@ class WeightedTree:
             raise ValueError("ids, parent and feq must have equal length")
 
         self.n = n
-        self.ids = ids
-        self.labels = ids if labels is None else labels
+        self._ids = ids
+        self._labels = labels
         self._id_to_index = None
 
         roots = np.flatnonzero(par < 0)
         if roots.size == 0:
             raise NoRoot("no parentless record found")
         if roots.size > 1:
-            raise MultipleRoots(f"nodes {[self.ids[i] for i in roots]} all lack a parent")
+            raise MultipleRoots(f"nodes {self._ids_at(roots)} all lack a parent")
         root = self.root = int(roots[0])
 
         bad = np.flatnonzero(~np.isfinite(weights))
         if bad.size:
             i = bad[0]
-            raise NonFiniteWeight(f"node {self.ids[i]!r} has weight {weights[i]}")
+            raise NonFiniteWeight(f"node {self._ids_at([i])[0]!r} has weight {weights[i]}")
         bad = np.flatnonzero(weights < 0)
         if bad.size:
             i = bad[0]
-            raise NegativeWeight(f"node {self.ids[i]!r} has weight {weights[i]}")
+            raise NegativeWeight(f"node {self._ids_at([i])[0]!r} has weight {weights[i]}")
         # every score and DP value is bounded by the total
         with np.errstate(over="ignore"):
             total = weights.sum()
@@ -213,7 +229,7 @@ class WeightedTree:
         bad = np.flatnonzero(par >= n)
         if bad.size:
             i = bad[0]
-            raise OrphanParentReference(f"node {self.ids[i]!r} references index {par[i]}")
+            raise OrphanParentReference(f"node {self._ids_at([i])[0]!r} references index {par[i]}")
 
         # Children as compressed rows: the root sorts first (its parent is the
         # only negative one), every other node lands in its parent's run, and
@@ -244,7 +260,7 @@ class WeightedTree:
             if rounds > n.bit_length():
                 missing = np.flatnonzero(anc[:n] != n)
                 raise CycleDetected(
-                    f"nodes unreachable from the root: {[self.ids[i] for i in missing[:5]]}"
+                    f"nodes unreachable from the root: {self._ids_at(missing[:5])}"
                 )
             size += np.bincount(anc, size)
             anc = anc[anc]
@@ -294,6 +310,37 @@ class WeightedTree:
         self.important = _frozen(np.flatnonzero(weighted))
         self.important_pre = _frozen(pre_order[weighted[pre_order]])
         self.height = int(levels.max())
+
+    @property
+    def ids(self) -> list:
+        """The node ids, by index, decoded from the file's column on first
+        read when the tree was parsed in bulk."""
+        ids = self._ids
+        if not isinstance(ids, list):
+            ids = self._ids = ids.decode()
+        return ids
+
+    @property
+    def labels(self) -> list:
+        """The node labels, by index; ``ids`` itself when the tree has none.
+        Decoded on first read, as ``ids`` is."""
+        labels = self._labels
+        if labels is None:
+            return self.ids
+        if not isinstance(labels, list):
+            labels = self._labels = labels.decode()
+        return labels
+
+    def _ids_at(self, nodes) -> list:
+        """The ids of ``nodes`` (valid indices), in order, read from the id
+        list, or decoded from just their rows while the column is not."""
+        return _strings_at(self._ids, nodes)
+
+    def _labels_at(self, nodes) -> Optional[list]:
+        """The labels of ``nodes``, as ``_ids_at`` gives their ids, or None
+        when the tree's labels are its ids, as the constructor takes it."""
+        labels = self._labels
+        return None if labels is None else _strings_at(labels, nodes)
 
     @property
     def children(self) -> list:
@@ -423,7 +470,7 @@ class WeightedTree:
     def __repr__(self):
         return (
             f"WeightedTree(n={self.n}, important={len(self.important)}, "
-            f"height={self.height}, root={self.ids[self.root]!r})"
+            f"height={self.height}, root={self._ids_at([self.root])[0]!r})"
         )
 
 
@@ -442,6 +489,14 @@ class _NodeArray(np.ndarray):
 
     def __array_wrap__(self, out, context=None, return_scalar=False):
         return out[()] if return_scalar else out
+
+
+def _strings_at(column, nodes) -> list:
+    """The strings of ``nodes`` in an id or label list, or in a column that
+    is not yet decoded."""
+    if isinstance(column, list):
+        return [column[v] for v in nodes]
+    return column.at(nodes)
 
 
 def _copies(parent, feq, labels):

@@ -29,14 +29,15 @@ def summary_dot(tree: WeightedTree, members: Iterable[int]) -> str:
     below = [v for v in ordered if v != tree.root]
     above = tree._nearest_selected(selected, [tree.parent[v] for v in below]).tolist()
 
+    names = dict(zip(ordered, tree._ids_at(ordered)))
+    names[-1] = VIRTUAL_ROOT
     lines = ["digraph summary {"]
     for v in ordered:
-        label = f"{tree.ids[v]} ({tree.feq[v]:g})"
-        lines.append(f"  {_quote(tree.ids[v])} [label={_quote(label)}];")
+        label = f"{names[v]} ({tree.feq[v]:g})"
+        lines.append(f"  {_quote(names[v])} [label={_quote(label)}];")
     if -1 in above:
         lines.append(f"  {_quote(VIRTUAL_ROOT)} [label=\"\", shape=point];")
     for p, v in zip(above, below):
-        src = tree.ids[p] if p >= 0 else VIRTUAL_ROOT
-        lines.append(f"  {_quote(src)} -> {_quote(tree.ids[v])};")
+        lines.append(f"  {_quote(names[p])} -> {_quote(names[v])};")
     lines.append("}")
     return "\n".join(lines) + "\n"

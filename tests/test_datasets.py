@@ -1,5 +1,8 @@
+import copy
 import os
+import pickle
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treesum import (
+    EulerLcaIndex,
     GenSpec,
     Splitmix64,
     WeightedTree,
@@ -14,6 +18,7 @@ from treesum import (
     g_score,
     gen_random_tree,
     parse_tree_tsv,
+    vtree,
     write_tree_tsv,
 )
 from treesum.errors import (
@@ -701,8 +706,8 @@ def test_one_id_index_per_tree(tmp_path, monkeypatch):
 
 
 def test_bulk_parse_hands_its_arrays_to_the_tree(tmp_path, monkeypatch):
-    # the parse's parent and weight arrays and its label list become the
-    # tree's own, with no copy
+    # the parse's parent and weight arrays and its undecoded label column
+    # become the tree's own, with no copy
     import treesum.tree
 
     handed = {}
@@ -718,7 +723,8 @@ def test_bulk_parse_hands_its_arrays_to_the_tree(tmp_path, monkeypatch):
     t = parse_tree_tsv(p)
     assert np.shares_memory(t.parent, handed["par"])
     assert np.shares_memory(t.feq, handed["weights"])
-    assert t.labels is handed["labels"] == ["root", "A", "b"]
+    assert t._labels is handed["labels"]
+    assert t.labels == ["root", "A", "b"]
 
 
 @pytest.mark.parametrize("drift", [-9, -3, 0, 4])
@@ -740,3 +746,179 @@ def test_read_padded_holds_every_byte_read(tmp_path, monkeypatch, drift):
     assert bytes(treesum.datasets._read_padded(p)) == text + bytes(8)
     t = parse_tree_tsv(p)
     assert t.ids == ["r", "a", "bb"] and t.feq.tolist() == [1.0, 22.0, 333.0]
+
+
+# -- ids and labels decoded on first read --------------------------------------
+
+
+def _eager_columns(path):
+    """The ids and labels of a tree file, read line by line: the oracle."""
+    lines = [line for line in path.read_text(encoding="utf-8").split("\n") if line and line[0] != "#"]
+    fields = [line.split("\t") for line in lines]
+    ids = [f[0] for f in fields]
+    labels = [(f[3] if len(f) == 4 else "") or f[0] for f in fields]
+    return ids, labels
+
+
+def _lazy_tree_files(tmp_path):
+    """One file per case: the name and whether the bulk route takes it."""
+    t = gen_random_tree(GenSpec(n=300, important_count=40, seed=5))
+    ids = t.ids
+    cases = {
+        "3-column": (ids, None),
+        "4-column, some labels empty": (ids, [f"L{i}" if i % 3 else "" for i in range(t.n)]),
+        "multi-byte UTF-8": ([f"é{i}漢😀" for i in range(t.n)], [f"ü{i}" if i % 2 else "" for i in range(t.n)]),
+        "ids over 8 bytes": ([f"node-with-a-long-id-{i}" for i in range(t.n)], None),
+    }
+    files = {}
+    for name, (case_ids, labels) in cases.items():
+        p = tmp_path / f"{len(files)}.tsv"
+        rows = []
+        for i, (node_id, p_index, w) in enumerate(zip(case_ids, t.parent.tolist(), t.feq.tolist())):
+            cols = [node_id, "-" if p_index < 0 else case_ids[p_index], str(int(w))]
+            if labels is not None:
+                cols.append(labels[i])
+            rows.append("\t".join(cols) + "\n")
+        p.write_text("".join(rows), encoding="utf-8")
+        files[name] = (p, True)
+        if name == "4-column, some labels empty":
+            # a comment line sends the same rows to the line route
+            q = tmp_path / "lines.tsv"
+            q.write_text("# the line route\n" + "".join(rows), encoding="utf-8")
+            files["line route"] = (q, False)
+    return files
+
+
+@pytest.mark.parametrize("first", ["ids", "labels", "index", "rows"])
+def test_ids_and_labels_match_an_eager_read(tmp_path, first):
+    for name, (path, bulk) in _lazy_tree_files(tmp_path).items():
+        ids, labels = _eager_columns(path)
+        t = parse_tree_tsv(path)
+        assert isinstance(t._ids, list) is not bulk, name
+        # rows in a scrambled order, before any full read
+        rows = np.random.default_rng(0).permutation(t.n)[: t.n // 2].tolist()
+        assert t._ids_at(rows) == [ids[v] for v in rows], name
+        own = t._labels_at(rows)
+        assert (own or [ids[v] for v in rows]) == [labels[v] for v in rows], name
+        assert t._ids_at([]) == [] and repr(t).endswith(f"root={ids[t.root]!r})"), name
+        if first == "ids":
+            assert t.ids == ids, name
+        elif first == "labels":
+            assert t.labels == labels, name
+        elif first == "index":
+            assert t.index(ids[-1]) == t.n - 1, name
+        # after the first full read, every way in reads the same strings
+        for _ in range(2):
+            assert t.ids == ids and t.labels == labels, name
+            assert [t.index(node_id) for node_id in ids] == list(range(t.n)), name
+            assert t._ids_at(rows) == [ids[v] for v in rows], name
+        assert (t.labels is t.ids) == (t._labels is None), name
+        # the reduced tree of an undecoded tree, then of a decoded one
+        for reduced in (vtree(parse_tree_tsv(path)), vtree(t)):
+            kept = reduced.orig_index
+            assert reduced.tree.ids == [ids[v] for v in kept], name
+            assert reduced.tree.labels == [labels[v] for v in kept], name
+
+
+def test_three_column_labels_are_the_ids(tmp_path):
+    path, _ = _lazy_tree_files(tmp_path)["3-column"]
+    t = parse_tree_tsv(path)
+    assert t.labels is t.ids
+    rt = vtree(parse_tree_tsv(path)).tree
+    assert rt.labels is rt.ids
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy],
+    ids=["pickle", "deepcopy"],
+)
+@pytest.mark.parametrize("decoded", [False, True])
+def test_round_trips_keep_ids_and_labels(tmp_path, round_trip, decoded):
+    for name, (path, _) in _lazy_tree_files(tmp_path).items():
+        ids, labels = _eager_columns(path)
+        t = parse_tree_tsv(path)
+        if decoded:
+            t.ids, t.labels
+        u = round_trip(t)
+        assert isinstance(u._ids, list) == isinstance(t._ids, list), name
+        assert u._ids_at([t.n - 1, 0]) == [ids[-1], ids[0]], name
+        assert u.ids == ids and u.labels == labels, name
+        assert (u.labels is u.ids) == (t.labels is t.ids), name
+        assert u.index(ids[-1]) == t.n - 1, name
+        assert repr(u) == repr(t), name
+
+
+def test_unpickles_a_tree_with_id_and_label_slots():
+    # the state of a tree pickled when its lists were the ``ids`` and
+    # ``labels`` slots, with labels of its own and with labels that are ids
+    t = build_tree(
+        [{"id": "r", "parent": None, "weight": 1}, {"id": "a", "parent": "r", "weight": 2, "label": "A"}]
+    )
+    for labels in (t.labels, t.ids):
+        _, slots = t.__reduce_ex__(2)[2]
+        slots = dict(slots)
+        del slots["_labels"]
+        slots["ids"] = slots.pop("_ids")
+        slots["labels"] = slots["ids"] if labels is t.ids else labels
+        u = WeightedTree.__new__(WeightedTree)
+        u.__setstate__((None, slots))
+        assert u.ids == ["r", "a"] and u.labels == labels
+        assert (u.labels is u.ids) == (labels is t.ids)
+
+
+def _counting_columns(monkeypatch):
+    """Record the number of rows of every ``_column`` call."""
+    import treesum.datasets
+
+    rows = []
+    column = treesum.datasets._column
+
+    def counting(raw, start, stop):
+        rows.append(len(start))
+        return column(raw, start, stop)
+
+    monkeypatch.setattr(treesum.datasets, "_column", counting)
+    return rows
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_setup_decodes_only_the_kept_rows(tmp_path, monkeypatch, labelled):
+    t = gen_random_tree(GenSpec(n=3000, important_count=60, seed=9))
+    labels = [f"label {i}" for i in range(t.n)] if labelled else None
+    p = tmp_path / "t.tsv"
+    write_tree_tsv(WeightedTree(t.ids, t.parent, t.feq, labels), p)
+    rows = _counting_columns(monkeypatch)
+    tree = parse_tree_tsv(p)
+    assert rows == []
+    rt = vtree(tree, EulerLcaIndex(tree)).tree
+    assert 0 < rt.n < tree.n // 10
+    assert rows == [rt.n] * (1 + labelled)
+    assert rt.ids == [t.ids[v] for v in vtree(t).orig_index]
+
+
+def test_summarize_decodes_only_what_it_prints(tmp_path, monkeypatch, capsys):
+    from treesum.cli import main
+
+    p = tmp_path / "t.tsv"
+    write_tree_tsv(gen_random_tree(GenSpec(n=3000, important_count=60, seed=9)), p)
+    rows = _counting_columns(monkeypatch)
+    for algo in ("gts", "feq"):
+        assert main(["summarize", str(p), "--algo", algo, "--k", "5"]) == 0
+    assert rows and max(rows) <= 2 * 60 + 1
+    assert capsys.readouterr().out.count("selected: ") == 2
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_tree_drops_the_file_once_every_column_is_decoded(tmp_path, labelled):
+    p = tmp_path / "t.tsv"
+    p.write_text("r\t-\t1\tR\na\tr\t2\t\n" if labelled else "r\t-\t1\na\tr\t2\n", encoding="utf-8")
+    t = parse_tree_tsv(p)
+    raw = weakref.ref(t._ids.raw)
+    t._ids_at([1]), t._labels_at([1])
+    assert raw() is not None
+    t.ids
+    assert (raw() is None) is not labelled
+    t.labels
+    assert raw() is None
+    assert isinstance(t._ids, list) and (t._labels is None) is not labelled

@@ -586,7 +586,7 @@ def test_arrays_are_read_only(ontology):
         with pytest.raises(ValueError):
             t.feq[0] = 1.0
         lists = {name for name in WeightedTree.__slots__ if isinstance(getattr(t, name), list)}
-        assert lists <= {"ids", "labels", "_children"}
+        assert lists <= {"_ids", "_labels", "_children"}
 
 
 def test_constructors_copy_what_the_caller_passes():
