@@ -203,9 +203,10 @@ def _parse_uniform(data: bytearray):
     No field becomes a string here.  The tree takes the id column, and the
     label column of a 4-column file, as ``_FileColumn``s: ``raw`` and each
     row's extent, in int32 below 2 GiB.  A row whose label is empty takes
-    its id's extent, as ``label or node_id`` would.  The tree decodes a
-    column with ``_column`` when it is first read, and only some rows of it
-    when asked for those.  Parent fields are resolved from their bytes
+    its id's extent, as ``label or node_id`` would; when every label is
+    empty the tree gets no label column, so its labels are its ids, as on
+    the line route.  The tree decodes a column with ``_column`` when it is
+    first read, and only some rows of it when asked for those.  Parent fields are resolved from their bytes
     (``_resolve_ids``).  A weight column whose every field is 1 to 8 ASCII
     digits is read from one 8-byte word per field (``_digit_weights``); any
     other weight column is gathered by ``_column`` and read by ``float``.
@@ -265,12 +266,13 @@ def _parse_uniform(data: bytearray):
     ids = _FileColumn(raw, starts.astype(index_type), id_stop.astype(index_type))
     labels = None
     if cols == 4:
-        # an empty label reads as the id: ``label or node_id``
         label_start = seps[:, 2] + 1
         empty = label_start == ends
-        label_start[empty] = starts[empty]
-        label_stop = np.where(empty, id_stop, ends)
-        labels = _FileColumn(raw, label_start.astype(index_type), label_stop.astype(index_type))
+        if not empty.all():
+            # an empty label reads as the id: ``label or node_id``
+            label_start[empty] = starts[empty]
+            label_stop = np.where(empty, id_stop, ends)
+            labels = _FileColumn(raw, label_start.astype(index_type), label_stop.astype(index_type))
     del seps, ends, starts, id_stop
     return WeightedTree._from_distinct_ids(ids, parent, weights, labels)
 
@@ -444,7 +446,7 @@ def _parse_lines(text: str) -> WeightedTree:
     except ValueError:
         _raise_malformed(text)
     labels = None
-    if width == 4:
+    if width == 4 and any(fields[3::4]):
         labels = [label or node_id for label, node_id in zip(fields[3::4], ids)]
     return WeightedTree.from_parent_ids(
         ids, fields[1::width], weights, labels, root_parent=_NO_PARENT

@@ -9,11 +9,12 @@ better), and the total weight captured by members and their direct children
 
 The closeness distance runs on an LCA closure that holds the members and
 the weighted nodes.  Given the tree's LCA index, it reads the closure that
-the index keeps of the root and the weighted nodes (``vtree`` builds it)
-whenever every member is on it, as the lifted ``ots`` and ``gts`` summaries
-are; then only the members' part is computed: their levels, one
-``np.minimum.reduceat``, the pointer jumps and the sum.  Other members, or
-no index, close the members and the weighted nodes afresh.
+``vtree`` keeps on the index, of the root and the weighted nodes, whenever
+every member is on it, as the lifted ``ots`` and ``gts`` summaries are;
+then only the members' part is computed: their levels, one
+``np.minimum.reduceat``, the pointer jumps and the sum.  Other members, an
+index ``vtree`` has not run on, or no index, close the members and the
+weighted nodes once, afresh.
 """
 from __future__ import annotations
 
@@ -52,24 +53,20 @@ def closeness_distance(
     that is not such an LCA only adds a term no smaller.  The sum adds in
     preorder.
 
-    With an ``index`` given, the closure is the one it keeps of the root and
-    the weighted nodes, when every member is one of its nodes (as every
-    member of a summary lifted from ``vtree``'s tree is); the first call
-    builds it.  Otherwise the members and the weighted nodes are closed
-    afresh.  Either way all the arithmetic is integer but the last product,
-    so the result is the same float.
+    With an ``index`` given, the closure is the one ``vtree`` kept on it,
+    of the root and the weighted nodes, when every member is one of its
+    nodes (as every member of a summary lifted from ``vtree``'s tree is).
+    Otherwise the members and the weighted nodes are closed afresh, once;
+    this never builds the kept closure.  Either way all the arithmetic is
+    integer but the last product, so the result is the same float.
     """
     selected = [tree.check_node(v) for v in set(members)]
     if not selected:
         raise EmptySummary("closeness distance needs a nonempty summary")
     lca = _lca_index(tree, index)
     rank = tree.pre_rank[selected]
-    at = None
-    if index is not None:
-        # only a caller's index outlives the call; on an index made here the
-        # kept closure would be one more closure, not one fewer
-        closure = lca.weighted_closure
-        at = closure.find(rank)
+    closure = lca.weighted_closure
+    at = None if closure is None else closure.find(rank)
     if at is None:
         closure = lca.closure_with(selected)
         at = closure.find(rank)

@@ -7,8 +7,9 @@ and links each kept node to its nearest kept proper ancestor.  The pairs'
 preorder windows follow each other, so each of its two passes is a single
 ``np.minimum.reduceat`` over the index's key row.  That compresses chains
 of useless nodes into single edges weighted by the original level
-difference.  The index keeps the closure (``EulerLcaIndex.weighted_closure``),
-so the closeness distance of a lifted summary reuses it.
+difference.  ``vtree`` builds that closure once per index and keeps it
+there (``EulerLcaIndex.weighted_closure``), so the closeness distance of a
+lifted summary reuses it.
 
 The reduced tree carries the nodes' original levels as its ``score_levels``,
 so the objective evaluated on it agrees exactly with the original tree, and
@@ -46,7 +47,10 @@ class ReducedTree:
 def vtree(tree: WeightedTree, index: Optional[EulerLcaIndex] = None) -> ReducedTree:
     """Reduce a tree to its important nodes, their pairwise-consecutive LCAs
     and the root."""
-    closure = _lca_index(tree, index).weighted_closure
+    index = _lca_index(tree, index)
+    closure = index.weighted_closure
+    if closure is None:
+        closure = index.weighted_closure = index.closure_with([tree.root])
     kept, parent, levels = closure.nodes, closure.up, closure.levels
     edge_weights = (levels - levels[parent]).tolist()
     edge_weights[0] = 0

@@ -55,8 +55,8 @@ Farach-Colton 2000), built in O(n).  One routine answers them all: windows
 that follow each other, reduced by one ``np.minimum.reduceat`` pass.
 ``_closure`` asks for a whole closure's windows at once; ``lca`` asks for
 the one window between two nodes, at a cost linear in its length.  The
-index keeps one closure, of the root and the weighted nodes, built on first
-use as an ``LcaClosure``: ``vtree`` takes its nodes and links, and the
+index keeps one closure, of the root and the weighted nodes, as an
+``LcaClosure`` that ``vtree`` builds and takes its nodes and links from; the
 closeness distance of members inside it reads it with no closure of its
 own.
 """
@@ -130,28 +130,6 @@ class WeightedTree:
         if len(set(ids)) != len(ids):
             _raise_duplicate(ids)
         self._build(ids, *_copies(parent, feq, labels), score_levels)
-
-    def __setstate__(self, state):
-        """Restore a pickled or deep-copied tree.  Both round trips rebuild
-        the per-node arrays writeable, and pickle gives each a dtype instance
-        of its own, on which ufuncs such as ``np.add.at`` miss their fast
-        paths; each array is frozen again, in the canonical dtype, and
-        arrays that were one object (``score_levels`` and ``levels``) stay
-        one.  A tree pickled while its ids and labels were the ``ids`` and
-        ``labels`` slots gets them back in ``_ids`` and ``_labels``."""
-        _, slots = state
-        if "ids" in slots:
-            slots["_ids"] = slots.pop("ids")
-            labels = slots.pop("labels")
-            slots["_labels"] = None if labels is slots["_ids"] else labels
-        restored = {}
-        for name, value in slots.items():
-            if isinstance(value, np.ndarray):
-                if id(value) not in restored:
-                    dtype = np.dtype(value.dtype.type)
-                    restored[id(value)] = _frozen(value.astype(dtype, copy=False)).view(dtype)
-                value = restored[id(value)]
-            setattr(self, name, value)
 
     @classmethod
     def from_parent_ids(cls, ids, parent_ids, feq, labels=None, root_parent=None) -> "WeightedTree":
@@ -481,6 +459,12 @@ class _NodeArray(np.ndarray):
 
     Arrays taken from it, by indexing or by ufuncs, are plain ndarrays, so
     only the read from the tree itself runs Python code.
+
+    A pickled or deep-copied one comes back read-only, in the canonical
+    dtype: both round trips would otherwise rebuild it writeable, and pickle
+    gives each array a dtype instance of its own, on which ufuncs such as
+    ``np.add.at`` miss their fast paths.  Their memos keep arrays that were
+    one object (``score_levels`` and ``levels``) one.
     """
 
     def __getitem__(self, key):
@@ -489,6 +473,12 @@ class _NodeArray(np.ndarray):
 
     def __array_wrap__(self, out, context=None, return_scalar=False):
         return out[()] if return_scalar else out
+
+    def __reduce__(self):
+        return _frozen, (self.view(np.ndarray),)
+
+    def __deepcopy__(self, memo):
+        return _frozen(np.array(self))
 
 
 def _strings_at(column, nodes) -> list:
@@ -520,9 +510,12 @@ def _stable_argsort32(keys: np.ndarray) -> np.ndarray:
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
-    """``values`` made read-only and viewed as a _NodeArray."""
+    """``values`` made read-only and viewed as a _NodeArray in the canonical
+    instance of its dtype, converted to native byte order if need be."""
+    dtype = np.dtype(values.dtype.type)
+    values = values.astype(dtype, copy=False)
     values.flags.writeable = False
-    return values.view(_NodeArray)
+    return values.view(dtype, _NodeArray)
 
 
 def sequential_sum(terms: np.ndarray) -> float:
@@ -585,19 +578,20 @@ class EulerLcaIndex:
     reads each key up to the last window's end once: ``_closure`` asks for a
     whole closure's windows, ``lca`` for the one window between two nodes.
 
-    ``weighted_closure``, the ``LcaClosure`` of the root and the weighted
-    nodes, is built on first use and kept, read-only, and so are the arrays
-    the closeness distance derives from it: ``vtree`` reads its nodes and
-    links, and ``closeness_distance`` the rest.  ``closure_with`` builds an
+    ``weighted_closure`` is None until ``vtree`` sets it to the
+    ``LcaClosure`` of the root and the weighted nodes.  The index then
+    keeps it, and the arrays the closeness distance derives from it, all
+    read-only: ``vtree`` reads its nodes and links, and
+    ``closeness_distance`` the rest.  ``closure_with`` builds an
     ``LcaClosure`` of any nodes and the weighted nodes, and the index keeps
     nothing of it.
     """
 
-    __slots__ = ("tree", "_keys", "_parent_pre", "_weighted")
+    __slots__ = ("tree", "_keys", "_parent_pre", "weighted_closure")
 
     def __init__(self, tree: WeightedTree):
         self.tree = tree
-        self._weighted = None
+        self.weighted_closure = None
         n = tree.n
         # the row of levels is overwritten with each position's parent once
         # it has made the keys, so the build allocates only what it keeps
@@ -619,15 +613,6 @@ class EulerLcaIndex:
             return int(a)
         rank = np.sort(tree.pre_rank[[a, b]])
         return tree.pre_order[self._consecutive_lca_ranks(rank)[0]]
-
-    @property
-    def weighted_closure(self) -> "LcaClosure":
-        """The LCA closure of the root and the weighted nodes, the node set of
-        ``vtree``, built on first use and kept."""
-        closure = self._weighted
-        if closure is None:
-            closure = self._weighted = self.closure_with([self.tree.root])
-        return closure
 
     def closure_with(self, nodes) -> "LcaClosure":
         """A new LCA closure of ``nodes`` (valid indices, repeats allowed) and

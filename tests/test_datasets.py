@@ -2,6 +2,7 @@ import copy
 import os
 import pickle
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -767,6 +768,7 @@ def _lazy_tree_files(tmp_path):
     cases = {
         "3-column": (ids, None),
         "4-column, some labels empty": (ids, [f"L{i}" if i % 3 else "" for i in range(t.n)]),
+        "4-column, every label empty": (ids, [""] * t.n),
         "multi-byte UTF-8": ([f"é{i}漢😀" for i in range(t.n)], [f"ü{i}" if i % 2 else "" for i in range(t.n)]),
         "ids over 8 bytes": ([f"node-with-a-long-id-{i}" for i in range(t.n)], None),
     }
@@ -781,11 +783,11 @@ def _lazy_tree_files(tmp_path):
             rows.append("\t".join(cols) + "\n")
         p.write_text("".join(rows), encoding="utf-8")
         files[name] = (p, True)
-        if name == "4-column, some labels empty":
+        if name.startswith("4-column"):
             # a comment line sends the same rows to the line route
-            q = tmp_path / "lines.tsv"
+            q = p.with_suffix(".lines.tsv")
             q.write_text("# the line route\n" + "".join(rows), encoding="utf-8")
-            files["line route"] = (q, False)
+            files[f"{name}, line route"] = (q, False)
     return files
 
 
@@ -820,12 +822,32 @@ def test_ids_and_labels_match_an_eager_read(tmp_path, first):
             assert reduced.tree.labels == [labels[v] for v in kept], name
 
 
+def _retained(path) -> int:
+    """The bytes that a tree parsed from ``path`` keeps once its ids and
+    labels are read (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        t = parse_tree_tsv(path)
+        t.ids, t.labels
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def test_three_column_labels_are_the_ids(tmp_path):
-    path, _ = _lazy_tree_files(tmp_path)["3-column"]
-    t = parse_tree_tsv(path)
-    assert t.labels is t.ids
-    rt = vtree(parse_tree_tsv(path)).tree
-    assert rt.labels is rt.ids
+    # so are the labels of a file whose labels are all empty, on either
+    # route, and such a tree keeps no more than the 3-column one
+    files = _lazy_tree_files(tmp_path)
+    empty = "4-column, every label empty"
+    for name in ("3-column", empty, f"{empty}, line route"):
+        path, _ = files[name]
+        t = parse_tree_tsv(path)
+        assert t.labels is t.ids, name
+        rt = vtree(parse_tree_tsv(path)).tree
+        assert rt.labels is rt.ids, name
+    # numpy's cache of small blocks moves tracemalloc's count by tens of
+    # bytes; a list of labels of their own would add some 18 KB here
+    assert _retained(files[empty][0]) <= _retained(files["3-column"][0]) + 1024
 
 
 @pytest.mark.parametrize(
@@ -847,24 +869,6 @@ def test_round_trips_keep_ids_and_labels(tmp_path, round_trip, decoded):
         assert (u.labels is u.ids) == (t.labels is t.ids), name
         assert u.index(ids[-1]) == t.n - 1, name
         assert repr(u) == repr(t), name
-
-
-def test_unpickles_a_tree_with_id_and_label_slots():
-    # the state of a tree pickled when its lists were the ``ids`` and
-    # ``labels`` slots, with labels of its own and with labels that are ids
-    t = build_tree(
-        [{"id": "r", "parent": None, "weight": 1}, {"id": "a", "parent": "r", "weight": 2, "label": "A"}]
-    )
-    for labels in (t.labels, t.ids):
-        _, slots = t.__reduce_ex__(2)[2]
-        slots = dict(slots)
-        del slots["_labels"]
-        slots["ids"] = slots.pop("_ids")
-        slots["labels"] = slots["ids"] if labels is t.ids else labels
-        u = WeightedTree.__new__(WeightedTree)
-        u.__setstate__((None, slots))
-        assert u.ids == ["r", "a"] and u.labels == labels
-        assert (u.labels is u.ids) == (labels is t.ids)
 
 
 def _counting_columns(monkeypatch):

@@ -145,6 +145,7 @@ def _count_closures(monkeypatch) -> list:
 def test_closeness_lca_queries_do_not_grow_with_k(monkeypatch):
     t = gen_random_tree(GenSpec(n=2000, important_count=200, seed=11))
     index = EulerLcaIndex(t)
+    reduced = vtree(t, index)
     kept = set(index.weighted_closure.nodes.tolist())
     calls = _count_closures(monkeypatch)
     # members off the kept closure are closed afresh, once per call; members
@@ -158,6 +159,17 @@ def test_closeness_lca_queries_do_not_grow_with_k(monkeypatch):
             closeness_distance(t, members[:k], index=index)
             counts.append(len(calls))
     assert counts == [1, 1, 0, 0]
+    # an index vtree has not run on holds no kept closure, and the metrics
+    # do not build one: the members are closed once
+    calls.clear()
+    fresh = EulerLcaIndex(t)
+    compute_metrics(t, [v for v in t.pre_order[::37].tolist() if t.feq[v] == 0], index=fresh)
+    assert len(calls) == 1 and fresh.weighted_closure is None
+    # after vtree, lifted summaries are on the kept closure
+    calls.clear()
+    for solve in (ots, gts):
+        compute_metrics(t, lift_result(reduced, solve(reduced.tree, 25)).selected, index=index)
+    assert calls == []
 
 
 def _closeness_agrees(t, members) -> bool:

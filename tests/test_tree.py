@@ -638,3 +638,25 @@ def test_round_trips_keep_arrays_frozen(round_trip):
         assert u.ids == t.ids and u.children == t.children
         for k in (1, 7, t.n):
             assert _solved(u, k) == _solved(t, k)
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"],
+)
+def test_round_trips_of_a_tree_with_every_cache_built(round_trip):
+    t = gen_random_tree(GenSpec(n=80, important_count=30, seed=21))
+    t.subtree_weight, t.children, t.index("n7")
+    u = round_trip(t)
+    arrays = [name for name in WeightedTree.__slots__ if isinstance(getattr(t, name), np.ndarray)]
+    assert set(ARRAYS) <= {name.lstrip("_") for name in arrays}
+    for name in arrays:
+        a, b = getattr(u, name), getattr(t, name)
+        assert type(a) is _NodeArray and not a.flags.writeable, name
+        assert a.dtype is np.dtype(ARRAYS.get(name.lstrip("_"), np.int64)), name
+        assert a.tobytes() == b.tobytes(), name
+        # only a shallow copy shares the original's arrays
+        assert np.shares_memory(a, b) == (round_trip is copy.copy), name
+    assert u.score_levels is u.levels
+    assert u.children == t.children and u.index("n7") == 7 and u.ids == t.ids
