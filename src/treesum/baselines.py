@@ -19,6 +19,10 @@ from .result import SummaryResult
 from .scoring import _g_unchecked
 from .tree import WeightedTree
 
+# cells of one brute-force batch's (subsets, weighted nodes, nodes) product; a
+# batch holds at least one subset, however large the product of one is
+_BATCH_CELLS = 4_000_000
+
 
 def _top_by(
     tree: WeightedTree,
@@ -108,13 +112,14 @@ def brute_force(
     tree: WeightedTree,
     k: int,
     subset_cap: int = 10**8,
-    batch_rows: int = 0,
 ) -> SummaryResult:
     """Exhaustive maximum of the objective over all k-subsets.
 
     Subsets are enumerated in lexicographic preorder-rank order and the
     first maximum wins, so ties resolve to the lexicographically smallest
     preorder index vector.  Refuses instances above ``subset_cap`` subsets.
+    Each batch scores as many subsets as fit ``_BATCH_CELLS`` cells of
+    |weighted| * n each, and at least one.
     """
     tree.check_k(k)
     n = tree.n
@@ -134,8 +139,7 @@ def brute_force(
     impact = np.zeros((len(imp), n))
     np.divide(tree.feq[imp][:, None], gap, out=impact, where=covers)
 
-    if batch_rows <= 0:
-        batch_rows = max(16, 4_000_000 // max(1, len(imp) * n))
+    batch_rows = max(1, _BATCH_CELLS // max(1, len(imp) * n))
     best_val = -1.0
     best_combo = None
     combos = combinations(range(n), k)

@@ -31,15 +31,15 @@ hurts and the at-most-k optimum equals the exactly-k optimum).
 The fold is size-bounded.  The rightmost child seeds it with its own rows;
 each child to the left is merged over pairs (j, t) with j at most its cap
 and t at most the suffix's total cap, and only budgets up to the merged
-total cap are computed.  A suffix table stops there, and a budget past its
-last column reads that column; only tables[0], which the cases of u read
-directly, is widened to the full budget range.  Memo rows never decrease
-with budget, so every candidate the bounds drop is matched or beaten by one
-they keep, and the values are the same floats as the unbounded fold.  With
-the childless suffix worth 0 at budget 0 and -inf otherwise, the rightmost
-child takes whatever budget is left, even beyond its cap.  Over the whole
-tree the bounded merges cost O(n * k) per memo row (Johnson & Niemi 1983),
-and a node has at most h + 2 rows, so the evaluation is O(n * h * k).
+total cap are computed.  Every table stops there, and a budget past a
+table's last column reads that column.  Memo rows never decrease with
+budget, so every candidate the bounds drop is matched or beaten by one they
+keep, and the values are the same floats as the unbounded fold.  The empty
+suffix after the last child (``_seed``, one matrix shared by every node) is
+0 at budget 0 and -inf past it, so the rightmost child takes whatever budget
+is left, even beyond its cap.  Over the whole tree the bounded merges cost
+O(n * k) per memo row (Johnson & Niemi 1983), and a node has at most h + 2
+rows, so the evaluation is O(n * h * k).
 
 One merge (``_max_plus``) is a fixed number of numpy calls per block of
 ``_BLOCK`` columns of its shorter operand, not a pair of calls per column.
@@ -57,35 +57,28 @@ Evaluation first does, in a fixed number of numpy calls per depth, the work
 that needs no kernel.  Every node's base row, what each row's ancestor earns
 by representing it, lies in one flat float64 array, ragged: Σ(levels + 1)
 floats, filled depth by depth (a node's ancestor path is its parent's plus
-the parent's score level) and then divided once (``_base_rows``).  A leaf's
-only suffix is the empty one, so its memo is written directly: column 0 is
-its base row and column 1 its weight.  A twig, a node whose children are
-all leaves, needs no per-node pass either (``_evaluate_twigs``).  Its
-children all have cap 1 and at most two columns, so the twigs with the same
-child count m are evaluated together, their children's rows stacked
-raggedly as the leaf block is: the rows of a merge are independent, so one
-``_max_plus`` per child position merges that position for every twig of the
-group, and the memo rows and the yes-case follow from the same float
-operations as in the per-node pass.  Each twig's memo and kept tables are
-views into its group's arrays, bit for bit what the per-node pass makes.
-Only twigs are batched: other nodes' rows would need padding to a common
-depth and child cap, which costs more than it saves.  Then the postorder
-walks the other internal nodes bottom-up with no recursion.  A node with two
-or more children makes one kernel call: the children's levels[u] + 2 rows
-give every no-case of u and its yes-case together.  A node with one child x
-merges nothing: x's memo is already u's tables[0], short by at most the one
-plateau column that cap[x] = cap[u] - 1 leaves out, so u's memo is read
-straight from it.
-Value–choice ties prefer the no-case; knapsack split ties prefer the
-lexicographically smallest budget vector.  The suffix tables of every node
-with two or more children are kept, so the per-state queries (``_cases``)
-and the reconstruction read the bulk pass's tables instead of merging again.
-A node with fewer than two children needs neither tables nor a split
-search: a single child is worth its memo entry at min(b, cap), and it takes
-all of the budget b, since the empty suffix is finite only at budget 0; a
-leaf's children are worth 0.0 at budget 0 and -inf above it, with the empty
-split.  One decision routine (``_decide``) picks a state's choice and split,
-and ``dp_eval`` and ``reconstruct`` both use it.
+the parent's score level) and then divided once (``_base_rows``).  Leaves
+and twigs, nodes whose children are all leaves, need no per-node pass
+(``_evaluate_bulk``): they are evaluated by child count m, leaves (m = 0)
+first, since all nodes of one m share cap min(k, m + 1).  A twig's children
+are gathered raggedly from the leaves' rows, and the rows of a merge are
+independent, so one ``_max_plus`` per child position merges that position
+for every twig of the group; the memo rows and the yes-case follow from the
+per-node pass's float operations, bit for bit.  Other nodes' rows would need
+padding to a common depth and child cap, which costs more than it saves, so
+the postorder then walks them bottom-up with no recursion, one kernel call
+for each node with two or more children.  A node with one child x merges
+nothing: x's memo already is u's tables[0].  Every node's tables[0] may end
+one column short of cap[u] = 1 + the children's total cap; that column
+repeats the one before it, in the memo as in the reads.
+
+Every node keeps its tables, ``_tables(u)``: its children's suffix tables
+and then the seed, so a leaf keeps only the seed and a single child's memo
+is kept with no copy.  The per-state queries (``_cases``) and the
+reconstruction read them and merge nothing again.  Value–choice ties prefer
+the no-case; knapsack split ties prefer the lexicographically smallest
+budget vector.  One decision routine (``_decide``) picks a state's choice
+and split, and ``dp_eval`` and ``reconstruct`` both use it.
 """
 from __future__ import annotations
 
@@ -158,15 +151,10 @@ def _max_plus(a: np.ndarray, g: np.ndarray, width: int) -> np.ndarray:
     return out[:, :size]
 
 
-def _plateau(table: np.ndarray, width: int) -> np.ndarray:
-    """``table`` extended to ``width`` columns by repeating its last column."""
-    have = table.shape[1]
-    if have == width:
-        return table
-    out = np.empty((table.shape[0], width))
-    out[:, :have] = table
-    out[:, have:] = table[:, have - 1 : have]
-    return out
+def _read(table: np.ndarray, row: int, b: int) -> float:
+    """table[row, b], where a budget past the table's last column reads that
+    column."""
+    return float(table[row, min(b, table.shape[1] - 1)])
 
 
 def _base_rows(tree: WeightedTree) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,7 +201,8 @@ def _base_rows(tree: WeightedTree) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 class OtsSolver:
     """All DP state for one (tree, k) run.
 
-    Builds every node's value matrix eagerly, bottom-up.  A single solver is
+    Builds every node's value matrix and kept tables eagerly, bottom-up;
+    the queries and the reconstruction only read them.  A single solver is
     single-use and single-threaded; concurrent runs on the same tree need
     separate solvers.
     """
@@ -239,10 +228,8 @@ class OtsSolver:
         seed.flags.writeable = False
         self._seed = seed
         self._merges = 0  # max-plus merges run so far
-        # the bulk pass's suffix tables of every node with two or more
-        # children, for _cases to read; None elsewhere, where the cases read
-        # the child's memo or the empty suffix directly
-        self._kept: List[Optional[List[np.ndarray]]] = [None] * tree.n
+        # every node's tables, _tables(u), for _cases and _split to read
+        self._kept: List[List[np.ndarray]] = [None] * tree.n
         start = perf_counter()
         self._evaluate_all()
         self._evaluate_ms = (perf_counter() - start) * 1000.0
@@ -254,31 +241,14 @@ class OtsSolver:
         levels = self._levels
         memo = self.memo
         cap = self.cap
-        base, offset, order = _base_rows(tree)
-        # A leaf's only suffix is the empty one, 0.0 at budget 0 and -inf
-        # past it, so its kernel pass gives column 0 = base + 0.0 and column
-        # 1 = max(base + -inf, feq + 0.0) = feq + 0.0.  The additions keep a
-        # -0.0 weight's +0.0, as the kernel does.
-        leaf = tree.subtree_size[order] == 1
-        width = tree.levels[order] + 1
-        leaves = order[leaf]
-        block = np.empty((int(width[leaf].sum()), min(self.k, 1) + 1))
-        np.add(base[np.repeat(leaf, width)], 0.0, out=block[:, 0])
-        if self.k:
-            np.add(np.repeat(tree.feq[leaves], width[leaf]), 0.0, out=block[:, 1])
-        ends = np.cumsum(width[leaf])
-        starts = np.zeros(tree.n, dtype=np.int64)  # each leaf's first row in block
-        starts[leaves] = ends - width[leaf]
-        ends = ends.tolist()
-        for u, lo, hi in zip(leaves.tolist(), [0] + ends, ends):
-            memo[u] = block[lo:hi]
+        seed = self._seed
+        base, offset, _ = _base_rows(tree)
         # a node is a leaf or a twig exactly when its subtree is itself and
         # its children
         fanout = tree._child_start[1:] - tree._child_start[:-1]
         bulk = tree.subtree_size.view(np.ndarray) == fanout + 1
-        twigs = np.flatnonzero(bulk & (fanout > 0))
-        if twigs.size:
-            self._evaluate_twigs(twigs, fanout[twigs], base, offset, block, starts)
+        nodes = np.flatnonzero(bulk)
+        self._evaluate_bulk(nodes, fanout[nodes], base, offset)
         feq = self._feq
         offset = offset.tolist()
         children = tree.children
@@ -287,61 +257,61 @@ class OtsSolver:
         for u in post[~bulk[post]].tolist():
             d = levels[u]
             kids = children[u]
-            if len(kids) > 1:
-                kept[u] = self._tables(u)
-                tails = kept[u][0]
-            else:
-                # a single child x merges nothing: its own memo is tables[0]
-                # up to the plateau column that cap[x] = cap[u] - 1 drops
-                tails = memo[kids[0]]
-            have = tails.shape[1]
+            # a single child merges nothing: its memo is tables[0]
+            kept[u] = tables = self._tables(u) if len(kids) > 1 else [memo[kids[0]], seed]
+            head = tables[0]
+            have = head.shape[1]
             cap_u = cap[u]
             lo = offset[u]
             vals = np.empty((d + 1, cap_u + 1))
-            np.add(base[lo : lo + d + 1, None], tails[: d + 1], out=vals[:, :have])
+            np.add(base[lo : lo + d + 1, None], head[: d + 1], out=vals[:, :have])
             if have == cap_u:
                 vals[:, cap_u] = vals[:, cap_u - 1]
             if cap_u:
                 # the better case per budget; equal cases are the same float,
                 # so the no-case tie rule only matters in _decide
                 no = vals[:, 1:]
-                np.maximum(no, feq[u] + tails[d + 1, :cap_u], out=no)
+                np.maximum(no, feq[u] + head[d + 1, :cap_u], out=no)
             memo[u] = vals
 
-    def _evaluate_twigs(self, twigs, fanout, base, offset, block, starts):
-        """memo, and for two or more children the kept tables, of every twig,
-        a node whose ``fanout`` children are all leaves, in one pass per
-        child count m.
+    def _evaluate_bulk(self, nodes, fanout, base, offset):
+        """memo and kept tables of every leaf and twig (a node whose
+        ``fanout`` children are all leaves), in one pass per child count m,
+        leaves (m = 0) first.
 
-        The twigs of one m share cap min(k, m + 1), so one ``_max_plus`` per
-        child position merges that position for all of them at once: the
-        rows of a merge are independent, and each twig's block of rows is
-        what ``_tables`` would merge for it alone.  The children's rows are
-        gathered straight from the leaf ``block`` (``starts``: each leaf's
-        first row there), and the rows, the yes-case and the maximum are
-        the per-node loop's float operations, so every memo and kept table
-        is bit for bit the per-node one."""
+        Each twig's block of rows is what ``_tables`` would merge for it
+        alone, its children's rows gathered from the leaves' group, and the
+        rows, the yes-case and the maximum are the per-node loop's float
+        operations, so every memo and kept table is bit for bit the per-node
+        one."""
         tree = self.tree
         memo, kept, seed = self.memo, self._kept, self._seed
         per = np.bincount(fanout).tolist()
         by_m = fanout.argsort(kind="stable")
-        twigs, fanout = twigs[by_m], fanout[by_m]
-        depth = tree.levels.view(np.ndarray)[twigs]
-        # a twig's children have its rows 0..d and a last row for the twig
+        nodes, fanout = nodes[by_m], fanout[by_m]
+        depth = tree.levels.view(np.ndarray)[nodes]
+        # a node's children have its rows 0..d and a last row for the node
         rows = depth + 2
         row_end = rows.cumsum()
         within = np.arange(row_end[-1]) - (row_end - rows).repeat(rows)
-        # each child's first row in the leaf block, twig by twig, in child order
+        # each node's first row in its group; the leaves' group starts at 0
+        starts = np.zeros(tree.n, dtype=np.int64)
+        starts[nodes] = row_end - rows
+        # every twig's children in child order, and each one's first row
         kid_end = fanout.cumsum()
-        slot = (tree._child_start[twigs] - (kid_end - fanout)).repeat(fanout)
-        kid_row = starts[tree._child_order[slot + np.arange(kid_end[-1])]]
-        # every twig's base rows 0..d, lined up with its children's rows; the
+        slot = (tree._child_start[nodes] - (kid_end - fanout)).repeat(fanout)
+        kid = tree._child_order[slot + np.arange(kid_end[-1])]
+        kid_row = starts[kid]
+        # every node's base rows 0..d, lined up with its children's rows; the
         # last row is spare: it reads the next node's entry (clipped at the
         # end of base), and no memo reaches it
-        own = base.take(offset[twigs].repeat(rows) + within, mode="clip")
-        feq = tree.feq[twigs]
+        own = base.take(offset[nodes].repeat(rows) + within, mode="clip")
+        feq = tree.feq[nodes]
         ends = row_end.tolist()
-        twigs, depth, kid_end = twigs.tolist(), depth.tolist(), kid_end.tolist()
+        kid, kid_end = kid.tolist(), kid_end.tolist()
+        nodes, depth = nodes.tolist(), depth.tolist()
+        leaf_tables = [seed]
+        leaves = None  # the leaves' rows, from which every twig's children are read
         lo = 0
         for m, count in enumerate(per):
             if not count:
@@ -351,27 +321,39 @@ class OtsSolver:
             r_hi = ends[hi - 1]
             k_lo = kid_end[lo - 1] if lo else 0
             width = min(self.k, m + 1) + 1
-            # kids[i]: the memo rows of every twig's child i
-            pos = kid_row[k_lo : kid_end[hi - 1]].reshape(count, m).T
-            kids = block[pos.repeat(rows[lo:hi], axis=1) + within[r_lo:r_hi]]
-            tables = [kids[m - 1]]
-            for i in range(m - 2, -1, -1):
-                tables.append(_max_plus(kids[i], tables[-1], width))
-            tables.reverse()
-            head = tables[0] = _plateau(tables[0], width)
-            self._merges += count * (m - 1)
-            vals = own[r_lo:r_hi, None] + head
+            if m:
+                # kids[i]: the memo rows of every twig's child i
+                pos = kid_row[k_lo : kid_end[hi - 1]].reshape(count, m).T
+                kids = leaves[pos.repeat(rows[lo:hi], axis=1) + within[r_lo:r_hi]]
+                tables = [kids[m - 1]]
+                for i in range(m - 2, -1, -1):
+                    tables.append(_max_plus(kids[i], tables[-1], width))
+                tables.reverse()
+                self._merges += count * (m - 1)
+                head = tables[0]
+            else:
+                head = seed[within[r_lo:r_hi], :width]
+            have = head.shape[1]
             cap_u = width - 1
+            vals = np.empty((r_hi - r_lo, width))
+            np.add(own[r_lo:r_hi, None], head, out=vals[:, :have])
+            if have == cap_u:
+                vals[:, cap_u] = vals[:, cap_u - 1]
             if cap_u:
                 yes = feq[lo:hi, None] + head[row_end[lo:hi] - (r_lo + 1), :cap_u]
                 no = vals[:, 1:]
                 np.maximum(no, yes.repeat(rows[lo:hi], axis=0), out=no)
             b = 0
-            for u, d in zip(twigs[lo:hi], depth[lo:hi]):
+            for u, d, e in zip(nodes[lo:hi], depth[lo:hi], kid_end[lo:hi]):
                 memo[u] = vals[b : b + d + 1]
-                if m > 1:
-                    kept[u] = [t[b : b + d + 2] for t in tables] + [seed[: d + 2, :width]]
+                if m:
+                    # the last child's table is its own memo, as in _tables
+                    kept[u] = [t[b : b + d + 2] for t in tables[:-1]] + [memo[kid[e - 1]], seed]
+                else:
+                    kept[u] = leaf_tables
                 b += d + 2
+            if not m:
+                leaves = vals
             lo = hi
 
     # -- the knapsack kernel and the state decision -------------------------
@@ -379,20 +361,17 @@ class OtsSolver:
     def _tables(self, u: int) -> List[np.ndarray]:
         """Suffix tables of u's children over every memo row u's cases read
         (rows 0..levels[u] for the no-case, row levels[u] + 1 for the
-        yes-case): tables[i][r, b] is the best exact-sum total of children
-        i.. at budget b.  tables[0] spans b in 0..cap[u]; every other table
-        stops at its suffix's total cap (budgets past its last column read
-        that column), except the last one, the empty suffix, which spans
-        them all.
+        yes-case), then the empty suffix, the shared seed: tables[i][r, b] is
+        the best exact-sum total of children i.. at budget b, and a budget
+        past a table's last column reads that column (``_read``).  The last
+        child's table is its memo itself.
 
-        The solver calls it in the bulk pass, once per node with two or more
-        children that is not a twig; the twig pass merges the twigs'
-        children in bulk.  For a node with fewer than two children it merges
-        nothing, and it stays callable for any node as the oracle of the
-        twig pass and of the direct reads."""
+        The bulk pass calls it once per node with two or more children that
+        is not a twig and makes the other nodes' tables without it; it stays
+        callable for any node as the oracle of the bulk pass."""
         kids = self.tree.children[u]
         width = self.cap[u] + 1
-        tables = [self._seed[: self._levels[u] + 2, :width]]
+        tables = [self._seed]
         memo = self.memo
         acc = None
         for x in reversed(kids):
@@ -401,62 +380,42 @@ class OtsSolver:
             tables.append(acc)
         self._merges += max(len(kids) - 1, 0)
         tables.reverse()
-        tables[0] = _plateau(tables[0], width)
         return tables
 
-    def _split(self, u: int, tables, budget: int, row: int) -> Tuple[int, ...]:
+    def _split(self, u: int, budget: int, row: int) -> Tuple[int, ...]:
         """Lexicographically smallest budget split over u's children hitting
-        tables[0][row, budget], reading memo row ``row`` of every child."""
+        tables[0][row, budget] of u's kept tables, reading memo row ``row``
+        of every child.
+
+        Every child but the last searches its budgets, and the last takes
+        the budget left: its suffix table is its own memo, whose entries are
+        all finite, and the empty suffix after it is finite only at budget
+        0, so a search there would always stop at that budget."""
         memo = self.memo
+        kids = self.tree.children[u]
+        tables = self._kept[u]
         split = []
         b = budget
-        target = float(tables[0][row, b])
-        for i, x in enumerate(self.tree.children[u]):
-            vals = memo[x][row].tolist()
+        for i in range(len(kids) - 1):
+            target = _read(tables[i], row, b)
+            vals = memo[kids[i]][row].tolist()
             rest = tables[i + 1][row].tolist()
-            top = len(vals) - 1
             # budgets past the suffix's last column read that column
             rest += rest[-1:] * (b + 1 - len(rest))
-            for j in range(min(b, top) + 1):
+            for j in range(min(b, len(vals) - 1) + 1):
                 if vals[j] + rest[b - j] == target:
                     break
             else:
-                # past its cap a child reads its plateau; only the last child,
-                # which takes the whole remainder, ever gets that far
-                j = b
-                if j <= top or vals[top] + rest[0] != target:
-                    raise InconsistentMemo(f"no split reaches {target!r} at child {x}")
+                raise InconsistentMemo(f"no split reaches {target!r} at child {kids[i]}")
             split.append(j)
             b -= j
-            target = rest[b]
+        if kids:
+            split.append(b)
         return tuple(split)
 
     def _row(self, na: int) -> int:
         """Memo row of nearest selected ancestor ``na`` (or _NO_ANCESTOR)."""
         return 0 if na < 0 else self._levels[na] + 1
-
-    def _tail(self, u: int, row: int, b: int) -> float:
-        """tables[0][row, b] of u, the best total of u's children at budget
-        b in memo row ``row``: the kept table's entry, or for a single child
-        its own memo entry (tables[0] plateaus at its cap), or for a leaf the
-        empty suffix's."""
-        kids = self.tree.children[u]
-        if len(kids) > 1:
-            return float(self._kept[u][0][row, b])
-        if kids:
-            x = kids[0]
-            return float(self.memo[x][row, min(b, self.cap[x])])
-        return 0.0 if b == 0 else _NEG
-
-    def _children_split(self, u: int, b: int, row: int) -> Tuple[int, ...]:
-        """The split of ``_tail(u, row, b)`` over u's children.  The empty
-        suffix is finite only at budget 0, so a single child takes all of b
-        and a leaf's split is empty; only a wider node searches its kept
-        tables."""
-        kids = self.tree.children[u]
-        if len(kids) > 1:
-            return self._split(u, self._kept[u], b, row)
-        return (b,) if kids else ()
 
     def _cases(self, u: int, b: int, na: int) -> Tuple[float, Optional[float]]:
         """(no-case value, yes-case value) of state (u, b, na); the yes-case
@@ -464,20 +423,22 @@ class OtsSolver:
         feq = self._feq[u]
         slv = self._slv
         base = 0.0 if na < 0 else feq / (slv[u] - slv[na] + 1)
-        no_v = base + self._tail(u, self._row(na), b)
-        yes_v = feq + self._tail(u, self._row(u), b - 1) if b > 0 else None
+        head = self._kept[u][0]
+        no_v = base + _read(head, self._row(na), b)
+        yes_v = feq + _read(head, self._row(u), b - 1) if b > 0 else None
         return no_v, yes_v
 
     def _decide(self, u: int, b: int, na: int) -> Tuple[float, str, Tuple[int, ...]]:
         """(value, choice, split) of state (u, b, na), with b already clamped.
 
         Value ties go to the no-case, and the value equals memo[u][row of na,
-        b] (_evaluate_all adds the same floats).
+        b] (_evaluate_all adds the same floats).  Every node, leaves
+        included, takes its split from ``_split``.
         """
         no_v, yes_v = self._cases(u, b, na)
         if yes_v is not None and no_v < yes_v:
-            return yes_v, "yes", self._children_split(u, b - 1, self._row(u))
-        return no_v, "no", self._children_split(u, b, self._row(na))
+            return yes_v, "yes", self._split(u, b - 1, self._row(u))
+        return no_v, "no", self._split(u, b, self._row(na))
 
     # -- per-state queries -------------------------------------------------
 
@@ -539,12 +500,10 @@ class OtsSolver:
 
         ``stats`` holds ``dp_cells`` (``state_count()``), ``merges`` (the
         max-plus merges this solver has run, counted per node and all in the
-        bulk evaluation: one fewer than the children of each node with two or
-        more, as the reconstruction reads their kept tables and, for any
-        other node, the child's memo; one ``_max_plus`` call runs a merge of
-        every twig with the same child count) and the wall times of
-        ``evaluate_ms``,
-        ``reconstruct_ms`` and ``rescore_ms``.
+        bulk evaluation: one fewer than the children of each node, as the
+        reconstruction reads every node's kept tables; one ``_max_plus`` call
+        runs a merge of every twig with the same child count) and the wall
+        times of ``evaluate_ms``, ``reconstruct_ms`` and ``rescore_ms``.
         """
         value = self.optimum()
         start = perf_counter()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from treesum import (
     g_score,
     ots,
 )
+from treesum import baselines
 from treesum.errors import EnumerationTooLarge, InvalidK
 
 from test_tree import SIGNED_ZERO_WEIGHTS, _variants, random_trees
@@ -298,12 +301,31 @@ def test_brute_matches_exact_solver():
             assert brute_force(t, k).score == pytest.approx(ots(t, k).score, abs=1e-9)
 
 
-def test_brute_tie_break_lexicographic():
+def test_brute_tie_break_lexicographic(monkeypatch):
     # all weights equal on a star: every singleton scores the same except
     # the root, which covers everything; pick k covering sets tie and the
     # preorder-lexicographically smallest combination must win
     t = gen_random_tree(GenSpec(n=5, important_count=5, seed=2, weight_low=3, weight_high=3))
     res = brute_force(t, 2)
     assert res.score == pytest.approx(g_score(t, res.selected), abs=1e-12)
-    alt = brute_force(t, 2, batch_rows=1)
+    # one subset per batch: ties across batches resolve the same way
+    monkeypatch.setattr(baselines, "_BATCH_CELLS", 1)
+    alt = brute_force(t, 2)
     assert alt.selected == res.selected
+
+
+def test_brute_force_batches_stay_within_their_budget():
+    # 700 * 700 cells per subset: the budget fits 8 subsets a batch; a floor
+    # of 16 subsets a batch peaked at 68.0 MiB here, past the bound
+    t = gen_random_tree(GenSpec(n=700, important_count=700, seed=3))
+    cells = len(t.important_pre) * t.n
+    assert cells > 250_000
+    tracemalloc.start()
+    try:
+        res = brute_force(t, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one batch's product plus the setup's few (weighted, n) matrices
+    assert peak <= (baselines._BATCH_CELLS + 3 * cells) * 8
+    assert res.score == pytest.approx(ots(t, 1).score, abs=1e-9)

@@ -258,7 +258,6 @@ def test_invalid_specs():
             gen_random_tree(spec)
 
 
-@pytest.mark.slow
 def test_large_round_trip(tmp_path):
     spec = GenSpec(n=100_000, important_count=5_000, seed=12)
     t = gen_random_tree(spec)

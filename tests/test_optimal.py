@@ -19,7 +19,7 @@ from treesum import (
 )
 from treesum import optimal
 from treesum.errors import InconsistentMemo, InvalidK, UnknownNode
-from treesum.optimal import _BLOCK, DpKey, _base_rows, _max_plus
+from treesum.optimal import _BLOCK, DpKey, _base_rows, _max_plus, _read
 
 from test_tree import SIGNED_ZERO_WEIGHTS, random_trees, shuffled_trees
 
@@ -129,13 +129,9 @@ def test_invalid_ancestor_key(gap_tree, gap_solver):
 def _node_combine(solver, u, budget, na):
     """(value, split) of u's knapsack over its children at ``budget``, in the
     memo row of ancestor ``na`` (a node or None), from the tables the bulk
-    pass kept for u, or for a node with fewer than two children, which reads
-    no tables, from the oracle ``_tables(u)``."""
+    pass kept for u."""
     row = 0 if na is None else solver.tree.levels[na] + 1
-    tables = solver._kept[u]
-    if tables is None:
-        tables = solver._tables(u)
-    return float(tables[0][row, budget]), solver._split(u, tables, budget, row)
+    return _read(solver._kept[u][0], row, budget), solver._split(u, budget, row)
 
 
 def test_node_knapsack(gap_tree, gap_solver):
@@ -491,10 +487,12 @@ def test_base_rows_match_path_loop(t, reduced):
 
 def _kernel_memo(solver, base, u):
     """memo[u] as the per-node pass made it before leaves and base rows were
-    batched: one kernel call on u's children, leaves included."""
-    tails = solver._tables(u)[0]
+    batched: one kernel call on u's children, leaves included, its head read
+    cell by cell up to cap[u]."""
+    head = solver._tables(u)[0]
     d = solver.tree.levels[u]
     cap_u = solver.cap[u]
+    tails = np.array([[_read(head, r, b) for b in range(cap_u + 1)] for r in range(d + 2)])
     vals = base[u][:, None] + tails[: d + 1]
     if cap_u:
         no = vals[:, 1:]
@@ -510,14 +508,17 @@ def _assert_matches_per_node_pass(t, k, base):
         want = _kernel_memo(solver, base, u)
         assert solver.memo[u].shape == want.shape
         assert solver.memo[u].tobytes() == want.tobytes()
-        # the tables the cases read are the ones a fresh kernel call
-        # makes; nodes with fewer than two children keep none
+        # every node's tables are the ones a fresh kernel call makes, and
+        # they end with the last child's own memo and the shared seed
         kept = solver._kept[u]
-        assert (kept is not None) == (len(t.children[u]) > 1)
-        if kept is not None:
-            fresh = solver._tables(u)
-            assert [a.tobytes() for a in kept] == [a.tobytes() for a in fresh]
-            assert [a.shape for a in kept] == [a.shape for a in fresh]
+        fresh = solver._tables(u)
+        assert [a.tobytes() for a in kept] == [a.tobytes() for a in fresh]
+        assert [a.shape for a in kept] == [a.shape for a in fresh]
+        assert kept[-1] is solver._seed
+        kids = t.children[u]
+        assert len(kept) == len(kids) + 1
+        if kids:
+            assert kept[-2] is solver.memo[kids[-1]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -608,32 +609,30 @@ def test_state_count_is_the_memo_size(t, data):
         assert count == sum(a.size for a in solver.memo)
 
 
-# -- the direct reads of nodes with fewer than two children -------------------
+# -- the decisions against freshly merged tables ------------------------------
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.one_of(random_trees(max_n=24, weights=SIGNED_ZERO_WEIGHTS), deep_trees()))
 def test_direct_reads_match_the_tables(t):
-    # the oracle is the decision as it read u's tables before nodes with
-    # fewer than two children read their child's memo directly: tables[0]
-    # and _split, in every row u's cases read (no ancestor, each strict
-    # ancestor, u itself) and at every budget
+    # the oracle is the decision read off a fresh kernel call on u's
+    # children: tables[0] padded to cap[u] with its last column, and the
+    # clamped split search over every child, in every row u's cases read
+    # (no ancestor, each strict ancestor, u itself) and at every budget
     feq, slv, levels = t.feq.tolist(), t.score_levels.tolist(), t.levels.tolist()
     for k in sorted({0, 1, t.n}):
         solver = OtsSolver(t, k)
         for u in range(t.n):
-            if len(t.children[u]) > 1:
-                continue
             tables = solver._tables(u)
-            head = tables[0].tolist()
+            last = tables[0].shape[1] - 1
             row_u = levels[u] + 1
             budgets = range(solver.cap[u] + 1)
+            head = [[r[min(b, last)] for b in budgets] for r in tables[0][: row_u + 1].tolist()]
             splits = {}
             for row in range(row_u + 1):
                 for b in budgets:
-                    assert repr(solver._tail(u, row, b)) == repr(head[row][b])
-                    splits[row, b] = solver._split(u, tables, b, row)
-                    assert solver._children_split(u, b, row) == splits[row, b]
+                    splits[row, b] = _clamped_split(solver, u, tables, b, row)
+                    assert solver._split(u, b, row) == splits[row, b]
             for na in _ancestor_keys(t, u):
                 row_na = 0 if na is None else levels[na] + 1
                 base = 0.0 if na is None else feq[u] / (slv[u] - slv[na] + 1)
@@ -848,7 +847,7 @@ def _clamped_split(solver, u, tables, budget, row):
     of ``OtsSolver._split``."""
     split = []
     b = budget
-    target = float(tables[0][row, b])
+    target = _read(tables[0], row, b)
     for i, x in enumerate(solver.tree.children[u]):
         vals = solver.memo[x][row].tolist()
         rest = tables[i + 1][row].tolist()
@@ -871,16 +870,42 @@ def _clamped_split(solver, u, tables, budget, row):
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(random_trees(max_n=24, weights=SIGNED_ZERO_WEIGHTS), caterpillars()), st.data())
 def test_split_matches_clamped_search(t, data):
-    # every row a wide node's cases read and every budget up to its cap, at
-    # k below, at and above subtree sizes, where the last child's plateau
-    # decides the split
+    # every row a node's cases read and every budget up to its cap, at k
+    # below, at and above subtree sizes, where the last child's plateau
+    # decides the split; the oracle searches the last child too
     for k in _budgets(t.n, data):
         solver = OtsSolver(t, k)
         for u in range(t.n):
             tables = solver._kept[u]
-            if tables is None:
-                continue
             for row in range(t.levels[u] + 2):
                 for b in range(solver.cap[u] + 1):
                     want = _clamped_split(solver, u, tables, b, row)
-                    assert solver._split(u, tables, b, row) == want
+                    assert solver._split(u, b, row) == want
+
+
+def test_split_raises_on_a_corrupt_child_memo():
+    # a non-last child's memo entry that no longer adds up to u's kept
+    # table: the search finds no budget for that child and raises
+    t = gen_random_tree(GenSpec(n=30, important_count=20, seed=41, max_children=4))
+    solver = OtsSolver(t, 6)
+    for u in range(t.n):
+        kids = t.children[u]
+        if len(kids) < 2:
+            continue
+        tables, b = solver._kept[u], solver.cap[u]
+        for row in range(t.levels[u] + 2):
+            target = _read(tables[0], row, b)
+            vals = solver.memo[kids[0]][row]
+            tries = range(min(b, len(vals) - 1) + 1)
+            hits = [j for j in tries if vals[j] + _read(tables[1], row, b - j) == target]
+            if len(hits) == 1:
+                break
+        else:
+            continue
+        break
+    else:
+        pytest.fail("no state whose first child reaches the target at one budget only")
+    assert solver._split(u, b, row)[0] == hits[0]
+    vals[hits[0]] = -1.0
+    with pytest.raises(InconsistentMemo, match=f"^no split reaches {target!r} at child {kids[0]}$"):
+        solver._split(u, b, row)
