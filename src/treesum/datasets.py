@@ -19,7 +19,6 @@ import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .tree import WeightedTree
 
 _MASK64 = (1 << 64) - 1
 _NO_PARENT = "-"  # the parent column of the root
-_TAB, _NEWLINE, _COMMENT, _DASH = b"\t\n#-"
+_TAB, _NEWLINE, _CR, _COMMENT, _DASH = b"\t\n\r#-"
 _PAD = 8  # NUL bytes read after a file, one 8-byte word's worth
 # _LOW_BYTES[j] keeps the low j bytes of a uint64, for j = 0..8
 _LOW_BYTES = np.array([(1 << 8 * j) - 1 for j in range(9)], dtype=np.uint64)
@@ -141,42 +140,34 @@ def gen_random_tree(spec: GenSpec) -> WeightedTree:
 
 
 def parse_tree_tsv(path) -> WeightedTree:
-    """Read a tree file.  Files take one of two routes, to the same tree:
+    """Read a tree file.
 
-    * the bulk route: a file with no comment line, no blank line, no NUL
-      byte and no carriage return, whose lines all hold the same number of
-      tabs, 2 or 3.  Its tab and newline bytes give every field's extent.
-      The tree takes the id and label columns undecoded, the file's bytes
-      and each row's extent, and decodes a column the first time it is
-      read; its parent ids resolve through integer keys of their bytes
-      (``_resolve_ids``), and no id dict is built.  Weights that are all
-      1 to 8 ASCII digits are read from the bytes, any others by
-      ``float`` (``_parse_uniform``).
-    * the line route: every other file, and every file in which the bulk
-      route finds a bad field, a repeated id or a parent it cannot match.
-      Its fields go to ``WeightedTree.from_parent_ids``; a file that breaks
-      the schema is scanned line by line to name its first bad line.
+    Every file takes one route, ``_parse_uniform``, over its bytes.  Its
+    lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``; blank lines and lines
+    that start with ``#`` are dropped; each other line holds 2 or 3 tabs,
+    and one with no label, or an empty one, takes its id as its label.  The
+    tab and line-end bytes give every field's extent.  The tree takes the
+    id and label columns undecoded, the file's bytes and each row's extent,
+    and decodes a column the first time it is read; its parent ids resolve
+    through integer keys of their bytes (``_resolve_ids``), and no id dict
+    is built.  Only a file whose keys resolve no parents (a repeated id, a
+    parent that names no id, or distinct ids whose hashed keys collide) has
+    its columns decoded and handed to ``WeightedTree.from_parent_ids``.
 
-    So every MalformedLine, DuplicateId and OrphanParentReference comes from
-    the line route.  Raises MalformedLine, or any error of
-    ``from_parent_ids``.
+    Raises MalformedLine for the first line that breaks the schema,
+    counting every line, blank and comment lines too; else DuplicateId or
+    OrphanParentReference from ``from_parent_ids``; else any error of the
+    tree's build.
     """
     data = _read_padded(path)
     if not data.isascii():
-        # a file must be UTF-8 before either route reads it; ASCII is, and
-        # so is the padding
+        # a file must be UTF-8 before it is read; ASCII is, and so is the
+        # padding
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
-    tree = _parse_uniform(data)
-    if tree is None:
-        text = data[:-_PAD].decode("utf-8")
-        if "\r" in text:
-            # the universal newlines of a file opened as text
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        tree = _parse_lines(text)
-    return tree
+    return _parse_uniform(data)
 
 
 def _read_padded(path) -> bytearray:
@@ -194,87 +185,151 @@ def _read_padded(path) -> bytearray:
     return data
 
 
-def _parse_uniform(data: bytearray):
-    """The tree of a file that takes the bulk route, or None to hand it to
-    the line route.  ``data`` holds the file's bytes followed by ``_PAD``
-    NUL bytes.  Raises only the errors of the tree's build, which the line
-    route would raise too.
+def _parse_uniform(data: bytearray) -> WeightedTree:
+    """The tree of a tree file.  ``data`` holds the file's UTF-8 bytes
+    followed by ``_PAD`` NUL bytes.
 
-    No field becomes a string here.  The tree takes the id column, and the
-    label column of a 4-column file, as ``_FileColumn``s: ``raw`` and each
-    row's extent, in int32 below 2 GiB.  A row whose label is empty takes
-    its id's extent, as ``label or node_id`` would; when every label is
-    empty the tree gets no label column, so its labels are its ids, as on
-    the line route.  The tree decodes a column with ``_column`` when it is
-    first read, and only some rows of it when asked for those.  Parent fields are resolved from their bytes
+    Lines end as in a file read as text: every ``\\r`` and ``\\n`` ends
+    one, so ``\\r\\n`` ends a line and then an empty one.  A row mask
+    drops the empty lines and those that start with ``#``; every other line
+    is a row, which must hold 2 or 3 tabs.  When every line is a row of one
+    width, the fields' extents are strided views of the separators'
+    offsets; otherwise ``_row_extents`` gathers them.  A field that breaks the schema raises
+    MalformedLine through ``_raise_malformed``.
+
+    No field becomes a string here.  The tree takes the id column, and a
+    label column, as ``_FileColumn``s: ``raw`` and each row's extent, in
+    int32 below 2 GiB.  A row with no label, or an empty one, takes its
+    id's extent, as ``label or node_id`` would; when no row has a label the
+    tree gets no label column, so its labels are its ids.  The tree decodes
+    a column with ``_column`` when it is first read, and only some rows of
+    it when asked for those.  Parent fields are resolved from their bytes
     (``_resolve_ids``).  A weight column whose every field is 1 to 8 ASCII
     digits is read from one 8-byte word per field (``_digit_weights``); any
     other weight column is gathered by ``_column`` and read by ``float``.
+
+    When the bytes resolve no parents (a repeated id, a parent that names
+    no id, or hashed keys that collide), the decoded columns go to
+    ``WeightedTree.from_parent_ids``, which names the first repeat or
+    orphan, or builds the tree.  The weights are read first, so a bad
+    weight anywhere is named before those errors.
     """
     size = len(data) - _PAD
-    if b"\r" in data or data.find(b"\0", 0, size) >= 0:
-        return None
     raw = np.frombuffer(data, dtype=np.uint8, count=size)
-    # every tab and line end, in order
-    seps = np.flatnonzero((raw == _TAB) | (raw == _NEWLINE))
+    # every tab and line end, in order: one compare finds them with the few
+    # other bytes up to "\r", which are dropped
+    seps = np.flatnonzero(raw <= _CR)
     kind = raw[seps]
-    if not data.endswith(b"\n", 0, size):
-        seps = np.append(seps, raw.size)
+    is_sep = (kind == _TAB) | (kind == _NEWLINE) | (kind == _CR)
+    if not is_sep.all():
+        seps, kind = seps[is_sep], kind[is_sep]
+    if not data.endswith((b"\n", b"\r"), 0, size):
+        seps = np.append(seps, size)
         kind = np.append(kind, _NEWLINE)
-    n = np.count_nonzero(kind == _NEWLINE)
-    cols = seps.size // n
-    if cols not in (3, 4) or seps.size != cols * n:
-        return None
-    # one row per line: it holds cols - 1 tabs exactly when each of the n
-    # line ends closes a row
-    seps = seps.reshape(n, cols)
-    if (kind.reshape(n, cols)[:, -1] != _NEWLINE).any():
-        return None
-    ends = seps[:, -1]
-    starts = np.empty(n, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    first = raw[starts]
-    id_len = seps[:, 0] - starts
-    if (first == _COMMENT).any() or not id_len.all() or ((id_len == 1) & (first == _DASH)).any():
-        return None
+    is_end = kind != _TAB
+    del kind, is_sep
+    lines = np.count_nonzero(is_end)
+    cols = seps.size // lines
+    uniform = cols in (3, 4) and seps.size == cols * lines and is_end[cols - 1 :: cols].all()
+    if uniform:
+        # every line holds cols - 1 tabs, so it is a row unless it is a
+        # comment, and the rows' j-th separators are seps[j::cols]
+        id_stop, par_stop, weight_stop, stop = (seps[j::cols] for j in (0, 1, 2, cols - 1))
+        start = np.empty(lines, dtype=np.int64)
+        start[0] = 0
+        np.add(stop[:-1], 1, out=start[1:])
+        uniform = not (raw[start] == _COMMENT).any()
+    if not uniform:
+        start, id_stop, par_stop, weight_stop, stop = _row_extents(data, seps, is_end)
+    del seps, is_end
+    n = start.size
+    id_len = id_stop - start
+    if not id_len.all() or ((id_len == 1) & (raw[start] == _DASH)).any():
+        _raise_malformed(data)
     # one 8-byte word at every byte offset, read past the end into the padding
     words = np.ndarray((size + 1,), dtype="<u8", buffer=data, strides=(1,))
-    par_start = seps[:, 0] + 1
-    par_len = seps[:, 1] - par_start
+    par_start = id_stop + 1
+    par_len = par_stop - par_start
     linked = np.flatnonzero((par_len != 1) | (raw[par_start] != _DASH))
-    found = _resolve_ids(words, starts, id_len, par_start[linked], par_len[linked])
-    if found is None:
-        return None
-    parent = np.full(n, -1, dtype=np.int64)
-    parent[linked] = found
-    weight_start = seps[:, 1] + 1
-    weights = _digit_weights(words, weight_start, seps[:, 2] - weight_start)
-    # the arrays that found the parents and the digit weights are freed
-    # before any other weight column is read, and the rest before the
-    # build: held, they would raise the parse's memory peak
-    del words, kind, id_len, par_start, par_len, linked, found
+    # a NUL byte would make a NUL-padded key inexact
+    has_nul = data.find(b"\0", 0, size) >= 0
+    found = _resolve_ids(words, start, id_len, par_start[linked], par_len[linked], has_nul)
+    weight_start = par_stop + 1
+    weights = _digit_weights(words, weight_start, weight_stop - weight_start)
+    # the arrays that keyed the parents and read the digit weights are
+    # freed before any other weight column is read, and the rest before
+    # the build: held, they would raise the parse's memory peak
+    del words, id_len, par_start, par_len
     if weights is None:
         try:
-            weights = np.fromiter(map(float, _column(raw, weight_start, seps[:, 2])), np.float64, n)
+            weights = np.fromiter(map(float, _column(raw, weight_start, weight_stop)), np.float64, n)
         except ValueError:
-            return None
+            _raise_malformed(data)
     del weight_start
     # compact copies of the extents, so that no view keeps ``seps`` alive
     index_type = np.int32 if raw.size < 2**31 else np.int64
-    id_stop = seps[:, 0]
-    ids = _FileColumn(raw, starts.astype(index_type), id_stop.astype(index_type))
+    ids = _FileColumn(raw, start.astype(index_type), id_stop.astype(index_type))
     labels = None
-    if cols == 4:
-        label_start = seps[:, 2] + 1
-        empty = label_start == ends
+    if (weight_stop < stop).any():
+        # some row has a label field; in a row with none, label_start lies
+        # past the line's end
+        label_start = weight_stop + 1
+        empty = label_start >= stop
         if not empty.all():
             # an empty label reads as the id: ``label or node_id``
-            label_start[empty] = starts[empty]
-            label_stop = np.where(empty, id_stop, ends)
+            label_start[empty] = start[empty]
+            label_stop = np.where(empty, id_stop, stop)
             labels = _FileColumn(raw, label_start.astype(index_type), label_stop.astype(index_type))
-    del seps, ends, starts, id_stop
+    if found is None:
+        # the bytes resolved no parents: the decoded columns name the first
+        # repeated id or orphan, or build the tree when only keys collided
+        parent_ids = _column(raw, id_stop + 1, par_stop)
+        labels = None if labels is None else labels.decode()
+        return WeightedTree.from_parent_ids(
+            ids.decode(), parent_ids, weights, labels, root_parent=_NO_PARENT
+        )
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[linked] = found
+    del linked, found, start, id_stop, par_stop, weight_stop, stop
     return WeightedTree._from_distinct_ids(ids, parent, weights, labels)
+
+
+def _row_extents(data, seps, is_end):
+    """The extents of the rows of a file whose lines are not all rows of
+    one width: for each row, the offsets where it starts, where its id,
+    parent and weight fields stop and where it ends.
+
+    ``seps`` holds the offsets of the file's tabs and line ends, in order,
+    the last one a line end, and ``is_end`` marks its line ends.  A line
+    that is empty or starts with ``#`` is no row; every row must hold 2 or
+    3 tabs, or the file is malformed.  A row of 2 tabs ends its weight field
+    where it ends.  Raises NoRoot for a file with no row.
+    """
+    ends = np.flatnonzero(is_end)
+    stop = seps[ends]
+    start = np.empty_like(stop)
+    start[0] = 0
+    np.add(stop[:-1], 1, out=start[1:])
+    # the first bytes are read with the padding, where an empty file's one
+    # line starts
+    first = np.frombuffer(data, dtype=np.uint8)[start]
+    # indices, not a mask: a mask that alternates, as CRLF line ends make
+    # it, is slow to apply
+    row = np.flatnonzero((stop > start) & (first != _COMMENT))
+    if row.size == 0:
+        raise NoRoot("empty node list")
+    start, stop = start[row], stop[row]
+    # each row's first tab, as an index into seps: one past the line end
+    # before it, or the first separator in the first line
+    tab = ends[row - 1] + 1
+    if row[0] == 0:
+        tab[0] = 0
+    tabs = ends[row] - tab
+    del ends, row
+    if ((tabs != 2) & (tabs != 3)).any():
+        _raise_malformed(data)
+    id_stop, par_stop, weight_stop = (seps[tab + j] for j in range(3))
+    return start, id_stop, par_stop, weight_stop, stop
 
 
 class _FileColumn:
@@ -349,20 +404,21 @@ def _digit_weights(words, start, length):
     return word.astype(np.float64)
 
 
-def _resolve_ids(words, id_start, id_len, ref_start, ref_len):
+def _resolve_ids(words, id_start, id_len, ref_start, ref_len, has_nul):
     """The id that each reference names, as an index into the ids, from the
     fields' extents; ``words[i]`` is the 8-byte word at offset i of the
     file.  None when two ids share a key or a reference names no id.
 
     A field's key is its bytes, NUL-padded, as one little-endian uint64 when
-    every field fits in 8 bytes; the file holds no NUL, so that key is
-    exact.  Otherwise it is ``_mix`` folded over the field's length and its
-    NUL-padded 8-byte words, and every match is then checked byte for byte.
-    One unstable sort of all the keys puts equal keys in runs: every run
-    must hold exactly one id, which every reference in the run names.
+    every field fits in 8 bytes and the file holds no NUL byte (``has_nul``
+    false), so that key is exact.  Otherwise it is ``_mix`` folded over the
+    field's length and its NUL-padded 8-byte words, and every match is then
+    checked byte for byte.  One unstable sort of all the keys puts equal
+    keys in runs: every run must hold exactly one id, which every reference
+    in the run names.
     """
     n = id_len.size
-    exact = max(id_len.max(), ref_len.max(initial=0)) <= 8
+    exact = not has_nul and max(id_len.max(), ref_len.max(initial=0)) <= 8
     key = _exact_keys if exact else _mixed_keys
     keys = np.concatenate([key(words, id_start, id_len), key(words, ref_start, ref_len)])
     order = np.argsort(keys)
@@ -423,43 +479,12 @@ def _mix(h):
     return h
 
 
-def _parse_lines(text: str) -> WeightedTree:
-    """The line route of ``parse_tree_tsv`` over a file's text, with its
-    line ends already made ``\\n``."""
-    lines = [line for line in text.split("\n") if line and line[0] != "#"]
-    if not lines:
-        raise NoRoot("empty node list")
-    tabs = list(map(str.count, lines, repeat("\t")))
-    widths = set(tabs)
-    if not widths <= {2, 3}:
-        _raise_malformed(text)
-    width = 4 if 3 in widths else 3
-    if len(widths) > 1:
-        # pad 3-column lines with an empty label, which means "use the id"
-        lines = [line if t == 3 else line + "\t" for line, t in zip(lines, tabs)]
-    fields = "\t".join(lines).split("\t")
-    ids = fields[0::width]
-    if not all(ids) or _NO_PARENT in ids:
-        _raise_malformed(text)
-    try:
-        weights = list(map(float, fields[2::width]))
-    except ValueError:
-        _raise_malformed(text)
-    labels = None
-    if width == 4 and any(fields[3::4]):
-        labels = [label or node_id for label, node_id in zip(fields[3::4], ids)]
-    return WeightedTree.from_parent_ids(
-        ids, fields[1::width], weights, labels, root_parent=_NO_PARENT
-    )
-
-
 def _not_utf8(path, exc: UnicodeDecodeError) -> MalformedLine:
     """MalformedLine, naming ``path``, for the line of the file's first byte
     that is not UTF-8.  A whole-file read decodes the file's bytes in one
     call, so ``exc.object`` is the file; lines are counted as the text read
     counts them, with universal newlines."""
-    head = exc.object[: exc.start].decode("utf-8", "replace")
-    head = head.replace("\r\n", "\n").replace("\r", "\n")
+    head = _universal_newlines(exc.object[: exc.start].decode("utf-8", "replace"))
     column = len(head) - head.rfind("\n")
     byte = exc.object[exc.start]
     return MalformedLine(
@@ -467,8 +492,17 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> MalformedLine:
     )
 
 
-def _raise_malformed(text: str):
-    """Raise MalformedLine for the first line that breaks the schema."""
+def _universal_newlines(text: str) -> str:
+    """``text`` with every line end made ``\\n``, as a file read as text has
+    them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _raise_malformed(data: bytearray):
+    """Raise MalformedLine for the first line that breaks the schema in the
+    file whose bytes ``data`` holds before ``_PAD`` NUL bytes, counting
+    lines as a file read as text counts them."""
+    text = _universal_newlines(data[:-_PAD].decode("utf-8"))
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line or line.startswith("#"):
             continue

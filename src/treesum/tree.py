@@ -4,14 +4,15 @@ A WeightedTree is built once and never mutated.  Nodes are addressed by dense
 integer indices in input-record order; the external string ids map to indices
 through ``tree.index()``, whose dict is built on the first lookup.  The
 constructor checks the ids for repeats with a set.  ``from_parent_ids``, for
-parents given by id (``build_tree`` and the TSV parser's line route),
-resolves them through a dict that it keeps as the tree's index; the TSV
-parser's bulk route resolves them from the file's bytes and builds no dict.
-A tree from the bulk route holds its id and label columns undecoded, the
-file's bytes and each row's extent, and ``ids`` and ``labels`` are decoded
-on first read; until then ``_ids_at`` and ``_labels_at`` decode only the
-rows asked for, so ``vtree`` makes strings of the kept nodes alone.  The
-tree drops the file's bytes once no column is left undecoded.
+parents given by id (``build_tree``, and the TSV parser for a file whose
+bytes resolve no parents), resolves them through a dict that it keeps as
+the tree's index; the TSV parser resolves every other file's parents from
+its bytes and builds no dict.  Such a tree holds its id and label columns
+undecoded, the file's bytes and each row's extent, and ``ids`` and
+``labels`` are decoded on first read; until then ``_ids_at`` and
+``_labels_at`` decode only the rows asked for, so ``vtree`` makes strings of
+the kept nodes alone.  The tree drops the file's bytes once no column is
+left undecoded.
 Construction runs numpy passes only, with no per-node Python loop:
 
   * the children of every node come from a stable sort of the parent

@@ -375,6 +375,10 @@ PARSE_CASES = [
     "a\t-\t1\nb\ta\t1_000\n",
     # CRLF line ends: text mode turns them into \n, so no label keeps a \r
     "# note\r\na\t-\t1\troot\r\nb\ta\t2.5\r\nc\ta\t0\tleaf c\r\n",
+    # a lone \r ends a line too, in text mode
+    "a\t-\t1\rb\ta\t2\r",
+    "a\t-\t1\r\r\nb\ta\t2",
+    "a\t-\t1\rb\ta\t2\r\r# note\rc\ta\tbad\rd\ta\t1 1\r",
     # the id "-" names the root's parent: rejected on its line, not as an extra root
     "a\t-\t1\n-\ta\t2\nc\t-\t3\n",
     "a\t-\t1\nb\ta\t2\n-\tb\tbad\nb\ta\t1\n",
@@ -445,7 +449,8 @@ _ID_CHARS = st.sampled_from("abyz09-#. é中😀")
 @st.composite
 def _tree_files(draw):
     """A tree file's text: a random tree over random ids, in random line
-    order, with up to three faults the line route checks for."""
+    order, with up to three faults that the parse must name, as the
+    reference parser does."""
     max_bytes = draw(st.sampled_from([2, 8, 9, 20]))
     # an id that starts with "#" makes a comment line, as the inserted ones do
     id_text = st.text(_ID_CHARS, min_size=1, max_size=max_bytes).filter(
@@ -502,7 +507,7 @@ def _tree_files(draw):
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         extra = draw(st.sampled_from(["", "# note", "#\t-\t1"]))
         lines.insert(draw(st.integers(0, len(lines))), extra)
-    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
     return newline.join(lines) + (newline if draw(st.booleans()) else "")
 
 
@@ -555,16 +560,34 @@ def test_parse_checks_the_bytes_of_a_matched_key(tmp_path, monkeypatch):
     [
         ("a\t-\t1\nb\ta\t2\nc\tb\t0", "bulk"),
         ("aaaaaaaaa\t-\t1\tx\nbbbbbbbbb\taaaaaaaaa\t2\t\n", "bulk"),
-        ("# note\na\t-\t1\nb\ta\t2\n", "lines"),
-        ("a\t-\t1\nb\ta\t2\n\n", "lines"),
-        ("a\t-\t1\tx\nb\ta\t2\n", "lines"),
-        ("a\t-\t1\nb\x00\ta\t2\n", "lines"),
-        ("a\t-\t1\r\nb\ta\t2\r\n", "lines"),
+        ("# note\na\t-\t1\nb\ta\t2\n", "bulk"),
+        ("a\t-\t1\n#\t-\t2\nb\ta\t2\n", "bulk"),
+        ("a\t-\t1\nb\ta\t2\n\n", "bulk"),
+        ("a\t-\t1\r\nb\ta\t2\r\n", "bulk"),
+        ("a\t-\t1\rb\ta\t2\r", "bulk"),
+        ("a\t-\t1\tx\nb\ta\t2\n", "bulk"),
+        ("a\t-\t1\nb\x00\ta\t2\n", "bulk"),
+        ("# long ids\r\nroot-of-it\t-\t1\r\nchild-of-it\troot-of-it\t2\tc\r\n", "bulk"),
+        # a repeated id, an orphan, and distinct ids whose hashed keys
+        # collide (forced here)
+        ("a\t-\t1\nb\ta\t2\nb\ta\t3\n", "from_parent_ids"),
+        ("# note\r\na\t-\t1\r\nb\tzzz\t2\r\n", "from_parent_ids"),
+        ("aaaaaaaaa\t-\t1\nbbbbbbbbb\taaaaaaaaa\t2\tx\nc\tbbbbbbbbb\t3\n", "collision"),
     ],
 )
 def test_parse_route(tmp_path, monkeypatch, text, route):
+    # every well-formed file is read from its bytes, with no id dict built
+    # and its id column not decoded; a file whose keys resolve no parents
+    # takes one call of from_parent_ids, which names the first repeat or
+    # orphan, or builds the tree when the keys only collided
+    import treesum.datasets
     import treesum.tree
 
+    p = tmp_path / "t.tsv"
+    p.write_bytes(text.encode("utf-8"))
+    expected = _outcome(_reference_parse, p)
+    if route == "collision":
+        monkeypatch.setattr(treesum.datasets, "_mix", lambda h: np.full_like(h, 7))
     calls = []
     index_ids = treesum.tree._index_ids
     from_parent_ids = WeightedTree.from_parent_ids.__func__
@@ -579,11 +602,15 @@ def test_parse_route(tmp_path, monkeypatch, text, route):
 
     monkeypatch.setattr(treesum.tree, "_index_ids", counting_index)
     monkeypatch.setattr(WeightedTree, "from_parent_ids", classmethod(counting_from_parent_ids))
-    p = tmp_path / "t.tsv"
-    p.write_bytes(text.encode("utf-8"))
-    tree = parse_tree_tsv(p)
-    assert calls == ([] if route == "bulk" else ["from_parent_ids", "_index_ids"])
-    assert _outcome(lambda _: tree, p) == _outcome(_reference_parse, p)
+    if route == "bulk":
+        tree = parse_tree_tsv(p)
+        assert calls == []
+        assert not isinstance(tree._ids, list)
+        assert _outcome(lambda _: tree, p) == expected
+    else:
+        assert _outcome(parse_tree_tsv, p) == expected
+        assert calls == ["from_parent_ids", "_index_ids"]
+        assert (expected[0] in (DuplicateId, OrphanParentReference)) is (route != "collision")
 
 
 def test_parse_reads_digit_weights_from_bytes(tmp_path, monkeypatch):
@@ -656,13 +683,21 @@ def test_build_generated_tree_matches_reference():
     assert len(got[0]) == 3000
 
 
-def test_root_marker_is_not_an_id(tmp_path):
+def test_root_marker_is_not_an_id(tmp_path, monkeypatch):
+    import treesum.datasets
+
     p = tmp_path / "t.tsv"
-    q = tmp_path / "t_lines.tsv"
+    q = tmp_path / "t_comment.tsv"
     p.write_text("a\t-\t1\nb\ta\t2\n")
-    q.write_text("# the line route\na\t-\t1\nb\ta\t2\n")
+    q.write_text("# a comment\na\t-\t1\nb\ta\t2\n")
+    parsed = [parse_tree_tsv(p), parse_tree_tsv(q)]
+    # hashed keys that collide send the file to from_parent_ids
+    p.write_text("aaaaaaaaa\t-\t1\nbbbbbbbbb\taaaaaaaaa\t2\n")
+    monkeypatch.setattr(treesum.datasets, "_mix", lambda h: np.full_like(h, 7))
+    parsed.append(parse_tree_tsv(p))
+    assert parsed[-1]._id_to_index is not None
     built = build_tree(_records([("a", None, 1), ("b", "a", 2)]))
-    for tree, marker in ((parse_tree_tsv(p), "-"), (parse_tree_tsv(q), "-"), (built, None)):
+    for tree, marker in [(tree, "-") for tree in parsed] + [(built, None)]:
         with pytest.raises(UnknownNode):
             tree.index(marker)
         assert len(tree._id_to_index) == tree.n == 2
@@ -687,12 +722,13 @@ def test_one_id_index_per_tree(tmp_path, monkeypatch):
     mixed = tmp_path / "mixed.tsv"
     mixed.write_text("a\t-\t1\nb\ta\t2\tlabel b\nc\tb\t3\n")
     records = _records([("a", None, 1), ("b", "a", 2), ("c", "b", 3)])
-    # (build, dicts built with the tree): the routes that resolve parent ids
-    # keep the dict they resolve with; the others build it on the first lookup
+    # (build, dicts built with the tree): build_tree keeps the dict it
+    # resolves parent ids with; the parse, which resolves them from the
+    # file's bytes, and the constructor build it on the first lookup
     for build, at_build in (
         (lambda: parse_tree_tsv(bulk), 0),
         (lambda: WeightedTree(["a", "b", "c"], [-1, 0, 1], [1, 2, 3]), 0),
-        (lambda: parse_tree_tsv(mixed), 1),
+        (lambda: parse_tree_tsv(mixed), 0),
         (lambda: build_tree(records), 1),
     ):
         tree = build()
@@ -761,7 +797,7 @@ def _eager_columns(path):
 
 
 def _lazy_tree_files(tmp_path):
-    """One file per case: the name and whether the bulk route takes it."""
+    """One file per case, by name."""
     t = gen_random_tree(GenSpec(n=300, important_count=40, seed=5))
     ids = t.ids
     cases = {
@@ -781,21 +817,21 @@ def _lazy_tree_files(tmp_path):
                 cols.append(labels[i])
             rows.append("\t".join(cols) + "\n")
         p.write_text("".join(rows), encoding="utf-8")
-        files[name] = (p, True)
+        files[name] = p
         if name.startswith("4-column"):
-            # a comment line sends the same rows to the line route
-            q = p.with_suffix(".lines.tsv")
-            q.write_text("# the line route\n" + "".join(rows), encoding="utf-8")
-            files[f"{name}, line route"] = (q, False)
+            # the same rows after a header line, with CRLF line ends
+            q = p.with_suffix(".crlf.tsv")
+            q.write_bytes(("# header\n" + "".join(rows)).replace("\n", "\r\n").encode("utf-8"))
+            files[f"{name}, header and CRLF"] = q
     return files
 
 
 @pytest.mark.parametrize("first", ["ids", "labels", "index", "rows"])
 def test_ids_and_labels_match_an_eager_read(tmp_path, first):
-    for name, (path, bulk) in _lazy_tree_files(tmp_path).items():
+    for name, path in _lazy_tree_files(tmp_path).items():
         ids, labels = _eager_columns(path)
         t = parse_tree_tsv(path)
-        assert isinstance(t._ids, list) is not bulk, name
+        assert not isinstance(t._ids, list), name
         # rows in a scrambled order, before any full read
         rows = np.random.default_rng(0).permutation(t.n)[: t.n // 2].tolist()
         assert t._ids_at(rows) == [ids[v] for v in rows], name
@@ -834,19 +870,20 @@ def _retained(path) -> int:
 
 
 def test_three_column_labels_are_the_ids(tmp_path):
-    # so are the labels of a file whose labels are all empty, on either
-    # route, and such a tree keeps no more than the 3-column one
+    # so are the labels of a file whose labels are all empty, with or
+    # without a header and CRLF line ends, and such a tree keeps no more
+    # than the 3-column one
     files = _lazy_tree_files(tmp_path)
     empty = "4-column, every label empty"
-    for name in ("3-column", empty, f"{empty}, line route"):
-        path, _ = files[name]
+    for name in ("3-column", empty, f"{empty}, header and CRLF"):
+        path = files[name]
         t = parse_tree_tsv(path)
         assert t.labels is t.ids, name
         rt = vtree(parse_tree_tsv(path)).tree
         assert rt.labels is rt.ids, name
     # numpy's cache of small blocks moves tracemalloc's count by tens of
     # bytes; a list of labels of their own would add some 18 KB here
-    assert _retained(files[empty][0]) <= _retained(files["3-column"][0]) + 1024
+    assert _retained(files[empty]) <= _retained(files["3-column"]) + 1024
 
 
 @pytest.mark.parametrize(
@@ -856,7 +893,7 @@ def test_three_column_labels_are_the_ids(tmp_path):
 )
 @pytest.mark.parametrize("decoded", [False, True])
 def test_round_trips_keep_ids_and_labels(tmp_path, round_trip, decoded):
-    for name, (path, _) in _lazy_tree_files(tmp_path).items():
+    for name, path in _lazy_tree_files(tmp_path).items():
         ids, labels = _eager_columns(path)
         t = parse_tree_tsv(path)
         if decoded:
@@ -885,12 +922,18 @@ def _counting_columns(monkeypatch):
     return rows
 
 
-@pytest.mark.parametrize("labelled", [False, True])
-def test_setup_decodes_only_the_kept_rows(tmp_path, monkeypatch, labelled):
+@pytest.mark.parametrize(
+    "labelled, header_crlf",
+    [(False, False), (True, False), (True, True)],
+    ids=["False", "True", "True-header-CRLF"],
+)
+def test_setup_decodes_only_the_kept_rows(tmp_path, monkeypatch, labelled, header_crlf):
     t = gen_random_tree(GenSpec(n=3000, important_count=60, seed=9))
     labels = [f"label {i}" for i in range(t.n)] if labelled else None
     p = tmp_path / "t.tsv"
     write_tree_tsv(WeightedTree(t.ids, t.parent, t.feq, labels), p)
+    if header_crlf:
+        p.write_bytes((b"# header\n" + p.read_bytes()).replace(b"\n", b"\r\n"))
     rows = _counting_columns(monkeypatch)
     tree = parse_tree_tsv(p)
     assert rows == []
