@@ -57,20 +57,24 @@ Evaluation first does, in a fixed number of numpy calls per depth, the work
 that needs no kernel.  Every node's base row, what each row's ancestor earns
 by representing it, lies in one flat float64 array, ragged: Σ(levels + 1)
 floats, filled depth by depth (a node's ancestor path is its parent's plus
-the parent's score level) and then divided once (``_base_rows``).  Leaves
-and twigs, nodes whose children are all leaves, need no per-node pass
-(``_evaluate_bulk``): they are evaluated by child count m, leaves (m = 0)
-first, since all nodes of one m share cap min(k, m + 1).  A twig's children
-are gathered raggedly from the leaves' rows, and the rows of a merge are
-independent, so one ``_max_plus`` per child position merges that position
-for every twig of the group; the memo rows and the yes-case follow from the
-per-node pass's float operations, bit for bit.  Other nodes' rows would need
-padding to a common depth and child cap, which costs more than it saves, so
-the postorder then walks them bottom-up with no recursion, one kernel call
-for each node with two or more children.  A node with one child x merges
-nothing: x's memo already is u's tables[0].  Every node's tables[0] may end
-one column short of cap[u] = 1 + the children's total cap; that column
-repeats the one before it, in the memo as in the reads.
+the parent's score level) and then divided once (``_base_rows``).  Then the
+bulk pass (``_evaluate_bulk``) takes the leaves and, at k > 0, the twigs
+(nodes whose children are all leaves) and the one-branch nodes (two or more
+children, all leaves but one, the branch) above them, in rounds: twigs
+first, and a one-branch node in the round after its branch's.  Every merge
+these nodes make takes a leaf, two columns, except the one of a branch's
+memo into the fold of the leaves right of it, and all of a node's tables
+have its children's d + 2 rows.  So a round stacks its nodes' rows, -inf
+past each node's own columns, and merges one child position for all of
+them in a few numpy calls per column of the narrower operand: no row is
+padded to a common depth, as batching other nodes would need.  The memo
+rows and the yes-case follow from the per-node pass's float operations, bit
+for bit.  The postorder then walks the other nodes bottom-up with no
+recursion, one kernel call for each node with two or more children.  A node
+with one child x merges nothing: x's memo already is u's tables[0].  Every
+node's tables[0] may end one column short of cap[u] = 1 + the children's
+total cap; that column repeats the one before it, in the memo as in the
+reads.
 
 Every node keeps its tables, ``_tables(u)``: its children's suffix tables
 and then the seed, so a leaf keeps only the seed and a single child's memo
@@ -82,6 +86,7 @@ and split, and ``dp_eval`` and ``reconstruct`` both use it.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from time import perf_counter
 from typing import List, Optional, Tuple
@@ -149,6 +154,27 @@ def _max_plus(a: np.ndarray, g: np.ndarray, width: int) -> np.ndarray:
         seg = out[:, i : i + lg + bw - 1]
         np.maximum(seg, np.maximum.reduce(skew[:, :bw, : lg + bw - 1], axis=1), out=seg)
     return out[:, :size]
+
+
+def _max_plus_columns(a: np.ndarray, g: np.ndarray, width: int) -> np.ndarray:
+    """``_max_plus`` of transposed operands: a[i] is column i of every row,
+    and so is the result's.
+
+    One shifted add and one maximum per column of the narrower operand, each
+    along all the rows at once: for many rows and few columns, far fewer
+    passes than the blocked reduction.  Each candidate is the same float
+    sum, so the values are the same.
+    """
+    if len(a) > len(g):
+        a, g = g, a
+    lg = len(g)
+    out = np.empty((min(width, len(a) + lg - 1), g.shape[1]))
+    np.add(g, a[0], out=out[:lg])
+    out[lg:] = _NEG
+    for i in range(1, min(len(a), len(out))):
+        seg = out[i : i + lg]
+        np.maximum(seg, g[: len(seg)] + a[i], out=seg)
+    return out
 
 
 def _read(table: np.ndarray, row: int, b: int) -> float:
@@ -243,18 +269,15 @@ class OtsSolver:
         cap = self.cap
         seed = self._seed
         base, offset, _ = _base_rows(tree)
-        # a node is a leaf or a twig exactly when its subtree is itself and
-        # its children
-        fanout = tree._child_start[1:] - tree._child_start[:-1]
-        bulk = tree.subtree_size.view(np.ndarray) == fanout + 1
-        nodes = np.flatnonzero(bulk)
-        self._evaluate_bulk(nodes, fanout[nodes], base, offset)
+        bulk = self._evaluate_bulk(base, offset)
         feq = self._feq
         offset = offset.tolist()
         children = tree.children
         kept = self._kept
         post = tree.post_order
-        for u in post[~bulk[post]].tolist():
+        rest = post[~bulk[post]].tolist()
+        self._per_node = len(rest)
+        for u in rest:
             d = levels[u]
             kids = children[u]
             # a single child merges nothing: its memo is tables[0]
@@ -274,87 +297,196 @@ class OtsSolver:
                 np.maximum(no, feq[u] + head[d + 1, :cap_u], out=no)
             memo[u] = vals
 
-    def _evaluate_bulk(self, nodes, fanout, base, offset):
-        """memo and kept tables of every leaf and twig (a node whose
-        ``fanout`` children are all leaves), in one pass per child count m,
-        leaves (m = 0) first.
+    def _evaluate_bulk(self, base, offset):
+        """memo and kept tables of every leaf, twig and one-branch node, in a
+        fixed number of numpy calls per round; returns the mask of the nodes
+        it evaluated.
 
-        Each twig's block of rows is what ``_tables`` would merge for it
-        alone, its children's rows gathered from the leaves' group, and the
-        rows, the yes-case and the maximum are the per-node loop's float
-        operations, so every memo and kept table is bit for bit the per-node
-        one."""
+        A twig's children are all leaves; a one-branch node has two or more
+        children, all leaves but one, its branch.  At k > 0, round 0 holds
+        the twigs, and a one-branch node joins the round after its branch's;
+        at k = 0 only the leaves are evaluated here.  A node's knapsack
+        folds the leaves right of its branch, merges the branch's memo into
+        that fold, and then each leaf left of it: every merge but the branch
+        merge takes a leaf, two columns, and all of a node's tables have the
+        d + 2 rows of its children.  So the nodes are stacked row over row,
+        -inf past each node's own columns, and one merge per child position
+        serves every node with a leaf there: the right folds of all rounds
+        at once, then each round's left leaves.  The leaves are laid out in
+        the order those merges read them.  The stacks are transposed, one
+        array entry per column, so each numpy call runs along all the rows.
+        Every candidate is the float sum the per-node pass makes, and -inf
+        never wins a max, so each memo and kept table, a view of the stacks
+        cut to its own rows and columns, is bit for bit the per-node one."""
         tree = self.tree
+        k = self.k
+        k1 = k + 1
         memo, kept, seed = self.memo, self._kept, self._seed
-        per = np.bincount(fanout).tolist()
-        by_m = fanout.argsort(kind="stable")
-        nodes, fanout = nodes[by_m], fanout[by_m]
-        depth = tree.levels.view(np.ndarray)[nodes]
-        # a node's children have its rows 0..d and a last row for the node
-        rows = depth + 2
-        row_end = rows.cumsum()
-        within = np.arange(row_end[-1]) - (row_end - rows).repeat(rows)
-        # each node's first row in its group; the leaves' group starts at 0
-        starts = np.zeros(tree.n, dtype=np.int64)
-        starts[nodes] = row_end - rows
-        # every twig's children in child order, and each one's first row
-        kid_end = fanout.cumsum()
-        slot = (tree._child_start[nodes] - (kid_end - fanout)).repeat(fanout)
-        kid = tree._child_order[slot + np.arange(kid_end[-1])]
-        kid_row = starts[kid]
-        # every node's base rows 0..d, lined up with its children's rows; the
-        # last row is spare: it reads the next node's entry (clipped at the
-        # end of base), and no memo reaches it
-        own = base.take(offset[nodes].repeat(rows) + within, mode="clip")
-        feq = tree.feq[nodes]
-        ends = row_end.tolist()
-        kid, kid_end = kid.tolist(), kid_end.tolist()
-        nodes, depth = nodes.tolist(), depth.tolist()
+        levels = tree.levels.view(np.ndarray)
+        parent = tree.parent.view(np.ndarray)
+        feq = tree.feq.view(np.ndarray)
+        start, order = tree._child_start, tree._child_order
+        fanout = start[1:] - start[:-1]
+        leaf = fanout == 0
+        leaves = np.flatnonzero(leaf)
+        up = parent[leaves]
+        leafy = np.bincount(up + 1, minlength=tree.n + 1)[1:]  # leaf children
+        # the round of every twig and of every one-branch node whose branch
+        # has one, else -1
+        rnd = np.full(tree.n, -1)
+        front = np.flatnonzero(~leaf & (leafy == fanout)) if k else leaves[:0]
+        one = (fanout > 1) & (leafy == fanout - 1)
+        rounds = 0
+        while front.size:
+            rnd[front] = rounds
+            rounds += 1
+            front = parent[front]
+            front = front[(front >= 0) & one[front]]
+        # each one-branch node's branch, at position L: L leaves lie left of
+        # it and R right; a twig's leaves all lie right, position -1
+        slot = np.empty(tree.n, dtype=np.int64)  # position among its siblings
+        slot[order] = np.arange(order.size) - start[:-1].repeat(fanout)
+        inner = order[(rnd.repeat(fanout) > 0) & ~leaf[order]]
+        branch = np.full(tree.n, -1)
+        branch[parent[inner]] = inner
+        pos = np.full(tree.n, -1)
+        pos[parent[inner]] = slot[inner]
+        # the nodes by round, and within a round by L, descending, so the
+        # nodes with a leaf at each left step come first; the right folds
+        # go by R, descending, likewise
+        nodes = np.flatnonzero(rnd >= 0)
+        nodes = nodes[np.lexsort((-pos[nodes], rnd[nodes]))]
+        lefts = np.maximum(pos[nodes], 0)
+        rights = fanout[nodes] - 1 - pos[nodes]
+        fold = np.flatnonzero(rights)
+        fold = fold[np.argsort(-rights[fold], kind="stable")]
+        rank = np.zeros(tree.n, dtype=np.int64)
+        rank[nodes] = np.arange(nodes.size)
+        fold_rank = np.zeros(tree.n, dtype=np.int64)
+        fold_rank[nodes[fold]] = np.arange(fold.size)
+
+        # the leaves in the order the merges read them: the right folds' by
+        # step, then each round's left ones by step, then the other leaves
+        kid = slot[leaves]
+        up = np.maximum(up, 0)
+        right = kid > pos[up]
+        phase = np.where(right, -1, rnd[up])
+        phase[rnd[up] < 0] = tree.n
+        step = np.where(right, fanout[up] - kid, pos[up] - kid)
+        leaves = leaves[np.lexsort((np.where(right, fold_rank[up], rank[up]), step, phase))]
+        leaf_rows = levels[leaves] + 1
+        leaf_end = leaf_rows.cumsum()
+        # a leaf's tables are the seed: its no-case is its base row plus the
+        # seed's 0.0, and its yes-case at budget 1 its weight plus that 0.0
+        lv = np.empty((leaf_end[-1], min(k, 1) + 1))
+        at = np.arange(leaf_end[-1]) + (offset[leaves] - leaf_end + leaf_rows).repeat(leaf_rows)
+        np.add(base[at], 0.0, out=lv[:, 0])
+        if k:
+            np.add(feq[leaves].repeat(leaf_rows), 0.0, out=lv[:, 1])
+        b = 0
         leaf_tables = [seed]
-        leaves = None  # the leaves' rows, from which every twig's children are read
-        lo = 0
-        for m, count in enumerate(per):
-            if not count:
-                continue
-            hi = lo + count
-            r_lo = ends[lo - 1] if lo else 0
-            r_hi = ends[hi - 1]
-            k_lo = kid_end[lo - 1] if lo else 0
-            width = min(self.k, m + 1) + 1
-            if m:
-                # kids[i]: the memo rows of every twig's child i
-                pos = kid_row[k_lo : kid_end[hi - 1]].reshape(count, m).T
-                kids = leaves[pos.repeat(rows[lo:hi], axis=1) + within[r_lo:r_hi]]
-                tables = [kids[m - 1]]
-                for i in range(m - 2, -1, -1):
-                    tables.append(_max_plus(kids[i], tables[-1], width))
-                tables.reverse()
-                self._merges += count * (m - 1)
-                head = tables[0]
-            else:
-                head = seed[within[r_lo:r_hi], :width]
-            have = head.shape[1]
-            cap_u = width - 1
-            vals = np.empty((r_hi - r_lo, width))
-            np.add(own[r_lo:r_hi, None], head, out=vals[:, :have])
-            if have == cap_u:
-                vals[:, cap_u] = vals[:, cap_u - 1]
-            if cap_u:
-                yes = feq[lo:hi, None] + head[row_end[lo:hi] - (r_lo + 1), :cap_u]
-                no = vals[:, 1:]
-                np.maximum(no, yes.repeat(rows[lo:hi], axis=0), out=no)
-            b = 0
-            for u, d, e in zip(nodes[lo:hi], depth[lo:hi], kid_end[lo:hi]):
-                memo[u] = vals[b : b + d + 1]
-                if m:
-                    # the last child's table is its own memo, as in _tables
-                    kept[u] = [t[b : b + d + 2] for t in tables[:-1]] + [memo[kid[e - 1]], seed]
-                else:
-                    kept[u] = leaf_tables
-                b += d + 2
-            if not m:
-                leaves = vals
-            lo = hi
+        for c, e in zip(leaves.tolist(), leaf_end.tolist()):
+            memo[c] = lv[b:e]
+            kept[c] = leaf_tables
+            b = e
+        bulk = leaf | (rnd >= 0)
+        if not nodes.size:
+            return bulk
+        lv = lv.T
+        depth = levels[nodes]
+        rows = depth + 2  # a node's children have its rows 0..d, and one for it
+        row_end = rows.cumsum()
+        row_start = row_end - rows
+        within = np.arange(row_end[-1]) - row_start.repeat(rows)
+
+        # the right folds, all rounds' at once: folds[s] holds every fold
+        # with more than s leaves after the merge of the leaf s places from
+        # the right, and acc each fold's latest table; past them, acc holds
+        # the empty fold that the nodes with no right leaf read
+        fold_end = rows[fold].cumsum()
+        most = int(rights[fold[0]])
+        fold_q = fold_end[np.searchsorted(-rights[fold], -np.arange(most)) - 1].tolist()
+        acc = np.full((min(k1, most + 1), fold_end[-1] + rows.max()), _NEG)
+        acc[0, fold_end[-1] :] = 0.0
+        acc[:2, : fold_q[0]] = lv[:, : fold_q[0]]
+        folds = [None]
+        lo = fold_q[0]
+        for s in range(1, most):
+            q = fold_q[s]
+            out = _max_plus_columns(lv[:, lo : lo + q], acc[: min(k1, s + 1), :q], k1)
+            acc[: len(out), :q] = out
+            folds.append(out)
+            lo += q
+        fold_start = np.full(nodes.size, fold_end[-1])
+        fold_start[fold] = fold_end - rows[fold]
+
+        # the rounds, each one stack of its nodes' rows
+        fold_rows = fold_start.repeat(rows) + within
+        b_rank = rank[branch[nodes]]
+        branch_rows = row_start[b_rank].repeat(rows) + within
+        own = base.take(offset[nodes].repeat(rows) + within, mode="clip")  # last row spare
+        cap = np.minimum(tree.subtree_size.view(np.ndarray)[nodes], k)
+        wide = np.minimum(k1, cap[b_rank] + rights + 1)  # the branch merge's columns
+        ends = np.bincount(rnd[nodes]).cumsum().tolist()
+        feq = feq[nodes]
+        self._merges += int(fanout[nodes].sum()) - nodes.size
+        per = [
+            a.tolist()
+            for a in (nodes, depth, cap, lefts, rights, row_start, fold_start, wide, order[start[nodes + 1] - 1])
+        ]
+        lefts_at, rights_at, caps_at, row_ends = per[3], per[4], per[2], row_end.tolist()
+        per = zip(*per)
+        n_lo = r_lo = 0
+        prev = prev_lo = None
+        for r, n_hi in enumerate(ends):
+            r_hi = row_ends[n_hi - 1]
+            most_right = max(rights_at[n_lo:n_hi])
+            head = acc[: min(k1, most_right + 1), fold_rows[r_lo:r_hi]]
+            if r:
+                branched = prev[:, branch_rows[r_lo:r_hi] - prev_lo]
+                if most_right:
+                    branched = _max_plus_columns(branched, head, k1)
+                head = branched
+            most_left = lefts_at[n_lo]
+            steps = []
+            if most_left:
+                wt = len(head)
+                head = np.full((min(k1, wt + most_left), r_hi - r_lo), _NEG)
+                head[:wt] = branched
+                qs = row_end[n_lo + np.searchsorted(-lefts[n_lo:n_hi], -np.arange(most_left)) - 1]
+                for t, q in enumerate((qs - r_lo).tolist()):
+                    out = _max_plus_columns(lv[:, lo : lo + q], head[: min(k1, wt + t), :q], k1)
+                    head[: len(out), :q] = out
+                    steps.append(out)
+                    lo += q
+            # the memo step over every row of the round
+            width = max(caps_at[n_lo:n_hi]) + 1
+            vals = np.empty((width, r_hi - r_lo))
+            w = min(len(head), width)
+            np.add(head[:w], own[r_lo:r_hi], out=vals[:w])
+            vals[w:] = _NEG
+            # the plateau: a node whose subtree fits in k has a head one
+            # column short of its cap, -inf there, and its memo repeats the
+            # column before; rows never decrease, so this max changes no
+            # other entry, and past a node's cap it leaves -inf
+            no = vals[1:]
+            np.maximum(no, vals[:-1], out=no)
+            yes = head[: width - 1, row_end[n_lo:n_hi] - (r_lo + 1)] + feq[n_lo:n_hi]
+            np.maximum(no, yes.repeat(rows[n_lo:n_hi], axis=1), out=no)
+            for u, d, c, left, right, b, fb, wt, x in itertools.islice(per, n_hi - n_lo):
+                b -= r_lo
+                e = b + d + 2
+                memo[u] = vals[: c + 1, b : e - 1].T
+                tables = [steps[t][: min(k1, wt + t + 1), b:e].T for t in range(left - 1, -1, -1)] if left else []
+                if r and right:
+                    tables.append(branched[:wt, b:e].T)
+                if right > 1:
+                    tables += [folds[s][: min(k1, s + 2), fb : fb + d + 2].T for s in range(right - 1, 0, -1)]
+                tables += (memo[x], seed)
+                kept[u] = tables
+            prev, prev_lo = vals, r_lo
+            n_lo, r_lo = n_hi, r_hi
+        return bulk
 
     # -- the knapsack kernel and the state decision -------------------------
 
@@ -366,9 +498,11 @@ class OtsSolver:
         past a table's last column reads that column (``_read``).  The last
         child's table is its memo itself.
 
-        The bulk pass calls it once per node with two or more children that
-        is not a twig and makes the other nodes' tables without it; it stays
-        callable for any node as the oracle of the bulk pass."""
+        The postorder loop calls it once per node with two or more children
+        that the bulk pass left, a node that is neither a twig nor a
+        one-branch node above one; the bulk pass makes the other nodes'
+        tables without it.  It stays callable for any node as the bulk
+        pass's oracle."""
         kids = self.tree.children[u]
         width = self.cap[u] + 1
         tables = [self._seed]
@@ -501,9 +635,11 @@ class OtsSolver:
         ``stats`` holds ``dp_cells`` (``state_count()``), ``merges`` (the
         max-plus merges this solver has run, counted per node and all in the
         bulk evaluation: one fewer than the children of each node, as the
-        reconstruction reads every node's kept tables; one ``_max_plus`` call
-        runs a merge of every twig with the same child count) and the wall
-        times of ``evaluate_ms``, ``reconstruct_ms`` and ``rescore_ms``.
+        reconstruction reads every node's kept tables; the bulk pass runs a
+        child position's merge for many nodes at once), ``per_node`` (the
+        nodes the postorder loop evaluated one by one, not the bulk pass) and
+        the wall times of ``evaluate_ms``, ``reconstruct_ms`` and
+        ``rescore_ms``.
         """
         value = self.optimum()
         start = perf_counter()
@@ -532,6 +668,7 @@ class OtsSolver:
             stats={
                 "dp_cells": self.state_count(),
                 "merges": self._merges,
+                "per_node": self._per_node,
                 "evaluate_ms": self._evaluate_ms,
                 "reconstruct_ms": (rebuilt - start) * 1000.0,
                 "rescore_ms": (rescored - rebuilt) * 1000.0,

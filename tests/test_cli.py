@@ -233,7 +233,7 @@ def test_reports_are_strict_json(tmp_path, capsys, algo):
     run = _strict_json(report.read_text())
     assert run["time_ms"] >= 0
     expected = {
-        "ots": {"dp_cells", "merges", "evaluate_ms", "reconstruct_ms", "rescore_ms"},
+        "ots": {"dp_cells", "merges", "per_node", "evaluate_ms", "reconstruct_ms", "rescore_ms"},
         "gts": {"gain_evals", "first_round_terms"},
         "feq": {"ranked"},
     }[algo]

@@ -19,7 +19,7 @@ from treesum import (
 )
 from treesum import optimal
 from treesum.errors import InconsistentMemo, InvalidK, UnknownNode
-from treesum.optimal import _BLOCK, DpKey, _base_rows, _max_plus, _read
+from treesum.optimal import _BLOCK, DpKey, _base_rows, _max_plus, _max_plus_columns, _read
 
 from test_tree import SIGNED_ZERO_WEIGHTS, random_trees, shuffled_trees
 
@@ -311,9 +311,11 @@ def merge_operands(draw):
 def test_max_plus_matches_loop(operands):
     a, g, width = operands
     for x, y in ((a, g), (g, a)):
-        got, want = _max_plus(x, y, width), _loop_max_plus(x, y, width)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        want = _loop_max_plus(x, y, width)
+        # the bulk pass's kernel takes and gives the transposed matrices
+        for got in (_max_plus(x, y, width), _max_plus_columns(x.T, y.T, width).T):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("la", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1])
@@ -351,14 +353,25 @@ def _twig_counts(t):
     return {u: len(c) for u, c in enumerate(kids) if c and not any(kids[x] for x in c)}
 
 
-def _construction_merges(t):
+def _bulk_nodes(t, k):
+    """The nodes the bulk pass evaluates: the leaves and, at k > 0, the
+    twigs and every one-branch node (two or more children, all leaves but
+    one) whose non-leaf child the bulk pass evaluates."""
+    kids = t.children
+    bulk = set()
+    for u in t.post_order.tolist():
+        inner = [x for x in kids[u] if kids[x]]
+        if not kids[u] or k and (not inner or len(kids[u]) > 1 and inner == [inner[0]] and inner[0] in bulk):
+            bulk.add(u)
+    return bulk
+
+
+def _construction_merges(t, k):
     """The ``_max_plus`` calls that build a solver: one fewer than the
-    children of each node that is not a twig, and m - 1 for each child count
-    m that some twig has, as one call merges a child position for every
-    twig with m children."""
-    twigs = _twig_counts(t)
-    wide = sum(len(c) - 1 for u, c in enumerate(t.children) if len(c) > 1 and u not in twigs)
-    return wide + sum(m - 1 for m in set(twigs.values()))
+    children of each node with two or more children that the postorder loop
+    evaluates, as the bulk pass merges with ``_max_plus_columns``."""
+    bulk = _bulk_nodes(t, k)
+    return sum(len(c) - 1 for u, c in enumerate(t.children) if len(c) > 1 and u not in bulk)
 
 
 def _counting_max_plus(calls):
@@ -379,12 +392,13 @@ def test_ots_stats_count_the_work(t, data):
         solver = OtsSolver(t, k)
         built = len(calls)
         stats = solver.solve().stats
-    assert set(stats) == {"dp_cells", "merges", "evaluate_ms", "reconstruct_ms", "rescore_ms"}
+    assert set(stats) == {"dp_cells", "merges", "per_node", "evaluate_ms", "reconstruct_ms", "rescore_ms"}
     assert stats["dp_cells"] == solver.state_count()
     # merges counts each node's merges, however many calls ran them
     assert stats["merges"] == sum(max(len(kids) - 1, 0) for kids in t.children)
-    assert len(calls) == built == _construction_merges(t)
-    assert all(type(stats[key]) is int for key in ("dp_cells", "merges"))
+    assert stats["per_node"] == t.n - len(_bulk_nodes(t, k))
+    assert len(calls) == built == _construction_merges(t, k)
+    assert all(type(stats[key]) is int for key in ("dp_cells", "merges", "per_node"))
     assert all(type(stats[key]) is float and stats[key] >= 0 for key in stats if key.endswith("_ms"))
     # stats never take part in result equality
     assert ots(t, k) == solver.solve()
@@ -400,7 +414,7 @@ def test_merges_are_the_bulk_pass_merges(t, data):
         solver = OtsSolver(t, k)
         bulk = sum(max(len(kids) - 1, 0) for kids in t.children)
         assert solver._merges == bulk
-        assert len(calls) == _construction_merges(t)
+        assert len(calls) == _construction_merges(t, k)
         built = len(calls)
         # the reconstruction and the per-state queries merge nothing
         assert solver.solve().stats["merges"] == bulk
@@ -582,6 +596,88 @@ def test_caterpillar_twigs_match_the_per_node_pass(t):
         _assert_matches_per_node_pass(t, k, base)
 
 
+# -- the one-branch rounds against the per-node pass -------------------------
+
+
+@st.composite
+def one_branch_trees(draw):
+    """Chains of one-branch nodes (two or more children, all leaves but one)
+    hanging from a short spine: each chain node has 0-4 leaves on each side
+    of its branch, the next chain node, and a chain ends in a twig or a twig
+    of twigs.  Half the trees are relabelled at random, which also reorders
+    siblings; weights include -0.0."""
+    shape = [-1] + list(range(draw(st.integers(0, 3))))
+    for _ in range(draw(st.integers(1, 4))):
+        cur = len(shape)
+        shape.append(draw(st.integers(0, len(shape) - 1)))
+        for _ in range(draw(st.integers(0, 5))):
+            shape.extend([cur] * draw(st.integers(0, 4)))
+            branch = len(shape)
+            shape.append(cur)
+            shape.extend([cur] * draw(st.integers(0, 4)))
+            cur = branch
+        for _ in range(draw(st.integers(0, 2))):
+            twig = len(shape)
+            shape.append(cur)
+            shape.extend([twig] * draw(st.integers(1, 3)))
+        shape.extend([cur] * draw(st.integers(1, 4)))
+    perm = list(range(len(shape)))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(perm))
+    feq = [draw(st.sampled_from(SIGNED_ZERO_WEIGHTS)) for _ in shape]
+    return _relabelled(shape, perm, feq)
+
+
+def _one_branch_budgets(t):
+    """k in {0, 1, 2, n}, and each one-branch node's subtree size s - 1, s
+    and s + 1: its cap below, at and past its plateau."""
+    kids = t.children
+    ks = {0, 1, 2, t.n}
+    for u, c in enumerate(kids):
+        if len(c) > 1 and sum(1 for x in c if kids[x]) == 1:
+            size = int(t.subtree_size[u])
+            ks |= {size - 1, size, size + 1}
+    return sorted(ks & set(range(t.n + 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(one_branch_trees())
+def test_one_branch_rounds_match_the_per_node_pass(t):
+    base = _path_base_rows(t)
+    for k in _one_branch_budgets(t):
+        _assert_matches_per_node_pass(t, k, base)
+
+
+# parent arrays whose children come in index order; node 0 is a one-branch
+# node at every k > 0
+ONE_BRANCH_SHAPES = {
+    # three leaves right of a twig of two
+    "branch-first": [-1, 0, 0, 0, 0, 1, 1],
+    # two leaves left of a twig of three
+    "branch-last": [-1, 0, 0, 0, 3, 3, 3],
+    # a twig of one leaf, 3 memo columns, before a fold of four leaves, 5
+    "narrow-branch": [-1, 0, 0, 0, 0, 0, 1],
+    # five leaves right of the branch: at k < 5 the fold reaches its cap
+    # before its last leaf
+    "cap-mid-fold": [-1, 0, 0, 0, 0, 0, 0, 0, 2, 2],
+    # three rounds: node 4 a twig, node 2 above it, node 0 above that
+    "chain": [-1, 0, 0, 0, 2, 2, 4, 4],
+}
+
+
+@pytest.mark.parametrize("shape", ONE_BRANCH_SHAPES.values(), ids=ONE_BRANCH_SHAPES.keys())
+def test_hand_built_one_branch_nodes_match_the_per_node_pass(shape):
+    rng = np.random.default_rng(32)
+    for _ in range(3):
+        feq = rng.choice(SIGNED_ZERO_WEIGHTS, len(shape)).tolist()
+        t = _relabelled(shape, list(range(len(shape))), feq)
+        assert 0 in _bulk_nodes(t, 1)
+        base = _path_base_rows(t)
+        for k in range(t.n + 1):
+            _assert_matches_per_node_pass(t, k, base)
+            assert OtsSolver(t, k).solve().stats["per_node"] == t.n - len(_bulk_nodes(t, k))
+
+
 # -- budgets and the state count ----------------------------------------------
 
 
@@ -654,7 +750,7 @@ def test_direct_reads_match_the_tables(t):
 @given(st.one_of(random_trees(max_n=24), deep_trees()), st.data())
 def test_tables_run_once_per_node_with_two_or_more_children(t, data):
     # _tables runs in the bulk pass only, once for each node with two or
-    # more children, at least one of which is not a leaf
+    # more children that the postorder loop evaluates
     calls = []
     tables = OtsSolver._tables
 
@@ -674,9 +770,9 @@ def test_tables_run_once_per_node_with_two_or_more_children(t, data):
                 solver.no_case(DpKey(u, b, na))
                 if b:
                     solver.yes_case(DpKey(u, b, na))
-    # twigs get their tables from the twig pass
-    twigs = _twig_counts(t)
-    assert sorted(calls) == [u for u in range(t.n) if len(t.children[u]) > 1 and u not in twigs]
+    # the rounds make the tables of twigs and one-branch nodes at k > 0
+    bulk = _bulk_nodes(t, k)
+    assert sorted(calls) == [u for u in range(t.n) if len(t.children[u]) > 1 and u not in bulk]
 
 
 # -- the scalar DP as an oracle for the row kernel ----------------------------
