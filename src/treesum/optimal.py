@@ -15,7 +15,9 @@ budget, and each row is one nearest selected ancestor.  That ancestor always
 lies on u's root path, so its depth names it: row 0 means no selected
 ancestor, row levels[na] + 1 means ancestor na.  A child of u therefore reads
 its first levels[u] + 1 rows exactly as u does, and its last row is the
-case "u selected".
+case "u selected".  Every table is stored budget-major, one array entry per
+budget with the rows along the inner axis: ``memo[u]`` and each kept table
+are (rows, budgets) views of that storage.
 
 Distributing u's budget over u's children is a small knapsack, and one
 node-level kernel (``_tables``) solves it for every row u's cases read at
@@ -42,16 +44,18 @@ O(n * k) per memo row (Johnson & Niemi 1983), and a node has at most h + 2
 rows, so the evaluation is O(n * h * k).
 
 One merge (``_max_plus``) is a fixed number of numpy calls per block of
-``_BLOCK`` columns of its shorter operand, not a pair of calls per column.
-The block's pairwise sums a[:, i] + g[:, j] are written into a scratch of
-shape (rows, block, lg + block) whose last ``block`` columns are -inf; read
-with a row length one shorter, row i of that scratch shifts right by i, so
-every anti-diagonal i + j = b lines up in column b and one max over the
-block axis gives the block's part of the result.  Max is exact and ignores
-order (entries are >= 0 or -inf, so no NaN or -0.0 arises), so the values
-are the floats of the column-by-column loop.  Blocking keeps the scratch at
-rows * block * (lg + block) floats, the order of the output, instead of
-rows * la * (la + lg).
+``_BLOCK`` budgets of its shorter operand, not a pair of calls per budget.
+The block's pairwise sums a[i] + g[j] are written into a budget-major
+scratch of shape (block, lg + block, rows), whose last ``block`` budgets in
+each plane are -inf.  Read flat with planes one budget shorter, plane i of
+that scratch starts i budgets (i * rows floats) early, reaching back into
+the -inf tail of plane i - 1, so every anti-diagonal i + j = b lines up at
+budget b and one max over the outer axis, a maximum of contiguous slabs,
+gives the block's part of the result.  Max is exact and ignores order
+(entries are >= 0 or -inf, so no NaN or -0.0 arises), so the values are the
+floats of the budget-by-budget loop.  Blocking keeps the scratch at
+block * (lg + block) * rows floats, the order of the output, instead of
+la * (la + lg) * rows.
 
 Evaluation first does, in a fixed number of numpy calls per depth, the work
 that needs no kernel.  Every node's base row, what each row's ancestor earns
@@ -71,10 +75,12 @@ padded to a common depth, as batching other nodes would need.  The memo
 rows and the yes-case follow from the per-node pass's float operations, bit
 for bit.  The postorder then walks the other nodes bottom-up with no
 recursion, one kernel call for each node with two or more children.  A node
-with one child x merges nothing: x's memo already is u's tables[0].  Every
-node's tables[0] may end one column short of cap[u] = 1 + the children's
-total cap; that column repeats the one before it, in the memo as in the
-reads.
+with one child x merges nothing: x's memo already is u's tables[0].  Its
+memo step writes one budget-major matrix: each budget's entry is the base
+row plus that budget's head entry, and the yes-case reads row d + 1 of the
+head entry one budget lower.  Every node's tables[0] may end one column
+short of cap[u] = 1 + the children's total cap; that column repeats the one
+before it, in the memo as in the reads, one contiguous copy.
 
 Every node keeps its tables, ``_tables(u)``: its children's suffix tables
 and then the seed, so a leaf keeps only the seed and a single child's memo
@@ -100,8 +106,8 @@ from .tree import WeightedTree, _stable_argsort32
 
 _NEG = float("-inf")
 _NO_ANCESTOR = -1
-# columns of the shorter operand per max-plus block: the scratch of one block
-# is rows * _BLOCK * (width + _BLOCK) floats
+# budgets of the shorter operand per max-plus block: the scratch of one block
+# is _BLOCK * (width + _BLOCK) * rows floats
 _BLOCK = 16
 
 
@@ -124,46 +130,47 @@ class DpEntry:
 
 
 def _max_plus(a: np.ndarray, g: np.ndarray, width: int) -> np.ndarray:
-    """Row-wise max-plus convolution, c[:, b] = max over i + j = b of
-    a[:, i] + g[:, j], for b below min(width, a's length + g's length - 1).
+    """Max-plus convolution of budget-major tables, c[b] = max over i + j = b
+    of a[i] + g[j], each entry one budget's column of every row, for b below
+    min(width, len(a) + len(g) - 1).
 
-    Blocks the shorter operand by ``_BLOCK`` columns and reduces each block's
-    pairwise sums along their anti-diagonals (see the module docstring);
-    addition commutes exactly, so swapping the operands changes no value.
+    Blocks the shorter operand by ``_BLOCK`` budgets and reduces each block's
+    pairwise sums along their anti-diagonals, one maximum of contiguous
+    slabs (see the module docstring); addition commutes exactly, so swapping
+    the operands changes no value.
     """
-    if a.shape[1] > g.shape[1]:
+    if len(a) > len(g):
         a, g = g, a
-    rows, lg = g.shape
-    size = min(width, a.shape[1] + lg - 1)  # >= lg, as g comes cut to width
-    la = min(a.shape[1], size)  # columns of a past size reach no budget
+    lg, rows = g.shape
+    size = min(width, len(a) + lg - 1)  # >= lg, as g comes cut to width
+    la = min(len(a), size)  # budgets of a past size reach no budget
     block = min(la, _BLOCK)
     span = lg + block
-    scratch = np.empty((rows, block, span))
-    scratch[:, :, lg:] = _NEG
-    # row i of skew starts i columns before row i of scratch, so skew[:, i, b]
-    # is scratch[:, i, b - i]: g's column b - i, or -inf from a row's tail
-    skew = scratch.reshape(rows, block * span)[:, : block * (span - 1)]
-    skew = skew.reshape(rows, block, span - 1)
+    scratch = np.empty((block, span, rows))
+    scratch[:, lg:] = _NEG
+    # plane i of skew starts i budgets before plane i of scratch, so
+    # skew[i, b] is scratch[i, b - i]: g's budget b - i, or -inf from the
+    # tail of plane i - 1
+    skew = scratch.reshape(-1)[: block * (span - 1) * rows].reshape(block, span - 1, rows)
     if la == block:
-        np.add(a[:, :la, None], g[:, None], out=scratch[:, :, :lg])
-        return np.maximum.reduce(skew, axis=1)[:, :size]
-    out = np.full((rows, la + lg - 1), _NEG)
+        np.add(a[:la, None], g, out=scratch[:, :lg])
+        return np.maximum.reduce(skew, axis=0)[:size]
+    out = np.full((la + lg - 1, rows), _NEG)
     for i in range(0, la, block):
         bw = min(block, la - i)
-        np.add(a[:, i : i + bw, None], g[:, None], out=scratch[:, :bw, :lg])
-        seg = out[:, i : i + lg + bw - 1]
-        np.maximum(seg, np.maximum.reduce(skew[:, :bw, : lg + bw - 1], axis=1), out=seg)
-    return out[:, :size]
+        np.add(a[i : i + bw, None], g, out=scratch[:bw, :lg])
+        seg = out[i : i + lg + bw - 1]
+        np.maximum(seg, np.maximum.reduce(skew[:bw, : lg + bw - 1], axis=0), out=seg)
+    return out[:size]
 
 
 def _max_plus_columns(a: np.ndarray, g: np.ndarray, width: int) -> np.ndarray:
-    """``_max_plus`` of transposed operands: a[i] is column i of every row,
-    and so is the result's.
+    """``_max_plus`` by a loop over the budgets of the narrower operand.
 
-    One shifted add and one maximum per column of the narrower operand, each
-    along all the rows at once: for many rows and few columns, far fewer
-    passes than the blocked reduction.  Each candidate is the same float
-    sum, so the values are the same.
+    One shifted add and one maximum per budget, each along all the rows at
+    once: for many rows and few budgets, far fewer passes than the blocked
+    reduction.  Each candidate is the same float sum, so the values are the
+    same.
     """
     if len(a) > len(g):
         a, g = g, a
@@ -249,8 +256,9 @@ class OtsSolver:
         self.memo: List[np.ndarray] = [None] * tree.n
         # the empty suffix of every knapsack over every memo row: 0.0 at
         # budget 0, -inf past it
-        seed = np.full((tree.height + 2, k + 1), _NEG)
-        seed[:, 0] = 0.0
+        seed = np.full((k + 1, tree.height + 2), _NEG)
+        seed[0] = 0.0
+        seed = seed.T
         seed.flags.writeable = False
         self._seed = seed
         self._merges = 0  # max-plus merges run so far
@@ -282,20 +290,20 @@ class OtsSolver:
             kids = children[u]
             # a single child merges nothing: its memo is tables[0]
             kept[u] = tables = self._tables(u) if len(kids) > 1 else [memo[kids[0]], seed]
-            head = tables[0]
-            have = head.shape[1]
+            head = tables[0].T
+            have = len(head)
             cap_u = cap[u]
             lo = offset[u]
-            vals = np.empty((d + 1, cap_u + 1))
-            np.add(base[lo : lo + d + 1, None], head[: d + 1], out=vals[:, :have])
+            vals = np.empty((cap_u + 1, d + 1))
+            np.add(base[lo : lo + d + 1], head[:, : d + 1], out=vals[:have])
             if have == cap_u:
-                vals[:, cap_u] = vals[:, cap_u - 1]
+                vals[cap_u] = vals[cap_u - 1]
             if cap_u:
                 # the better case per budget; equal cases are the same float,
                 # so the no-case tie rule only matters in _decide
-                no = vals[:, 1:]
-                np.maximum(no, feq[u] + head[d + 1, :cap_u], out=no)
-            memo[u] = vals
+                no = vals[1:]
+                np.maximum(no, (feq[u] + head[:cap_u, d + 1])[:, None], out=no)
+            memo[u] = vals.T
 
     def _evaluate_bulk(self, base, offset):
         """memo and kept tables of every leaf, twig and one-branch node, in a
@@ -313,8 +321,8 @@ class OtsSolver:
         -inf past each node's own columns, and one merge per child position
         serves every node with a leaf there: the right folds of all rounds
         at once, then each round's left leaves.  The leaves are laid out in
-        the order those merges read them.  The stacks are transposed, one
-        array entry per column, so each numpy call runs along all the rows.
+        the order those merges read them.  The stacks are budget-major, as
+        every table is, so each numpy call runs along all the rows.
         Every candidate is the float sum the per-node pass makes, and -inf
         never wins a max, so each memo and kept table, a view of the stacks
         cut to its own rows and columns, is bit for bit the per-node one."""
@@ -378,21 +386,20 @@ class OtsSolver:
         leaf_end = leaf_rows.cumsum()
         # a leaf's tables are the seed: its no-case is its base row plus the
         # seed's 0.0, and its yes-case at budget 1 its weight plus that 0.0
-        lv = np.empty((leaf_end[-1], min(k, 1) + 1))
+        lv = np.empty((min(k, 1) + 1, leaf_end[-1]))
         at = np.arange(leaf_end[-1]) + (offset[leaves] - leaf_end + leaf_rows).repeat(leaf_rows)
-        np.add(base[at], 0.0, out=lv[:, 0])
+        np.add(base[at], 0.0, out=lv[0])
         if k:
-            np.add(feq[leaves].repeat(leaf_rows), 0.0, out=lv[:, 1])
+            np.add(feq[leaves].repeat(leaf_rows), 0.0, out=lv[1])
         b = 0
         leaf_tables = [seed]
         for c, e in zip(leaves.tolist(), leaf_end.tolist()):
-            memo[c] = lv[b:e]
+            memo[c] = lv[:, b:e].T
             kept[c] = leaf_tables
             b = e
         bulk = leaf | (rnd >= 0)
         if not nodes.size:
             return bulk
-        lv = lv.T
         depth = levels[nodes]
         rows = depth + 2  # a node's children have its rows 0..d, and one for it
         row_end = rows.cumsum()
@@ -507,11 +514,10 @@ class OtsSolver:
         width = self.cap[u] + 1
         tables = [self._seed]
         memo = self.memo
-        acc = None
         for x in reversed(kids):
-            # a child's matrix is exactly these rows, and cap[x] <= cap[u]
-            acc = memo[x] if acc is None else _max_plus(memo[x], acc, width)
-            tables.append(acc)
+            # a child's matrix is exactly these rows, and cap[x] <= cap[u];
+            # the merge runs on the budget-major tables behind the views
+            tables.append(memo[x] if len(tables) == 1 else _max_plus(memo[x].T, tables[-1].T, width).T)
         self._merges += max(len(kids) - 1, 0)
         tables.reverse()
         return tables

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -290,18 +291,21 @@ MERGE_ENTRIES = (0.0, 0.1, 1 / 3, 7.0, 1e16, float("-inf"))
 
 @st.composite
 def merge_operands(draw):
-    """(a, g, width): strided views into wider matrices, each cut to
-    ``width`` columns, with ``width`` below, at or above the longest
-    budget la + lg - 1 that the merge can reach."""
-    rows = draw(st.integers(1, 5))
+    """(a, g, width): (rows, columns) views of budget-major stacks, each cut
+    from a wider stack to ``width`` columns and to rows inside it, with
+    ``width`` below, at or above the longest budget la + lg - 1 that the
+    merge can reach.  Up to 40 rows, more than ``_BLOCK``; the cells come
+    from a drawn seed, as drawing each of up to 2,800 cells would overrun
+    hypothesis's buffer."""
+    rows = draw(st.integers(1, 40))
     la, lg = draw(st.integers(1, 70)), draw(st.integers(1, 70))
     width = draw(st.integers(max(la, lg), la + lg + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def operand(cols):
-        cells = draw(st.lists(st.sampled_from(MERGE_ENTRIES), min_size=rows * cols, max_size=rows * cols))
-        wide = np.zeros((rows + 1, cols + 2))
-        wide[:rows, :cols] = np.reshape(cells, (rows, cols))
-        return wide[:rows, :cols]
+        wide = np.zeros((cols + 2, rows + 3))
+        wide[:cols, 1 : rows + 1] = rng.choice(MERGE_ENTRIES, (cols, rows))
+        return wide[:cols, 1 : rows + 1].T
 
     return operand(la), operand(lg), width
 
@@ -312,8 +316,8 @@ def test_max_plus_matches_loop(operands):
     a, g, width = operands
     for x, y in ((a, g), (g, a)):
         want = _loop_max_plus(x, y, width)
-        # the bulk pass's kernel takes and gives the transposed matrices
-        for got in (_max_plus(x, y, width), _max_plus_columns(x.T, y.T, width).T):
+        # both kernels take and give budget-major tables
+        for got in (_max_plus(x.T, y.T, width).T, _max_plus_columns(x.T, y.T, width).T):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -321,12 +325,12 @@ def test_max_plus_matches_loop(operands):
 @pytest.mark.parametrize("la", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1])
 def test_max_plus_block_edges(la):
     rng = np.random.default_rng(la)
-    for lg in (la, la + 1, 3 * _BLOCK + 2):
-        a, g = rng.random((3, la)) * 1e16, rng.random((3, lg)) / 3
+    for rows, lg in itertools.product((3, _BLOCK + 3), (la, la + 1, 3 * _BLOCK + 2)):
+        a, g = rng.random((rows, la)) * 1e16, rng.random((rows, lg)) / 3
         for width in (lg, la + lg - 2, la + lg - 1, la + lg + 5):
             if width < lg:
                 continue
-            got, want = _max_plus(a, g, width), _loop_max_plus(a, g, width)
+            got, want = _max_plus(a.T, g.T, width).T, _loop_max_plus(a, g, width)
             assert got.tobytes() == want.tobytes()
 
 
@@ -336,10 +340,10 @@ def test_max_plus_scratch_is_blocked():
     rows, k = 30, 1000
     width = k + 1
     rng = np.random.default_rng(0)
-    a, g = rng.random((rows, width)), rng.random((rows, width))
+    a, g = rng.random((width, rows)), rng.random((width, rows))
     tracemalloc.start()
     try:
-        out = _max_plus(a, g, width)
+        out = _max_plus(a, g, width).T
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -676,6 +680,40 @@ def test_hand_built_one_branch_nodes_match_the_per_node_pass(shape):
         for k in range(t.n + 1):
             _assert_matches_per_node_pass(t, k, base)
             assert OtsSolver(t, k).solve().stats["per_node"] == t.n - len(_bulk_nodes(t, k))
+
+
+# -- one budget-major layout for every table ----------------------------------
+
+
+def _assert_budget_major(solver):
+    """Every memo and kept table of ``solver`` is a (rows, budgets) view of
+    budget-major storage: its row axis has unit stride."""
+    for u in range(solver.tree.n):
+        for table in (solver.memo[u], *solver._kept[u]):
+            assert table.strides[0] == table.itemsize, (u, table.shape, table.strides)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(shuffled_trees(max_n=30), deep_trees(), caterpillars(), one_branch_trees()), st.data())
+def test_every_table_is_budget_major(t, data):
+    for k in _budgets(t.n, data):
+        _assert_budget_major(OtsSolver(t, k))
+
+
+# the benchmark's workloads at its default seed: GenSpec fields, ks, trees
+WORKLOAD_TREES = {
+    "load-1e5": ({"n": 10**5, "important_count": 10**3}, (10,), 1),
+    "solve-1e4x3": ({"n": 10**4, "important_count": 10**3}, (10, 25, 100), 3),
+    "deep-500x4": ({"n": 500, "important_count": 500, "height_bias": 0.9}, (10, 25), 4),
+}
+
+
+@pytest.mark.parametrize("fields, ks, trees", WORKLOAD_TREES.values(), ids=WORKLOAD_TREES.keys())
+def test_workload_tables_are_budget_major(fields, ks, trees):
+    for i in range(trees):
+        t = vtree(gen_random_tree(GenSpec(**fields, seed=70_707 + (i << 32)))).tree
+        for k in sorted({0, 1, *ks, t.n}):
+            _assert_budget_major(OtsSolver(t, k))
 
 
 # -- budgets and the state count ----------------------------------------------
