@@ -127,19 +127,18 @@ def brute_force(
     if total > subset_cap:
         raise EnumerationTooLarge(f"C({n},{k}) = {total} exceeds cap {subset_cap}")
 
-    imp = tree.important_pre
+    m = len(tree.important_rank)
     cols = tree.pre_order
     # impact[i, p]: what the node at preorder position p contributes when it
     # represents important node i; zero unless it is an ancestor.
     p = np.arange(n)
-    rank = tree.pre_rank[imp][:, None]
+    rank = tree.important_rank[:, None]
     covers = (p <= rank) & (rank < p + tree.subtree_size[cols])
-    slv = tree.score_levels
-    gap = slv[imp][:, None] - slv[cols] + 1
-    impact = np.zeros((len(imp), n))
-    np.divide(tree.feq[imp][:, None], gap, out=impact, where=covers)
+    gap = tree.important_score_levels[:, None] - tree.score_levels[cols] + 1
+    impact = np.zeros((m, n))
+    np.divide(tree.important_feq[:, None], gap, out=impact, where=covers)
 
-    batch_rows = max(1, _BATCH_CELLS // max(1, len(imp) * n))
+    batch_rows = max(1, _BATCH_CELLS // max(1, m * n))
     best_val = -1.0
     best_combo = None
     combos = combinations(range(n), k)

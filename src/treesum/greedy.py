@@ -116,10 +116,9 @@ def gts(tree: WeightedTree, k: int) -> SummaryResult:
             fresh[at[v]] = 0
             v = parent[v]
     # each weighted node's nearest selected self-inclusive ancestor
-    imp = tree.important_pre
     return SummaryResult(
         selected=order,
-        score=_cover_score(tree, imp, cover[at_pos[imp]]),
+        score=_cover_score(tree, cover[at_pos[tree.important_pre]]),
         algorithm="gts",
         trace=trace,
         stats={"gain_evals": gain_evals, "first_round_terms": len(terms)},

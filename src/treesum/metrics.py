@@ -79,7 +79,7 @@ def closeness_distance(
     for up in closure.jumps:
         best = np.minimum(best, best[up])
     at = closure.weighted_at
-    return sequential_sum((levels[at] + best[at]) * tree.feq[tree.important_pre])
+    return sequential_sum((levels[at] + best[at]) * tree.important_feq)
 
 
 def avg_level_difference(tree: WeightedTree, members: Iterable[int]) -> float:
@@ -89,13 +89,12 @@ def avg_level_difference(tree: WeightedTree, members: Iterable[int]) -> float:
     gap to an imaginary node above the root.  Both sums add in preorder.
     """
     selected = {tree.check_node(v) for v in members}
-    imp = tree.important_pre
-    if not imp.size:
+    rank = tree.important_rank
+    if not rank.size:
         raise NoImportantNodes("no node carries positive weight")
-    z = tree._nearest_selected(selected, imp)
-    levels = tree.levels
-    gap = levels[imp] - np.where(z >= 0, levels[z], 0)
-    w = tree.feq[imp]
+    z = tree._nearest_at(selected, rank)
+    gap = tree.important_levels - np.where(z >= 0, tree.levels[z], 0)
+    w = tree.important_feq
     return sequential_sum(gap * w) / sequential_sum(w)
 
 

@@ -63,24 +63,26 @@ by representing it, lies in one flat float64 array, ragged: Σ(levels + 1)
 floats, filled depth by depth (a node's ancestor path is its parent's plus
 the parent's score level) and then divided once (``_base_rows``).  Then the
 bulk pass (``_evaluate_bulk``) takes the leaves and, at k > 0, the twigs
-(nodes whose children are all leaves) and the one-branch nodes (two or more
-children, all leaves but one, the branch) above them, in rounds: twigs
-first, and a one-branch node in the round after its branch's.  Every merge
-these nodes make takes a leaf, two columns, except the one of a branch's
-memo into the fold of the leaves right of it, and all of a node's tables
-have its children's d + 2 rows.  So a round stacks its nodes' rows, -inf
-past each node's own columns, and merges one child position for all of
-them in a few numpy calls per column of the narrower operand: no row is
-padded to a common depth, as batching other nodes would need.  The memo
+(nodes whose children are all leaves) and the one-branch nodes (children all
+leaves but one, the branch, so a node with one child that is not a leaf is
+one too) above them, in rounds: twigs first, and a one-branch node in the
+round after its branch's.  Every merge these nodes make takes a leaf, two
+columns, except the one of a branch's memo into the fold of the leaves
+right of it, and all of a node's tables have its children's d + 2 rows.
+So a round stacks its nodes' rows, -inf past each node's own columns, and
+merges one child position for all of them in a few numpy calls per column
+of the narrower operand: no row is padded to a common depth, as batching
+other nodes would need.  The memo
 rows and the yes-case follow from the per-node pass's float operations, bit
 for bit.  The postorder then walks the other nodes bottom-up with no
 recursion, one kernel call for each node with two or more children.  A node
-with one child x merges nothing: x's memo already is u's tables[0].  Its
-memo step writes one budget-major matrix: each budget's entry is the base
-row plus that budget's head entry, and the yes-case reads row d + 1 of the
-head entry one budget lower.  Every node's tables[0] may end one column
-short of cap[u] = 1 + the children's total cap; that column repeats the one
-before it, in the memo as in the reads, one contiguous copy.
+with one child x, above a node the bulk pass did not take, merges nothing:
+x's memo already is u's tables[0].  Its memo step writes one budget-major
+matrix: each budget's entry is the base row plus that budget's head entry,
+and the yes-case reads row d + 1 of the head entry one budget lower.
+Every node's tables[0] may end one column short of cap[u] = 1 + the
+children's total cap; that column repeats the one before it, in the memo as
+in the reads, one contiguous copy.
 
 Every node keeps its tables, ``_tables(u)``: its children's suffix tables
 and then the seed, so a leaf keeps only the seed and a single child's memo
@@ -310,14 +312,15 @@ class OtsSolver:
         fixed number of numpy calls per round; returns the mask of the nodes
         it evaluated.
 
-        A twig's children are all leaves; a one-branch node has two or more
-        children, all leaves but one, its branch.  At k > 0, round 0 holds
-        the twigs, and a one-branch node joins the round after its branch's;
-        at k = 0 only the leaves are evaluated here.  A node's knapsack
-        folds the leaves right of its branch, merges the branch's memo into
-        that fold, and then each leaf left of it: every merge but the branch
-        merge takes a leaf, two columns, and all of a node's tables have the
-        d + 2 rows of its children.  So the nodes are stacked row over row,
+        A twig's children are all leaves; a one-branch node's children are
+        all leaves but one, its branch, which may be its only child.  At
+        k > 0, round 0 holds the twigs, and a one-branch node joins the round
+        after its branch's; at k = 0 only the leaves are evaluated here.  A
+        node's knapsack folds the leaves right of its branch, merges the
+        branch's memo into that fold, and then each leaf left of it (a node
+        with one child merges nothing): every merge but the branch merge
+        takes a leaf, two columns, and all of a node's tables have the d + 2
+        rows of its children.  So the nodes are stacked row over row,
         -inf past each node's own columns, and one merge per child position
         serves every node with a leaf there: the right folds of all rounds
         at once, then each round's left leaves.  The leaves are laid out in
@@ -343,7 +346,7 @@ class OtsSolver:
         # has one, else -1
         rnd = np.full(tree.n, -1)
         front = np.flatnonzero(~leaf & (leafy == fanout)) if k else leaves[:0]
-        one = (fanout > 1) & (leafy == fanout - 1)
+        one = (fanout > 0) & (leafy == fanout - 1)
         rounds = 0
         while front.size:
             rnd[front] = rounds

@@ -13,8 +13,11 @@ node y be represented by its best selected ancestor:
 g is monotone and submodular, which is what makes the greedy summarizer a
 (1 - 1/e)-approximation.  All level arithmetic reads ``tree.score_levels``
 so reduced trees score exactly like the originals they came from.  The best
-selected ancestor of y is its nearest one, which ``smy`` and g find with the
-tree's batched nearest-selected-ancestor query.
+selected ancestor of y is its nearest one.  g asks the tree's nearest-member
+search (``WeightedTree._nearest_at``) about every weighted node at once, by
+the preorder ranks the tree keeps for them, and reads their weights and
+score levels from the tree's arrays of the weighted nodes, in preorder;
+``smy`` asks the same search about one node.
 
 ``marginal_gain_fast`` computes g(S + {x}) - g(S) from the nodes of x's
 subtree that share x's nearest selected ancestor; ``marginal_gain_naive``
@@ -69,17 +72,16 @@ def g_score(tree: WeightedTree, members: Iterable[int]) -> float:
 
 
 def _g_unchecked(tree: WeightedTree, selected: Set[int]) -> float:
-    imp = tree.important_pre
-    return _cover_score(tree, imp, tree._nearest_selected(selected, imp))
+    return _cover_score(tree, tree._nearest_at(selected, tree.important_rank))
 
 
-def _cover_score(tree: WeightedTree, y, z) -> float:
-    """g from the weighted nodes ``y`` in preorder and each one's nearest
-    selected self-inclusive ancestor ``z`` (-1 for none)."""
-    lv = tree.score_levels
+def _cover_score(tree: WeightedTree, z) -> float:
+    """g from each weighted node's nearest selected self-inclusive ancestor
+    ``z`` (-1 for none), the weighted nodes in preorder, as the tree's
+    ``important_*`` arrays hold them."""
     hit = z >= 0
-    y = y[hit]
-    return sequential_sum(tree.feq[y] / (lv[y] - lv[z[hit]] + 1))
+    den = tree.important_score_levels[hit] - tree.score_levels[z[hit]] + 1
+    return sequential_sum(tree.important_feq[hit] / den)
 
 
 def marginal_gain_naive(tree: WeightedTree, members: Iterable[int], x: int) -> float:

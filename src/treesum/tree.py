@@ -33,7 +33,12 @@ below one, never reaches the sentinel; the first doubling stops after
 n.bit_length() + 1 rounds and names the nodes that did not.
 
 Subtree sizes make "y is a descendant of x" a single interval test:
-pre_rank[x] <= pre_rank[y] < pre_rank[x] + subtree_size[x].
+pre_rank[x] <= pre_rank[y] < pre_rank[x] + subtree_size[x].  The same
+intervals find, for a batch of nodes, each one's nearest self-inclusive
+ancestor in a selected set with three ``searchsorted`` calls
+(``_nearest_at``).  The weighted nodes' preorder ranks, weights, levels and
+score levels are kept in preorder as arrays of their own, so the scorers
+that ask about every weighted node read contiguous arrays.
 
 ``subtree_weight`` folds only the support, the weighted nodes and their
 ancestors, which a climb from those nodes marks; every other node's sum is
@@ -110,6 +115,12 @@ class WeightedTree:
         "subtree_size",
         "important",
         "important_pre",
+        # the weighted nodes' preorder ranks, weights, levels and score
+        # levels, in preorder, as important_pre lists them
+        "important_rank",
+        "important_feq",
+        "important_levels",
+        "important_score_levels",
         "height",
         "_id_to_index",
         "_children",
@@ -287,7 +298,16 @@ class WeightedTree:
 
         weighted = weights > 0
         self.important = _frozen(np.flatnonzero(weighted))
-        self.important_pre = _frozen(pre_order[weighted[pre_order]])
+        rank = np.flatnonzero(weighted[pre_order])
+        imp = pre_order[rank]
+        self.important_rank = _frozen(rank)
+        self.important_pre = _frozen(imp)
+        self.important_feq = _frozen(weights[imp])
+        self.important_levels = _frozen(levels[imp])
+        if score_levels is None:
+            self.important_score_levels = self.important_levels
+        else:
+            self.important_score_levels = _frozen(self.score_levels[imp])
         self.height = int(levels.max())
 
     @property
@@ -412,36 +432,35 @@ class WeightedTree:
 
     def _nearest_selected(self, selected, nodes) -> np.ndarray:
         """Nearest self-inclusive ancestor in ``selected`` (distinct valid
-        indices) of each of ``nodes`` (valid indices), or -1 where none is.
+        indices) of each of ``nodes`` (valid indices), or -1 where none is."""
+        return self._nearest_at(selected, self.pre_rank[np.asarray(nodes, dtype=np.int64)])
 
-        Selected subtrees are nested or disjoint preorder intervals: a node
-        starts at the last member at or before it in preorder and climbs the
-        members' nearest selected proper ancestors until an interval holds it.
+    def _nearest_at(self, selected, rank) -> np.ndarray:
+        """``_nearest_selected`` of the nodes of preorder ranks ``rank``.
+
+        Selected subtrees are nested or disjoint preorder intervals, so the
+        members whose intervals hold a rank r form a chain.  Its length,
+        held(r), is the number of members that start at or before r less
+        the number that end there or before.  A member's depth is its own
+        start's held, the members of one depth are disjoint, and so r's
+        nearest member is the last one of depth held(r) that starts at or
+        before r: one ``searchsorted`` of held(r) * n + r into the members'
+        sorted keys depth * n + start.  With held(r) = 0 every key is
+        larger, and position -1 reads the -1 appended for no member.
         """
+        n = self.n
         members = np.fromiter(selected, dtype=np.int64, count=len(selected))
-        members = members[np.argsort(self.pre_rank[members])]
-        lo = self.pre_rank[members]
-        # position -1 is a sentinel: no member, with an interval holding every node
-        ends = (lo + self.subtree_size[members]).tolist() + [self.n]
-        up = []
-        stack = [-1]
-        for i, start in enumerate(lo.tolist()):
-            while ends[stack[-1]] <= start:
-                stack.pop()
-            up.append(stack[-1])
-            stack.append(i)
-        up = np.array(up, dtype=np.int64)
-        hi = np.array(ends)
+        start = self.pre_rank[members]
+        end = np.sort(start + self.subtree_size[members])
+        start.sort()
 
-        rank = self.pre_rank[np.asarray(nodes, dtype=np.int64)]
-        at = np.searchsorted(lo, rank, side="right") - 1
-        todo = np.arange(len(at))
-        while todo.size:
-            cur = at[todo]
-            outside = rank[todo] >= hi[cur]
-            todo = todo[outside]
-            at[todo] = up[cur[outside]]
-        return np.append(members, -1)[at]
+        def held(r):
+            return np.searchsorted(start, r, side="right") - np.searchsorted(end, r, side="right")
+
+        key = held(start) * n + start
+        key.sort()
+        at = np.searchsorted(key, held(rank) * n + rank, side="right") - 1
+        return np.append(self.pre_order[key % n], -1)[at]
 
     def total_weight(self) -> float:
         return sequential_sum(self.feq[self.important])

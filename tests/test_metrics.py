@@ -18,9 +18,20 @@ from treesum import (
     vtree,
     weighted_coverage,
 )
+from treesum import agg_topk, cagg_topk, feq_topk, marginal_gain_fast, smy
 from treesum.errors import EmptySummary, NoImportantNodes
+from treesum.scoring import _g_unchecked
 
-from test_tree import ORDER_WEIGHTS, SIGNED_ZERO_WEIGHTS, _walk_nearest, shuffled_trees
+from test_greedy import _lists, _walk_gain
+from test_optimal import WORKLOAD_TREES
+from test_scoring import _walk_smy
+from test_tree import (
+    ORDER_WEIGHTS,
+    SIGNED_ZERO_WEIGHTS,
+    _stack_climb_nearest,
+    _walk_nearest,
+    shuffled_trees,
+)
 
 
 @pytest.fixture(scope="module")
@@ -366,3 +377,97 @@ def test_lca_index_of_another_tree_is_rejected():
     own = EulerLcaIndex(t)
     assert vtree(t, own).tree.n == vtree(t).tree.n == 52
     assert closeness_distance(t, members, index=own) == closeness_distance(t, members) == 7479.0
+
+
+# -- the workload trees against the replaced routes ---------------------------
+
+
+def _climb_g(tree, selected):
+    """g as the parent route computed it: the replaced stack-and-climb
+    routine's nearest members, and the terms gathered from the per-node
+    arrays at the weighted nodes, added in preorder."""
+    imp = tree.important_pre.tolist()
+    z = _stack_climb_nearest(tree, selected, imp).tolist()
+    lv, feq = tree.score_levels, tree.feq
+    total = 0.0
+    for y, x in zip(imp, z):
+        if x >= 0:
+            total += feq[y] / (lv[y] - lv[x] + 1)
+    return total
+
+
+def _closeness_by_paths(tree, members):
+    """closeness_distance from each member's root path: LCA(x, y) is the
+    deepest node on x's path whose preorder interval holds y."""
+    imp = tree.important_pre
+    rank = tree.pre_rank[imp]
+    ly = tree.levels[imp]
+    best = None
+    for x in set(members):
+        path = [x]
+        while tree.parent[path[-1]] >= 0:
+            path.append(tree.parent[path[-1]])
+        lo = tree.pre_rank[path][:, None]
+        holds = (lo <= rank) & (rank < lo + tree.subtree_size[path][:, None])
+        meet = np.where(holds, tree.levels[path][:, None], -1).max(axis=0)
+        dist = tree.levels[x] + ly - 2 * meet
+        best = dist if best is None else np.minimum(best, dist)
+    total = 0.0
+    for d, y in zip(best.tolist(), imp.tolist()):
+        total += d * tree.feq[y]
+    return total
+
+
+def _loop_coverage(tree, members):
+    selected = set(members)
+    total = 0.0
+    for y in tree.important.tolist():
+        if y in selected or tree.parent[y] in selected:
+            total += tree.feq[y]
+    return total
+
+
+WORKLOAD_CASES = [
+    (name, fields, ks, i)
+    for name, (fields, ks, trees) in WORKLOAD_TREES.items()
+    for i in range(trees)
+]
+
+
+@pytest.mark.parametrize(
+    "fields, ks, i", [c[1:] for c in WORKLOAD_CASES], ids=[f"{c[0]}-t{c[3]}" for c in WORKLOAD_CASES]
+)
+def test_workload_scores_and_metrics_match_the_replaced_routes(fields, ks, i):
+    # each of the benchmark's trees at its default seed, with the selections
+    # a job makes: every score, gain and metric equals the replaced routes'
+    # by float.hex, on the tree and, for the raw solver results, on the
+    # reduced tree, whose score levels differ from its levels
+    t = gen_random_tree(GenSpec(**fields, seed=70_707 + (i << 32)))
+    index = EulerLcaIndex(t)
+    reduced = vtree(t, index)
+    lists = _lists(t)
+    imp = t.important_pre.tolist()
+    for k in ks:
+        raw = [solve(reduced.tree, k) for solve in (ots, gts)]
+        for res in raw:
+            selected = set(res.selected)
+            assert float.hex(res.score) == float.hex(_climb_g(reduced.tree, selected))
+        lifted = [lift_result(reduced, res).selected for res in raw]
+        baselines = [feq_topk(t, k), agg_topk(t, k), cagg_topk(t, k, 0.5)]
+        for res in baselines:
+            assert float.hex(res.score) == float.hex(_climb_g(t, set(res.selected)))
+        for members in (*lifted, *(res.selected for res in baselines)):
+            selected = set(members)
+            assert float.hex(_g_unchecked(t, selected)) == float.hex(_climb_g(t, selected))
+            report = compute_metrics(t, members, index=index)
+            assert float.hex(report.cd) == float.hex(_closeness_by_paths(t, members))
+            assert float.hex(report.ald) == float.hex(_walk_avg_level_difference(t, members))
+            assert float.hex(report.wc) == float.hex(_loop_coverage(t, members))
+            # smy at every 37th weighted node and at each member
+            for y in imp[::37] + sorted(selected):
+                assert float.hex(smy(t, selected, y)) == float.hex(_walk_smy(t, selected, y))
+            # the gain of each member's parent, and of a few weighted nodes
+            for x in {t.parent[v] for v in selected if t.parent[v] >= 0} | set(imp[::251]):
+                if x not in selected:
+                    want = _walk_gain(selected, x, *lists)
+                    assert float.hex(marginal_gain_fast(t, selected, x)) == float.hex(want)

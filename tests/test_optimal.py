@@ -359,13 +359,13 @@ def _twig_counts(t):
 
 def _bulk_nodes(t, k):
     """The nodes the bulk pass evaluates: the leaves and, at k > 0, the
-    twigs and every one-branch node (two or more children, all leaves but
-    one) whose non-leaf child the bulk pass evaluates."""
+    twigs and every one-branch node (children all leaves but one, a single
+    child included) whose non-leaf child the bulk pass evaluates."""
     kids = t.children
     bulk = set()
     for u in t.post_order.tolist():
         inner = [x for x in kids[u] if kids[x]]
-        if not kids[u] or k and (not inner or len(kids[u]) > 1 and inner == [inner[0]] and inner[0] in bulk):
+        if not kids[u] or k and (not inner or inner == [inner[0]] and inner[0] in bulk):
             bulk.add(u)
     return bulk
 
@@ -605,10 +605,10 @@ def test_caterpillar_twigs_match_the_per_node_pass(t):
 
 @st.composite
 def one_branch_trees(draw):
-    """Chains of one-branch nodes (two or more children, all leaves but one)
+    """Chains of one-branch nodes (children all leaves but one, the branch)
     hanging from a short spine: each chain node has 0-4 leaves on each side
-    of its branch, the next chain node, and a chain ends in a twig or a twig
-    of twigs.  Half the trees are relabelled at random, which also reorders
+    of its branch, the next chain node, so with none it has one child, and
+    a chain ends in a twig or a twig of twigs.  Half the trees are relabelled at random, which also reorders
     siblings; weights include -0.0."""
     shape = [-1] + list(range(draw(st.integers(0, 3))))
     for _ in range(draw(st.integers(1, 4))):
@@ -633,12 +633,12 @@ def one_branch_trees(draw):
 
 
 def _one_branch_budgets(t):
-    """k in {0, 1, 2, n}, and each one-branch node's subtree size s - 1, s
-    and s + 1: its cap below, at and past its plateau."""
+    """k in {0, 1, 2, n}, and each one-branch or one-child node's subtree
+    size s - 1, s and s + 1: its cap below, at and past its plateau."""
     kids = t.children
     ks = {0, 1, 2, t.n}
     for u, c in enumerate(kids):
-        if len(c) > 1 and sum(1 for x in c if kids[x]) == 1:
+        if sum(1 for x in c if kids[x]) == 1:
             size = int(t.subtree_size[u])
             ks |= {size - 1, size, size + 1}
     return sorted(ks & set(range(t.n + 1)))
@@ -653,7 +653,7 @@ def test_one_branch_rounds_match_the_per_node_pass(t):
 
 
 # parent arrays whose children come in index order; node 0 is a one-branch
-# node at every k > 0
+# or one-child node at every k > 0
 ONE_BRANCH_SHAPES = {
     # three leaves right of a twig of two
     "branch-first": [-1, 0, 0, 0, 0, 1, 1],
@@ -666,6 +666,12 @@ ONE_BRANCH_SHAPES = {
     "cap-mid-fold": [-1, 0, 0, 0, 0, 0, 0, 0, 2, 2],
     # three rounds: node 4 a twig, node 2 above it, node 0 above that
     "chain": [-1, 0, 0, 0, 2, 2, 4, 4],
+    # two one-child nodes above a twig of two
+    "one-child-chain": [-1, 0, 1, 2, 2],
+    # a one-child node above a one-branch node above a twig
+    "one-child-over-branch": [-1, 0, 1, 1, 1, 3, 3],
+    # one-child nodes between two one-branch nodes, in one round each
+    "mixed-chain": [-1, 0, 0, 2, 3, 3, 4, 4, 4],
 }
 
 

@@ -229,6 +229,7 @@ def _reference_build(parent, feq):
             if stack:
                 subtree_size[stack[-1][0]] += subtree_size[node]
     important = [i for i in range(n) if feq[i] > 0]
+    important_pre = sorted(important, key=pre_rank.__getitem__)
     return {
         "root": root,
         "children": children,
@@ -238,7 +239,11 @@ def _reference_build(parent, feq):
         "post_order": post_order,
         "subtree_size": subtree_size,
         "important": important,
-        "important_pre": sorted(important, key=pre_rank.__getitem__),
+        "important_pre": important_pre,
+        "important_rank": [pre_rank[v] for v in important_pre],
+        "important_feq": [feq[v] for v in important_pre],
+        "important_levels": [levels[v] for v in important_pre],
+        "important_score_levels": [levels[v] for v in important_pre],
         "height": max(levels),
     }
 
@@ -255,6 +260,10 @@ ARRAYS = {
     "subtree_size": np.int64,
     "important": np.int64,
     "important_pre": np.int64,
+    "important_rank": np.int64,
+    "important_feq": np.float64,
+    "important_levels": np.int64,
+    "important_score_levels": np.int64,
     "subtree_weight": np.float64,
 }
 
@@ -266,8 +275,9 @@ def _assert_matches_reference(t):
         if name in ARRAYS:
             assert isinstance(got, np.ndarray) and got.dtype == ARRAYS[name], name
             assert not got.flags.writeable, name
-            # one element reads as a Python int, as a list item did
-            assert all(type(x) is int for x in got), name
+            # one element reads as a Python int or float, as a list item did
+            kind = float if ARRAYS[name] is np.float64 else int
+            assert all(type(x) is kind for x in got), name
             got = got.tolist()
         assert got == value, name
         assert type(got) is type(value), name
@@ -542,32 +552,90 @@ def _walk_nearest(tree, selected, v):
     return v
 
 
+def _stack_climb_nearest(tree, selected, nodes):
+    """The member stack and climb that the nearest-member search replaced,
+    as its oracle: a Python stack gives each member its nearest selected
+    proper ancestor, and each node starts at the last member at or before
+    it in preorder and climbs, one numpy step per nesting level, until an
+    interval holds it."""
+    members = np.fromiter(selected, dtype=np.int64, count=len(selected))
+    members = members[np.argsort(tree.pre_rank[members])]
+    lo = tree.pre_rank[members]
+    # position -1 is a sentinel: no member, with an interval holding every node
+    ends = (lo + tree.subtree_size[members]).tolist() + [tree.n]
+    up = []
+    stack = [-1]
+    for i, start in enumerate(lo.tolist()):
+        while ends[stack[-1]] <= start:
+            stack.pop()
+        up.append(stack[-1])
+        stack.append(i)
+    up = np.array(up, dtype=np.int64)
+    hi = np.array(ends)
+
+    rank = tree.pre_rank[np.asarray(nodes, dtype=np.int64)]
+    at = np.searchsorted(lo, rank, side="right") - 1
+    todo = np.arange(len(at))
+    while todo.size:
+        cur = at[todo]
+        outside = rank[todo] >= hi[cur]
+        todo = todo[outside]
+        at[todo] = up[cur[outside]]
+    return np.append(members, -1)[at]
+
+
+def _assert_nearest_matches_oracles(t, selected, nodes):
+    want = [_walk_nearest(t, selected, v) for v in nodes]
+    assert _stack_climb_nearest(t, selected, nodes).tolist() == want
+    assert t._nearest_selected(selected, nodes).tolist() == want
+    rank = t.pre_rank[np.asarray(nodes, dtype=np.int64)]
+    assert t._nearest_at(selected, rank).tolist() == want
+
+
 @settings(max_examples=150, deadline=None)
 @given(shuffled_trees(), st.data())
 def test_nearest_selected_matches_walk(t, data):
     drawn = data.draw(st.sets(st.integers(0, t.n - 1)))
     nodes = list(range(t.n))
     for selected in (set(), {t.root}, set(nodes), drawn):
-        got = t._nearest_selected(selected, nodes)
-        assert got.tolist() == [_walk_nearest(t, selected, v) for v in nodes]
+        _assert_nearest_matches_oracles(t, selected, nodes)
     # a batch may repeat nodes, come in any order, or be empty
     batch = data.draw(st.lists(st.integers(0, t.n - 1), max_size=2 * t.n))
-    got = t._nearest_selected(drawn, batch)
-    assert got.tolist() == [_walk_nearest(t, drawn, v) for v in batch]
+    for selected in (set(), {t.root}, set(nodes), drawn):
+        _assert_nearest_matches_oracles(t, selected, batch)
+    _assert_nearest_matches_oracles(t, drawn, [])
 
 
-@pytest.mark.parametrize("m", [1, 2, 50])
+@pytest.mark.parametrize("m", [1, 2, 50, 500])
 def test_nearest_selected_climbs_a_nested_spine(m):
     # spine s0 -> ... -> s_m, and s_i's second child is the leaf l_i; the
-    # leaves follow the whole deeper spine in preorder, so l_0 climbs m times
+    # leaves follow the whole deeper spine in preorder, so l_0 is held by m
+    # nested members that start after it
     parent = [-1] + list(range(m)) + list(range(m))
     ids = [f"s{i}" for i in range(m + 1)] + [f"l{i}" for i in range(m)]
     t = WeightedTree(ids, parent, [1.0] * (2 * m + 1))
     spine = set(range(m + 1))
     nodes = list(range(t.n))
-    got = t._nearest_selected(spine, nodes)
-    assert got.tolist() == [_walk_nearest(t, spine, v) for v in nodes]
-    assert got.tolist()[m + 1:] == list(range(m))
+    _assert_nearest_matches_oracles(t, spine, nodes)
+    assert t._nearest_selected(spine, nodes).tolist()[m + 1:] == list(range(m))
+    # every other spine node, and the leaves with them
+    _assert_nearest_matches_oracles(t, set(range(0, m + 1, 2)), nodes[::-1])
+    _assert_nearest_matches_oracles(t, set(range(1, t.n, 2)), nodes * 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_trees(weights=SIGNED_ZERO_WEIGHTS))
+def test_weighted_arrays_are_the_weighted_nodes_in_preorder(t):
+    # the reduced tree's score levels differ from its levels
+    for tree in (t, vtree(t).tree):
+        imp = tree.important_pre
+        assert imp.tolist() == [v for v in tree.pre_order if tree.feq[v] > 0]
+        assert tree.important_rank.tolist() == tree.pre_rank[imp].tolist()
+        assert tree.important_feq.tobytes() == tree.feq[imp].tobytes()
+        assert tree.important_levels.tolist() == tree.levels[imp].tolist()
+        assert tree.important_score_levels.tolist() == tree.score_levels[imp].tolist()
+        aliased = tree.important_score_levels is tree.important_levels
+        assert aliased == (tree.score_levels is tree.levels)
 
 
 def test_arrays_are_read_only(ontology):
