@@ -192,21 +192,26 @@ def _parse_uniform(data: bytearray) -> WeightedTree:
     Lines end as in a file read as text: every ``\\r`` and ``\\n`` ends
     one, so ``\\r\\n`` ends a line and then an empty one.  A row mask
     drops the empty lines and those that start with ``#``; every other line
-    is a row, which must hold 2 or 3 tabs.  When every line is a row of one
-    width, the fields' extents are strided views of the separators'
-    offsets; otherwise ``_row_extents`` gathers them.  A field that breaks the schema raises
-    MalformedLine through ``_raise_malformed``.
+    is a row, which must hold 2 or 3 tabs.  The separators' offsets are
+    held in ``_index_type`` (int32 below 2 GiB) from the start, so every
+    extent is too.  When every line is a row of one width, the fields'
+    extents are strided views of those offsets; otherwise ``_row_extents``
+    gathers them.  A field that breaks the schema raises MalformedLine
+    through ``_raise_malformed``.
 
     No field becomes a string here.  The tree takes the id column, and a
-    label column, as ``_FileColumn``s: ``raw`` and each row's extent, in
-    int32 below 2 GiB.  A row with no label, or an empty one, takes its
-    id's extent, as ``label or node_id`` would; when no row has a label the
-    tree gets no label column, so its labels are its ids.  The tree decodes
-    a column with ``_column`` when it is first read, and only some rows of
-    it when asked for those.  Parent fields are resolved from their bytes
-    (``_resolve_ids``).  A weight column whose every field is 1 to 8 ASCII
-    digits is read from one 8-byte word per field (``_digit_weights``); any
-    other weight column is gathered by ``_column`` and read by ``float``.
+    label column, as ``_FileColumn``s: ``raw`` and each row's extent, as
+    compact arrays, so that no view keeps the separators alive.  A row with
+    no label, or an empty one, takes its id's extent, as ``label or
+    node_id`` would; when no row has a label the tree gets no label column,
+    so its labels are its ids.  The tree decodes a column with ``_column``
+    when it is first read, and only some rows of it when asked for those.
+    Parent fields are resolved from their bytes (``_resolve_ids``); while
+    that runs, the file, the separators and four n-entry extents (a byte
+    mask besides) are live.  A weight column whose every field is 1 to 8
+    ASCII digits is read from one 8-byte word per field
+    (``_digit_weights``); any other weight column is gathered by
+    ``_column`` and read by ``float``.
 
     When the bytes resolve no parents (a repeated id, a parent that names
     no id, or hashed keys that collide), the decoded columns go to
@@ -226,6 +231,7 @@ def _parse_uniform(data: bytearray) -> WeightedTree:
     if not data.endswith((b"\n", b"\r"), 0, size):
         seps = np.append(seps, size)
         kind = np.append(kind, _NEWLINE)
+    seps = seps.astype(_index_type(size))
     is_end = kind != _TAB
     del kind, is_sep
     lines = np.count_nonzero(is_end)
@@ -235,7 +241,7 @@ def _parse_uniform(data: bytearray) -> WeightedTree:
         # every line holds cols - 1 tabs, so it is a row unless it is a
         # comment, and the rows' j-th separators are seps[j::cols]
         id_stop, par_stop, weight_stop, stop = (seps[j::cols] for j in (0, 1, 2, cols - 1))
-        start = np.empty(lines, dtype=np.int64)
+        start = np.empty(lines, dtype=seps.dtype)
         start[0] = 0
         np.add(stop[:-1], 1, out=start[1:])
         uniform = not (raw[start] == _COMMENT).any()
@@ -250,37 +256,34 @@ def _parse_uniform(data: bytearray) -> WeightedTree:
     words = np.ndarray((size + 1,), dtype="<u8", buffer=data, strides=(1,))
     par_start = id_stop + 1
     par_len = par_stop - par_start
-    linked = np.flatnonzero((par_len != 1) | (raw[par_start] != _DASH))
+    linked = (par_len != 1) | (raw[par_start] != _DASH)
     # a NUL byte would make a NUL-padded key inexact
     has_nul = data.find(b"\0", 0, size) >= 0
-    found = _resolve_ids(words, start, id_len, par_start[linked], par_len[linked], has_nul)
+    parent = _resolve_ids(words, start, id_len, par_start, par_len, linked, has_nul)
+    # freed before the weights are read, and the rest before the build:
+    # held, they would raise the parse's memory peak
+    del id_len, par_start, par_len, linked
     weight_start = par_stop + 1
     weights = _digit_weights(words, weight_start, weight_stop - weight_start)
-    # the arrays that keyed the parents and read the digit weights are
-    # freed before any other weight column is read, and the rest before
-    # the build: held, they would raise the parse's memory peak
-    del words, id_len, par_start, par_len
     if weights is None:
         try:
             weights = np.fromiter(map(float, _column(raw, weight_start, weight_stop)), np.float64, n)
         except ValueError:
             _raise_malformed(data)
     del weight_start
-    # compact copies of the extents, so that no view keeps ``seps`` alive
-    index_type = np.int32 if raw.size < 2**31 else np.int64
-    ids = _FileColumn(raw, start.astype(index_type), id_stop.astype(index_type))
+    # a strided view would keep every separator alive with the tree
+    ids = _FileColumn(raw, start, np.ascontiguousarray(id_stop))
     labels = None
     if (weight_stop < stop).any():
-        # some row has a label field; in a row with none, label_start lies
-        # past the line's end
-        label_start = weight_stop + 1
-        empty = label_start >= stop
+        # some row has a label field; a row with none, or an empty one,
+        # ends at most one byte past its weight
+        empty = weight_stop >= stop - 1
         if not empty.all():
             # an empty label reads as the id: ``label or node_id``
-            label_start[empty] = start[empty]
+            label_start = np.where(empty, start, weight_stop + 1)
             label_stop = np.where(empty, id_stop, stop)
-            labels = _FileColumn(raw, label_start.astype(index_type), label_stop.astype(index_type))
-    if found is None:
+            labels = _FileColumn(raw, label_start, label_stop)
+    if parent is None:
         # the bytes resolved no parents: the decoded columns name the first
         # repeated id or orphan, or build the tree when only keys collided
         parent_ids = _column(raw, id_stop + 1, par_stop)
@@ -288,10 +291,14 @@ def _parse_uniform(data: bytearray) -> WeightedTree:
         return WeightedTree.from_parent_ids(
             ids.decode(), parent_ids, weights, labels, root_parent=_NO_PARENT
         )
-    parent = np.full(n, -1, dtype=np.int64)
-    parent[linked] = found
-    del linked, found, start, id_stop, par_stop, weight_stop, stop
+    del start, id_stop, par_stop, weight_stop, stop
     return WeightedTree._from_distinct_ids(ids, parent, weights, labels)
+
+
+def _index_type(size: int):
+    """The integer type of the offsets into ``size`` bytes: int32 below
+    2**31 bytes, else int64."""
+    return np.int32 if size < 2**31 else np.int64
 
 
 def _row_extents(data, seps, is_end):
@@ -368,7 +375,7 @@ def _column(raw, start, stop) -> list:
     length = stop - start + 1  # the field and the byte after it
     length[-1] -= 1
     head = np.cumsum(length) - length  # where each field starts in the buffer
-    index_type = np.int32 if raw.size < 2**31 else np.int64
+    index_type = _index_type(raw.size)
     index = np.repeat((start - head).astype(index_type), length)
     index += np.arange(index.size, dtype=index_type)
     # indexing casts an int32 index in buffered chunks; take would copy it
@@ -404,46 +411,60 @@ def _digit_weights(words, start, length):
     return word.astype(np.float64)
 
 
-def _resolve_ids(words, id_start, id_len, ref_start, ref_len, has_nul):
-    """The id that each reference names, as an index into the ids, from the
-    fields' extents; ``words[i]`` is the 8-byte word at offset i of the
-    file.  None when two ids share a key or a reference names no id.
+def _resolve_ids(words, id_start, id_len, ref_start, ref_len, linked, has_nul):
+    """Each row's parent as an index into the rows, -1 where ``linked`` is
+    false, from the fields' extents: row i's id starts at ``id_start[i]``
+    and holds ``id_len[i]`` bytes, its parent field starts at
+    ``ref_start[i]`` and holds ``ref_len[i]`` bytes, and ``words[j]`` is the
+    8-byte word at offset j of the file.  None when two ids share a key or
+    the parent field of a linked row names no id.
 
     A field's key is its bytes, NUL-padded, as one little-endian uint64 when
     every field fits in 8 bytes and the file holds no NUL byte (``has_nul``
     false), so that key is exact.  Otherwise it is ``_mix`` folded over the
     field's length and its NUL-padded 8-byte words, and every match is then
-    checked byte for byte.  One unstable sort of all the keys puts equal
-    keys in runs: every run must hold exactly one id, which every reference
-    in the run names.
+    checked byte for byte.  The ids' keys are sorted, with their order, and
+    must be distinct.  The parent fields' keys are sorted too, so one
+    ``searchsorted`` of them among the ids' sorted keys finds each one's
+    id, each search starting where the one before it ended.  At its peak
+    this holds six n-entry arrays of 8 bytes: both sorted key sets, both
+    orders, the found positions and the keys found there; no array spans
+    both key sets.
     """
     n = id_len.size
-    exact = not has_nul and max(id_len.max(), ref_len.max(initial=0)) <= 8
+    exact = not has_nul and max(id_len.max(), ref_len.max()) <= 8
     key = _exact_keys if exact else _mixed_keys
-    keys = np.concatenate([key(words, id_start, id_len), key(words, ref_start, ref_len)])
-    order = np.argsort(keys)
-    keys = keys[order]
-    run_start = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    if run_start.size != n - 1:
+    id_key = key(words, id_start, id_len)
+    order = np.argsort(id_key)
+    id_key = id_key[order]
+    if (id_key[1:] == id_key[:-1]).any():
         return None
-    # n runs and n ids: one id in each run exactly when the g-th id's
-    # sorted position lies in the g-th run
-    id_at = np.flatnonzero(order < n)
-    if (run_start > id_at[1:]).any() or (run_start <= id_at[:-1]).any():
+    ref_key = key(words, ref_start, ref_len)
+    ref_order = np.argsort(ref_key)
+    ref_key = ref_key[ref_order]
+    at = np.searchsorted(id_key, ref_key)
+    np.minimum(at, n - 1, out=at)
+    named = id_key[at] == ref_key
+    del id_key, ref_key
+    # the parent field of a row that is not linked, the root's "-", names
+    # no id
+    if not (named | ~linked[ref_order]).all():
         return None
-    run_len = np.diff(run_start, prepend=0, append=keys.size)
-    named = np.empty(keys.size, dtype=np.int64)
-    named[order] = np.repeat(order[id_at], run_len)
-    found = named[n:]
+    parent = np.empty(n, dtype=np.int64)
+    parent[ref_order] = order[at]
+    del order, ref_order, at
+    parent[~linked] = -1
     if not exact:
         # a match must hold the same bytes: the same length and words
+        rows = np.flatnonzero(linked)
+        found, ref_start, ref_len = parent[rows], ref_start[rows], ref_len[rows]
         if (id_len[found] != ref_len).any():
             return None
         id_words = _field_words(words, id_start[found], ref_len)
         ref_words = _field_words(words, ref_start, ref_len)
         if any((a != b).any() for (_, a), (_, b) in zip(id_words, ref_words)):
             return None
-    return found
+    return parent
 
 
 def _exact_keys(words, start, length):

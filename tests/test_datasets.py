@@ -555,6 +555,105 @@ def test_parse_checks_the_bytes_of_a_matched_key(tmp_path, monkeypatch):
         assert got[0] is OrphanParentReference
 
 
+def test_index_type_switches_at_2_gib():
+    from treesum.datasets import _index_type
+
+    # an offset into a file reaches its size, one past the last byte, so a
+    # file of 2**31 - 1 bytes is the largest whose offsets fit in int32
+    assert _index_type(2**31 - 1) is np.int32
+    assert _index_type(2**31) is np.int64
+
+
+@st.composite
+def _id_rows(draw):
+    """Rows for ``_resolve_ids``: each row's id, its parent field and
+    whether that field is linked (not the root's "-").  Ids of up to 8
+    bytes or past 8, NUL bytes among them, sometimes a repeated id; parent
+    fields that name the first id, the last, any id, no id or none."""
+    field = st.binary(min_size=1, max_size=draw(st.sampled_from([8, 20])))
+    ids = draw(st.lists(field, min_size=1, max_size=12, unique=True))
+    n = len(ids)
+    if n > 1 and draw(st.booleans()):
+        ids[draw(st.integers(1, n - 1))] = ids[draw(st.integers(0, n - 2))]
+    refs, linked = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["first", "last", "any", "any", "unknown", "empty", "root"]))
+        if kind == "first":
+            refs.append(ids[0])
+        elif kind == "last":
+            refs.append(ids[-1])
+        elif kind == "any":
+            refs.append(draw(st.sampled_from(ids)))
+        elif kind == "unknown":
+            refs.append(draw(field))
+        else:
+            refs.append(b"-" if kind == "root" else b"")
+        linked.append(kind != "root")
+    return ids, refs, linked
+
+
+def _dict_resolve(ids, refs, linked):
+    """The parent index of each row from a dict of the ids, or None for a
+    repeated id or a linked field that names no id: the oracle."""
+    index = {node_id: i for i, node_id in enumerate(ids)}
+    if len(index) < len(ids) or any(on and ref not in index for ref, on in zip(refs, linked)):
+        return None
+    return [index[ref] if on else -1 for ref, on in zip(refs, linked)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_id_rows())
+def test_resolve_ids_matches_a_dict(rows):
+    from treesum.datasets import _PAD, _resolve_ids
+
+    ids, refs, linked = rows
+    fields = ids + refs
+    text = b"\t".join(fields)
+    data = bytearray(text + bytes(_PAD))
+    words = np.ndarray((len(text) + 1,), dtype="<u8", buffer=data, strides=(1,))
+    length = np.array([len(f) for f in fields], dtype=np.int32)
+    start = (np.cumsum(length + 1) - length - 1).astype(np.int32)
+    n = len(ids)
+    got = _resolve_ids(
+        words, start[:n], length[:n], start[n:], length[n:], np.array(linked), b"\0" in text
+    )
+    expected = _dict_resolve(ids, refs, linked)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got.dtype == np.int64 and got.tolist() == expected
+
+
+def test_parse_peak_stays_bounded(tmp_path, monkeypatch):
+    # tracemalloc's peak over the parse of a 50,000-row file, in bytes per
+    # row, for the whole parse and for the part before the tree's build.
+    # The build peaks at 111 B/row and the part before it at 93; the
+    # resolve that sorted both key sets at once and scattered 2n entries
+    # peaked at 191.  One more 2n-entry array of 8 bytes (16 B/row) before
+    # the build would break the second bound.
+    p = tmp_path / "t.tsv"
+    write_tree_tsv(gen_random_tree(GenSpec(n=50_000, important_count=500, seed=35)), p)
+    before_build = []
+    from_distinct_ids = WeightedTree._from_distinct_ids.__func__
+
+    def recording(cls, *args):
+        before_build.append(tracemalloc.get_traced_memory()[1])
+        return from_distinct_ids(cls, *args)
+
+    monkeypatch.setattr(WeightedTree, "_from_distinct_ids", classmethod(recording))
+    # a first parse, untraced, so that numpy's own first-call allocations
+    # are not counted
+    parse_tree_tsv(p)
+    tracemalloc.start()
+    try:
+        t = parse_tree_tsv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.n == 50_000
+    assert peak / t.n <= 130
+    assert before_build[-1] / t.n <= 104
+
+
 @pytest.mark.parametrize(
     "text, route",
     [
